@@ -28,30 +28,40 @@ from .errors import (
     PlanFormatError,
     UnknownFixedPoint,
 )
-from .model import EquivariantClass, FixedPoint, TorusModel
+from .model import (
+    EquivariantClass,
+    FixedPoint,
+    TorusModel,
+    read_json,
+    strict_int,
+    strict_int_vector,
+)
 from .poly import MultiPoly, linear_substitute
 from .weighted import WeightedSpace, weight_gcd, weighted_segre
 
 
-def _int_det(rows: Sequence[Sequence[int]]) -> Fraction:
-    """Determinant by exact fraction-free-enough Gaussian elimination."""
-    n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            factor = mat[r][col] * inv
-            if factor:
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return det
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss fraction-free elimination.
+
+    Every division is exact, so all intermediate entries stay integers.
+    """
+    mat = [list(row) for row in rows]
+    n = len(mat)
+    if n == 0:
+        return 1
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if not mat[k][k]:
+            pivot = next((r for r in range(k + 1, n) if mat[r][k]), None)
+            if pivot is None:
+                return 0
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // previous
+        previous = mat[k][k]
+    return sign * mat[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -76,9 +86,7 @@ class OrientedFlag:
         return len(self.stages)
 
     def determinant(self) -> int:
-        det = _int_det(self.stages)
-        assert det.denominator == 1
-        return int(det)
+        return _int_det(self.stages)
 
     def check_unimodular(self):
         if abs(self.determinant()) != 1:
@@ -162,7 +170,7 @@ def stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
         piece = segre.piece(j - r + 1)
         if piece.is_zero():
             continue
-        out = out + MultiPoly(space.residual_count, residual_terms) * piece * k
+        out = out + MultiPoly._make(space.residual_count, residual_terms) * piece * k
     return out
 
 
@@ -194,11 +202,27 @@ def lambda_flag(
 
 
 def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fraction:
-    """Signed sum of lambda_flag over the terms of a plan; linear in the class."""
-    total = Fraction(0)
+    """Signed sum of lambda_flag over the terms of a plan; linear in the class.
+
+    A term's value depends only on the point's restriction, its weight
+    multiset and the flag.  Terms are grouped by that key, their
+    coefficients summed, and lambda_flag runs once per distinct key, also
+    when the summed coefficient is zero, so a bad flag still raises.
+    """
+    groups: dict[tuple, list] = {}
     for term in plan.terms:
-        value = lambda_flag(model, term.fixed_point_id, term.flag, cls)
-        total += term.coefficient * value
+        fp_id = term.fixed_point_id
+        if not model.has_fixed_point(fp_id):
+            raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
+        key = (cls.at(fp_id), model.fixed_point(fp_id).sorted_weights, term.flag)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [fp_id, term.coefficient]
+        else:
+            group[1] += term.coefficient
+    total = Fraction(0)
+    for (_, _, flag), (fp_id, coefficient) in groups.items():
+        total += coefficient * lambda_flag(model, fp_id, flag, cls)
     return total
 
 
@@ -214,9 +238,7 @@ def weyl_correct(model: TorusModel, cls: EquivariantClass) -> EquivariantClass:
     for root in model.roots:
         root_product = root_product * MultiPoly.linear_form(root)
     scale = Fraction(1, model.weyl_order)
-    return EquivariantClass(
-        {key: p * root_product * scale for key, p in cls.restrictions.items()}
-    )
+    return cls.pointwise(lambda p: p * root_product * scale)
 
 
 # ----------------------------------------------------------------------
@@ -246,11 +268,11 @@ def dump_plan(plan: Plan, sink: Union[str, IO[str]]):
 
 
 def load_plan(source: Union[str, IO[str]]) -> Plan:
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+    """Load a plan from a JSON file path or open text stream.
+
+    Coefficients and flag entries must be JSON integers.
+    """
+    data = read_json(source, PlanFormatError)
     if not isinstance(data, list):
         raise PlanFormatError("plan file must contain a JSON list")
     terms = []
@@ -258,11 +280,14 @@ def load_plan(source: Union[str, IO[str]]) -> Plan:
         try:
             terms.append(
                 PlanTerm(
-                    coefficient=int(entry["coefficient"]),
+                    coefficient=strict_int(entry["coefficient"], "coefficient", PlanFormatError),
                     fixed_point_id=str(entry["fixed_point"]),
-                    flag=OrientedFlag(tuple(tuple(int(a) for a in s) for s in entry["flag"])),
+                    flag=OrientedFlag(tuple(
+                        strict_int_vector(stage, "flag stage", PlanFormatError)
+                        for stage in entry["flag"]
+                    )),
                 )
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (PlanFormatError, KeyError, TypeError, ValueError) as err:
             raise PlanFormatError(f"bad plan term {entry!r}: {err}")
     return Plan(tuple(terms))

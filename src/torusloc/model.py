@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,6 +25,7 @@ from typing import IO, Iterable, Sequence, Union
 from .errors import (
     IndexOutOfRange,
     ModelFormatError,
+    TorusLocError,
     UnknownGenerator,
     Unsupported,
 )
@@ -45,6 +47,11 @@ class FixedPoint:
         object.__setattr__(self, "moment", tuple(Fraction(m) for m in self.moment))
         object.__setattr__(self, "weights", tuple(tuple(int(a) for a in w) for w in self.weights))
 
+    @cached_property
+    def sorted_weights(self) -> tuple[Weight, ...]:
+        """The weights as a canonical multiset; flag evaluations depend only on it."""
+        return tuple(sorted(self.weights))
+
 
 @dataclass(frozen=True, eq=False)
 class TorusModel:
@@ -63,6 +70,8 @@ class TorusModel:
             raise ModelFormatError("rank must be a positive integer")
         if self.global_stabilizer_order < 1:
             raise ModelFormatError("global_stabilizer_order must be positive")
+        if self.weyl_order is not None and self.weyl_order < 1:
+            raise ModelFormatError("weyl_order must be positive")
         seen = set()
         n_weights = None
         for fp in self.fixed_points:
@@ -114,7 +123,12 @@ class TorusModel:
 
 @dataclass(frozen=True)
 class EquivariantClass:
-    """A cohomology class stored as one polynomial restriction per fixed point."""
+    """A cohomology class stored as one polynomial restriction per fixed point.
+
+    Arithmetic is computed once per distinct restriction (or distinct pair
+    of restrictions) and points with equal inputs share the result object;
+    the symmetric families have far fewer distinct restrictions than points.
+    """
 
     restrictions: dict[str, MultiPoly]
 
@@ -129,31 +143,44 @@ class EquivariantClass:
     def at(self, fp_id: str) -> MultiPoly:
         return self.restrictions[fp_id]
 
-    def _zip(self, other: "EquivariantClass"):
-        if set(self.restrictions) != set(other.restrictions):
-            raise ValueError("classes restrict to different fixed-point sets")
-        for key in self.restrictions:
-            yield key, self.restrictions[key], other.restrictions[key]
+    def pointwise(self, op, *others: "EquivariantClass") -> "EquivariantClass":
+        """The class restricting to op(self.at(F), *(c.at(F) for c in others)).
+
+        op runs once per distinct tuple of input polynomials; the memo
+        lives only for this call.
+        """
+        for other in others:
+            if other.restrictions.keys() != self.restrictions.keys():
+                raise ValueError("classes restrict to different fixed-point sets")
+        memo: dict[tuple, MultiPoly] = {}
+        out = {}
+        for key, p in self.restrictions.items():
+            args = (p, *(other.restrictions[key] for other in others))
+            value = memo.get(args)
+            if value is None:
+                value = memo[args] = op(*args)
+            out[key] = value
+        return EquivariantClass(out)
 
     def __add__(self, other):
         if isinstance(other, EquivariantClass):
-            return EquivariantClass({k: p + q for k, p, q in self._zip(other)})
-        return EquivariantClass({k: p + other for k, p in self.restrictions.items()})
+            return self.pointwise(operator.add, other)
+        return self.pointwise(lambda p: p + other)
 
     def __sub__(self, other):
         if isinstance(other, EquivariantClass):
-            return EquivariantClass({k: p - q for k, p, q in self._zip(other)})
-        return EquivariantClass({k: p - other for k, p in self.restrictions.items()})
+            return self.pointwise(operator.sub, other)
+        return self.pointwise(lambda p: p - other)
 
     def __mul__(self, other):
         if isinstance(other, EquivariantClass):
-            return EquivariantClass({k: p * q for k, p, q in self._zip(other)})
-        return EquivariantClass({k: p * other for k, p in self.restrictions.items()})
+            return self.pointwise(operator.mul, other)
+        return self.pointwise(lambda p: p * other)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return EquivariantClass({k: p**n for k, p in self.restrictions.items()})
+        return self.pointwise(lambda p: p**n)
 
     def __eq__(self, other):
         return (
@@ -348,30 +375,54 @@ def check_regular(model: TorusModel, p0: Sequence[Union[int, Fraction]]) -> bool
 
 
 def _parse_rational(value) -> Fraction:
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
     raise ModelFormatError(f"rational values must be integers or 'p/q' strings, got {value!r}")
 
 
+def strict_int(value, what: str, error: type[TorusLocError] = ModelFormatError) -> int:
+    """A JSON integer taken as is; floats, strings and booleans are rejected."""
+    if type(value) is int:
+        return value
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def strict_int_vector(value, what: str, error: type[TorusLocError] = ModelFormatError) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple, checked as strict_int checks one."""
+    if type(value) is list and all(type(a) is int for a in value):
+        return tuple(value)
+    raise error(f"{what} must be a list of integers, got {value!r}")
+
+
+def read_json(source: Union[str, IO[str]], error: type[TorusLocError]):
+    """Parse a JSON file path or open text stream; malformed text raises error."""
+    try:
+        if hasattr(source, "read"):
+            return json.load(source)
+        with open(source, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise error(f"malformed JSON: {err}") from None
+
+
 def load_model(source: Union[str, IO[str]]) -> TorusModel:
     """Load a model from a JSON file path or open text stream.
 
-    Validation failures report the first offending fixed point id.
+    Integer fields must be JSON integers.  Validation failures report the
+    first offending fixed point id.
     """
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+    data = read_json(source, ModelFormatError)
     if not isinstance(data, dict):
         raise ModelFormatError("model file must contain a JSON object")
     try:
-        rank = int(data["rank"])
+        rank = strict_int(data["rank"], "rank")
         raw_points = data["fixed_points"]
     except KeyError as missing:
         raise ModelFormatError(f"model file is missing field {missing}")
+    if not isinstance(raw_points, list):
+        raise ModelFormatError("fixed_points must be a list")
     points = []
     for entry in raw_points:
         try:
@@ -380,20 +431,22 @@ def load_model(source: Union[str, IO[str]]) -> TorusModel:
             raise ModelFormatError("each fixed point needs an 'id' field")
         try:
             moment = tuple(_parse_rational(x) for x in entry["moment"])
-            weights = tuple(tuple(int(a) for a in w) for w in entry["weights"])
-        except ModelFormatError as err:
-            raise ModelFormatError(f"fixed point {fp_id!r}: {err}")
-        except (KeyError, TypeError, ValueError) as err:
+            weights = tuple(strict_int_vector(w, "weight") for w in entry["weights"])
+        except (ModelFormatError, KeyError, TypeError, ValueError) as err:
             raise ModelFormatError(f"fixed point {fp_id!r}: {err}")
         points.append(FixedPoint(id=fp_id, moment=moment, weights=weights))
     roots = data.get("roots")
     if roots is not None:
-        roots = tuple(tuple(int(a) for a in r) for r in roots)
+        if not isinstance(roots, list):
+            raise ModelFormatError(f"roots must be a list, got {roots!r}")
+        roots = tuple(strict_int_vector(r, "root") for r in roots)
     weyl = data.get("weyl_order")
     return TorusModel(
         rank=rank,
         fixed_points=tuple(points),
         roots=roots,
-        weyl_order=None if weyl is None else int(weyl),
-        global_stabilizer_order=int(data.get("global_stabilizer_order", 1)),
+        weyl_order=None if weyl is None else strict_int(weyl, "weyl_order"),
+        global_stabilizer_order=strict_int(
+            data.get("global_stabilizer_order", 1), "global_stabilizer_order"
+        ),
     )

@@ -33,7 +33,7 @@ _ZERO = Fraction(0)
 class MultiPoly:
     """A sparse polynomial with Fraction coefficients in ``nvars`` variables."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] | None = None):
         clean: dict[Exponent, Fraction] = {}
@@ -95,7 +95,7 @@ class MultiPoly:
                 exp = [0] * n
                 exp[i] = 1
                 terms[tuple(exp)] = Fraction(c)
-        return cls(n, terms)
+        return cls._make(n, terms)
 
     # ------------------------------------------------------------------
     # queries
@@ -193,7 +193,14 @@ class MultiPoly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # Computed on first use and kept: grouping by restriction hashes the
+        # same shared polynomial once per fixed point.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.nvars, frozenset(self.terms.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __bool__(self) -> bool:
         return bool(self.terms)

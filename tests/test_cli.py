@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from torusloc.cli import main
 
 
@@ -162,3 +164,95 @@ class TestModelFiles:
                            "--path", "0:+")
         assert code == 3
         assert "n" in err
+
+
+SPHERE_MODEL = {
+    "rank": 1,
+    "fixed_points": [
+        {"id": "n", "moment": [1], "weights": [[1], [1], [1]]},
+        {"id": "s", "moment": [-1], "weights": [[-1], [-1], [-1]]},
+    ],
+    "roots": [[1], [-1]],
+    "weyl_order": 2,
+}
+SPHERE_PLAN = [{"coefficient": 1, "fixed_point": "n", "flag": [[1]]}]
+
+
+def _pair_files(capsys, tmp_path, model, plan, cls="weyl(L^0)"):
+    model_file = tmp_path / "model.json"
+    plan_file = tmp_path / "plan.json"
+    model_file.write_text(model if isinstance(model, str) else json.dumps(model))
+    plan_file.write_text(plan if isinstance(plan, str) else json.dumps(plan))
+    return run(capsys, "pair", "--model", str(model_file), "--class", cls,
+               "--plan", str(plan_file))
+
+
+def _with(obj, path, value):
+    """A deep copy of a JSON object with the entry at path replaced."""
+    out = json.loads(json.dumps(obj))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+class TestStrictFiles:
+    def test_valid_files(self, capsys, tmp_path):
+        code, out, _ = _pair_files(capsys, tmp_path, SPHERE_MODEL, SPHERE_PLAN)
+        assert code == 0
+        assert out == "-1/2\n"
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("fixed_points", 0, "weights", 0, 0), 1.7),
+            (("fixed_points", 0, "weights", 0, 0), "3"),
+            (("fixed_points", 0, "weights", 0, 0), True),
+            (("roots", 0, 0), 1.0),
+            (("roots", 1, 0), "-1"),
+            (("rank",), 1.5),
+            (("rank",), True),
+            (("weyl_order",), 0),
+            (("weyl_order",), -2),
+            (("weyl_order",), 2.5),
+            (("weyl_order",), "2"),
+            (("global_stabilizer_order",), 1.9),
+            (("global_stabilizer_order",), False),
+            (("fixed_points", 1, "moment", 0), True),
+        ],
+    )
+    def test_bad_model_value_is_domain_error(self, capsys, tmp_path, path, value):
+        code, out, err = _pair_files(capsys, tmp_path, _with(SPHERE_MODEL, path, value),
+                                     SPHERE_PLAN)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ((0, "coefficient"), 1.9),
+            ((0, "coefficient"), "1"),
+            ((0, "coefficient"), True),
+            ((0, "flag", 0, 0), 1.0),
+            ((0, "flag", 0, 0), "1"),
+            ((0, "flag", 0, 0), True),
+            ((0, "flag", 0), 1),
+        ],
+    )
+    def test_bad_plan_value_is_domain_error(self, capsys, tmp_path, path, value):
+        code, out, err = _pair_files(capsys, tmp_path, SPHERE_MODEL,
+                                     _with(SPHERE_PLAN, path, value))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["model", "plan"])
+    def test_malformed_json_is_domain_error(self, capsys, tmp_path, kind):
+        model = '{"rank": 1, "fixed_points": [' if kind == "model" else SPHERE_MODEL
+        plan = '[{"coefficient": 1,,}]' if kind == "plan" else SPHERE_PLAN
+        code, out, err = _pair_files(capsys, tmp_path, model, plan)
+        assert code == 3
+        assert out == ""
+        assert "malformed JSON" in err

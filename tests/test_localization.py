@@ -8,6 +8,7 @@ from torusloc import (
     EquivariantClass,
     MultiPoly,
     Plan,
+    PlanTerm,
     NoRootData,
     NotUnimodular,
     OrientedFlag,
@@ -46,6 +47,28 @@ class TestOrientedFlag:
     def test_singular(self):
         with pytest.raises(NotUnimodular):
             OrientedFlag(((1, 1), (1, 1))).check_unimodular()
+
+    @pytest.mark.parametrize(
+        "stages, det",
+        [
+            (((1, 0), (0, 1)), 1),
+            (((0, 1), (1, 0)), -1),
+            (((1, 1), (1, 1)), 0),
+            (((2, 0), (0, 1)), 2),
+            (((0, 1), (-1, 0)), 1),
+        ],
+    )
+    def test_determinant(self, stages, det):
+        value = OrientedFlag(stages).determinant()
+        assert type(value) is int
+        assert value == det
+
+    def test_determinant_three_by_three(self):
+        # A zero leading entry forces a row swap during elimination.
+        flag = OrientedFlag(((0, 1, 0), (1, 0, 2), (0, 3, 1)))
+        assert flag.determinant() == -1
+        flag.check_unimodular()
+        assert OrientedFlag(((2, 1, 0), (1, 1, 4), (0, 0, 3))).determinant() == 3
 
 
 class TestFlagSplit:
@@ -199,6 +222,22 @@ class TestEvaluatePlan:
     def test_empty_plan(self):
         m = build_sphere_product(3)
         assert evaluate_plan(m, Plan(()), EquivariantClass.constant(m, 1)) == 0
+
+    def test_unknown_fixed_point_in_plan(self):
+        m = build_sphere_product(3)
+        L = class_generator(m, "prequantum")
+        plan = Plan(rank1_plan(m, 0, 1).terms + (PlanTerm(1, "nope", PLUS),))
+        with pytest.raises(UnknownFixedPoint):
+            evaluate_plan(m, plan, L)
+
+    def test_cancelling_terms_still_check_their_flag(self):
+        # The two terms share a key and their coefficients sum to zero; the
+        # flag is still evaluated, so its determinant is still checked.
+        m = build_sphere_product(2)
+        bad = OrientedFlag(((2,),))
+        plan = Plan((PlanTerm(1, "f{}", bad), PlanTerm(-1, "f{}", bad)))
+        with pytest.raises(NotUnimodular):
+            evaluate_plan(m, plan, class_generator(m, "prequantum"))
 
     def test_term_order_irrelevant(self):
         m = build_sphere_product(5)

@@ -1,0 +1,161 @@
+"""Evaluation sharing: the invariances it relies on and guards on its counts.
+
+evaluate_plan groups plan terms by (restriction, weight multiset, flag)
+and evaluates each group once; class arithmetic runs once per distinct
+restriction.  The properties below check, over small random rank-1 and
+rank-2 models, that the grouped value equals the plain per-term sum and
+does not change under reordering weights or terms or splitting
+coefficients.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import torusloc.localization as localization
+from torusloc import (
+    MultiPoly,
+    OrientedFlag,
+    Plan,
+    PlanTerm,
+    TorusModel,
+    build_cp_product,
+    class_generator,
+    cp2_plan,
+    evaluate_plan,
+    lambda_flag,
+)
+from torusloc.model import FixedPoint
+
+from helpers import cp2_volume_class
+
+FLAGS = {
+    1: (((1,),), ((-1,),)),
+    2: (
+        ((0, 1), (-1, 0)),
+        ((-1, 0), (0, 1)),
+        ((1, 0), (0, -1)),
+        ((0, -1), (1, 0)),
+        ((1, 1), (0, 1)),
+    ),
+}
+
+
+@st.composite
+def cases(draw, rank):
+    """A small model whose points repeat a few (moment, weight multiset)
+    types in shuffled weight order, a class and a plan over it."""
+    n_weights = draw(st.integers(rank, rank + 2))
+    weight = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    moment = st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * rank)
+    types = draw(st.lists(st.tuples(moment, st.lists(weight, min_size=n_weights,
+                                                     max_size=n_weights)),
+                          min_size=1, max_size=3))
+    order = st.permutations(range(n_weights))
+    points = draw(st.lists(st.tuples(st.sampled_from(types), order), min_size=1, max_size=6))
+    fixed_points = [
+        FixedPoint(f"p{i}", m, tuple(ws[j] for j in perm))
+        for i, ((m, ws), perm) in enumerate(points)
+    ]
+    model = TorusModel(rank=rank, fixed_points=tuple(fixed_points))
+    direction = draw(st.tuples(*[st.integers(-2, 2)] * rank))
+    cls = (class_generator(model, "prequantum")
+           + class_generator(model, "line", direction=direction)) ** (n_weights - rank)
+    terms = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.sampled_from(fixed_points),
+                  st.sampled_from(FLAGS[rank])),
+        min_size=1, max_size=8,
+    ))
+    plan = Plan(tuple(PlanTerm(c, fp.id, OrientedFlag(flag)) for c, fp, flag in terms))
+    return model, cls, plan
+
+
+def per_term_sum(model, plan, cls):
+    return sum(
+        (t.coefficient * lambda_flag(model, t.fixed_point_id, t.flag, cls) for t in plan.terms),
+        Fraction(0),
+    )
+
+
+any_rank_case = st.sampled_from((1, 2)).flatmap(cases)
+
+
+@settings(max_examples=50, deadline=None)
+@given(any_rank_case)
+def test_grouped_value_equals_per_term_sum(case):
+    model, cls, plan = case
+    assert evaluate_plan(model, plan, cls) == per_term_sum(model, plan, cls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_rank_case, st.randoms(use_true_random=False))
+def test_permuting_each_points_weights(case, rng):
+    model, cls, plan = case
+    permuted = []
+    for fp in model.fixed_points:
+        weights = list(fp.weights)
+        rng.shuffle(weights)
+        permuted.append(FixedPoint(fp.id, fp.moment, tuple(weights)))
+    other = TorusModel(rank=model.rank, fixed_points=tuple(permuted))
+    assert evaluate_plan(other, plan, cls) == evaluate_plan(model, plan, cls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_rank_case, st.randoms(use_true_random=False))
+def test_shuffling_plan_terms(case, rng):
+    model, cls, plan = case
+    terms = list(plan.terms)
+    rng.shuffle(terms)
+    assert evaluate_plan(model, Plan(tuple(terms)), cls) == evaluate_plan(model, plan, cls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_rank_case)
+def test_splitting_terms_into_unit_terms(case):
+    model, cls, plan = case
+    unit_terms = []
+    for t in plan.terms:
+        sign = 1 if t.coefficient > 0 else -1
+        unit_terms += [PlanTerm(sign, t.fixed_point_id, t.flag)] * abs(t.coefficient)
+    assert evaluate_plan(model, Plan(tuple(unit_terms)), cls) == evaluate_plan(model, plan, cls)
+
+
+def test_cp2_volume_evaluates_each_distinct_key_once(monkeypatch):
+    model = build_cp_product(3, 5)
+    cls = cp2_volume_class(model, 5)
+    plan = cp2_plan(5, "swapped")
+    keys = {
+        (
+            frozenset(cls.at(t.fixed_point_id).terms.items()),
+            tuple(sorted(model.fixed_point(t.fixed_point_id).weights)),
+            t.flag.stages,
+        )
+        for t in plan.terms
+    }
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lambda_flag(*args)
+
+    monkeypatch.setattr(localization, "lambda_flag", counted)
+    assert evaluate_plan(model, plan, cls) == Fraction(5, 2)
+    assert len(calls) == len(keys) < len(plan.terms)
+
+
+def test_class_power_runs_once_per_distinct_moment(monkeypatch):
+    model = build_cp_product(3, 5)
+    moments = {fp.moment for fp in model.fixed_points}
+    powers = []
+    power = MultiPoly.__pow__
+
+    def counted(p, n):
+        powers.append(p)
+        return power(p, n)
+
+    monkeypatch.setattr(MultiPoly, "__pow__", counted)
+    cls = class_generator(model, "prequantum") ** 2
+    assert len(powers) == len(moments) < len(model.fixed_points)
+    # Points with equal moments share one restriction object.
+    assert len({id(p) for p in cls.restrictions.values()}) == len(moments)
