@@ -14,6 +14,7 @@ from .errors import (
     EmptyStage,
     IndexOutOfRange,
     ModelFormatError,
+    ModelTooLarge,
     NoRootData,
     NotRegular,
     NotUnimodular,

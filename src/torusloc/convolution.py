@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import TorusLocError
+
 Piece = list[Fraction]  # coefficients, lowest degree first
 
 
@@ -55,7 +57,8 @@ class PiecewiseDensity:
         if x.denominator == 1 and int(x) in self.pieces and int(x) - 1 in self.pieces:
             left = _eval_poly(self.pieces[int(x) - 1], x)
             right = _eval_poly(self.pieces[int(x)], x)
-            assert left == right, "density must be continuous at interior breakpoints"
+            if left != right:
+                raise TorusLocError(f"density is discontinuous at the breakpoint {x}")
             return right
         k = math.floor(x)
         if k in self.pieces:

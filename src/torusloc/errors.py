@@ -50,11 +50,15 @@ class IndexOutOfRange(TorusLocError):
 
 
 class ModelFormatError(TorusLocError):
-    """A model file violates the documented schema or an invariant."""
+    """A model file or fixed point violates the documented schema or an invariant."""
+
+
+class ModelTooLarge(TorusLocError):
+    """A built-in family size whose fixed-point count exceeds the limit."""
 
 
 class PlanFormatError(TorusLocError):
-    """A plan file violates the documented schema."""
+    """A plan file or oriented flag violates the documented schema."""
 
 
 class ClassSyntaxError(TorusLocError):

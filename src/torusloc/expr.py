@@ -269,13 +269,18 @@ def parse_class_expr(text: str) -> Expr:
 def evaluate_expr(expr: Expr, model: TorusModel) -> EquivariantClass:
     total = None
     for sign, term in zip(expr.signs, expr.terms):
-        value = _evaluate_term(term, model) * sign
+        value = _evaluate_term(term, model)
+        if sign != 1:
+            value = value * sign
         total = value if total is None else total + value
     return total
 
 
 def _evaluate_term(term: Term, model: TorusModel) -> EquivariantClass:
-    value = EquivariantClass.constant(model, term.coefficient if term.coefficient is not None else 1)
+    # Start from the first factor rather than the unit class, and scale
+    # only by a written coefficient other than 1: each skipped step is a
+    # pass over every restriction.
+    value = None
     for factor in term.factors:
         base = factor.base
         if isinstance(base, Gen):
@@ -289,7 +294,11 @@ def _evaluate_term(term: Term, model: TorusModel) -> EquivariantClass:
             part = weyl_correct(model, evaluate_expr(base.inner, model))
         else:
             part = evaluate_expr(base, model)
-        value = value * part**factor.power
+        if factor.power != 1:
+            part = part**factor.power
+        value = part if value is None else value * part
+    if term.coefficient is not None and term.coefficient != 1:
+        value = value * term.coefficient
     return value
 
 

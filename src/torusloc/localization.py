@@ -36,7 +36,7 @@ from .model import (
     strict_int,
     strict_int_vector,
 )
-from .poly import MultiPoly, linear_substitute
+from .poly import MultiPoly, affine_product, linear_substitute
 from .weighted import WeightedSpace, weight_gcd, weighted_segre
 
 
@@ -70,12 +70,14 @@ class OrientedFlag:
 
     Reversing the orientation of a stage circle is exactly negating its
     vector, which negates both the stage weights and the stage variable.
+    Stage entries must be ``int``; a float, string or boolean raises
+    PlanFormatError.
     """
 
     stages: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        stages = tuple(tuple(int(a) for a in s) for s in self.stages)
+        stages = tuple(strict_int_vector(s, "flag stage", PlanFormatError) for s in self.stages)
         object.__setattr__(self, "stages", stages)
         d = len(stages)
         if any(len(s) != d for s in stages):
@@ -234,9 +236,7 @@ def weyl_correct(model: TorusModel, cls: EquivariantClass) -> EquivariantClass:
     """
     if model.roots is None or model.weyl_order is None:
         raise NoRootData("model carries no root system or Weyl order")
-    root_product = MultiPoly.const(model.rank, 1)
-    for root in model.roots:
-        root_product = root_product * MultiPoly.linear_form(root)
+    root_product = affine_product(model.rank, ((0, root) for root in model.roots))
     scale = Fraction(1, model.weyl_order)
     return cls.pointwise(lambda p: p * root_product * scale)
 

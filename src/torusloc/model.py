@@ -25,6 +25,7 @@ from typing import IO, Iterable, Sequence, Union
 from .errors import (
     IndexOutOfRange,
     ModelFormatError,
+    ModelTooLarge,
     TorusLocError,
     UnknownGenerator,
     Unsupported,
@@ -34,10 +35,18 @@ from .poly import MultiPoly
 Weight = tuple[int, ...]
 Moment = tuple[Fraction, ...]
 
+# The built-in families refuse to build more fixed points than this
+# (spheres:20 and cp2:12 are the largest legal sizes).
+MAX_FIXED_POINTS = 2**20
+
 
 @dataclass(frozen=True)
 class FixedPoint:
-    """An isolated fixed point: identifier, moment image, tangent weights."""
+    """An isolated fixed point: identifier, moment image, tangent weights.
+
+    Each weight must be a list or tuple of ``int``; a float, string or
+    boolean entry raises ModelFormatError instead of being truncated.
+    """
 
     id: str
     moment: Moment
@@ -45,7 +54,10 @@ class FixedPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "moment", tuple(Fraction(m) for m in self.moment))
-        object.__setattr__(self, "weights", tuple(tuple(int(a) for a in w) for w in self.weights))
+        what = f"fixed point {self.id!r}: weight"
+        object.__setattr__(
+            self, "weights", tuple(strict_int_vector(w, what) for w in self.weights)
+        )
 
     @cached_property
     def sorted_weights(self) -> tuple[Weight, ...]:
@@ -96,7 +108,7 @@ class TorusModel:
                 if not any(w):
                     raise ModelFormatError(f"fixed point {fp.id!r}: zero tangent weight")
         if self.roots is not None:
-            roots = tuple(tuple(int(a) for a in r) for r in self.roots)
+            roots = tuple(strict_int_vector(r, "root") for r in self.roots)
             object.__setattr__(self, "roots", roots)
             if len(roots) % 2:
                 raise ModelFormatError("root list must have even length")
@@ -192,6 +204,21 @@ class EquivariantClass:
 # built-in families
 
 
+def check_family_size(name: str, k: int, n: int):
+    """Raise ModelTooLarge if k**n fixed points exceed MAX_FIXED_POINTS.
+
+    The count is built up one factor at a time, so a huge n costs no
+    more than about twenty multiplications.
+    """
+    count = 1
+    for _ in range(n):
+        count *= k
+        if count > MAX_FIXED_POINTS:
+            raise ModelTooLarge(
+                f"{name}:{n} has {k}^{n} fixed points, more than the limit {MAX_FIXED_POINTS}"
+            )
+
+
 def sphere_point_id(subset: Iterable[int]) -> str:
     return "f{" + ",".join(str(i) for i in sorted(subset)) + "}"
 
@@ -206,6 +233,7 @@ def build_sphere_product(n: int) -> TorusModel:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    check_family_size("spheres", 2, n)
     points = []
     for bits in itertools.product((0, 1), repeat=n):
         subset = frozenset(i + 1 for i, b in enumerate(bits) if b)
@@ -284,6 +312,7 @@ def build_cp_product(k: int, n: int) -> TorusModel:
         raise ValueError("k must be at least 2")
     if n < 1:
         raise ValueError("n must be a positive integer")
+    check_family_size(f"cp{k - 1}", k, n)
     vertices = cp_vertex_moments(k)
     vertex_weights = cp_vertex_weights(k)
     points = []
@@ -390,8 +419,8 @@ def strict_int(value, what: str, error: type[TorusLocError] = ModelFormatError) 
 
 
 def strict_int_vector(value, what: str, error: type[TorusLocError] = ModelFormatError) -> tuple[int, ...]:
-    """A JSON list of integers as a tuple, checked as strict_int checks one."""
-    if type(value) is list and all(type(a) is int for a in value):
+    """A list or tuple of integers as a tuple, checked as strict_int checks one."""
+    if isinstance(value, (list, tuple)) and all(type(a) is int for a in value):
         return tuple(value)
     raise error(f"{what} must be a list of integers, got {value!r}")
 
@@ -431,7 +460,7 @@ def load_model(source: Union[str, IO[str]]) -> TorusModel:
             raise ModelFormatError("each fixed point needs an 'id' field")
         try:
             moment = tuple(_parse_rational(x) for x in entry["moment"])
-            weights = tuple(strict_int_vector(w, "weight") for w in entry["weights"])
+            weights = tuple(entry["weights"])  # entries are checked by FixedPoint
         except (ModelFormatError, KeyError, TypeError, ValueError) as err:
             raise ModelFormatError(f"fixed point {fp_id!r}: {err}")
         points.append(FixedPoint(id=fp_id, moment=moment, weights=weights))

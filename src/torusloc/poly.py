@@ -1,10 +1,17 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in d variables is stored as a dictionary mapping exponent
-tuples (one nonnegative integer per variable) to nonzero Fraction
-coefficients:
+tuples (one nonnegative integer per variable) to nonzero coefficients,
+each an ``int`` or a ``Fraction``:
 
-    u1^2 * u2 + 3/2   ->   {(2, 1): Fraction(1), (0, 0): Fraction(3, 2)}
+    u1^2 * u2 + 3/2   ->   {(2, 1): 1, (0, 0): Fraction(3, 2)}
+
+Coefficients compare and hash by value (``2 == Fraction(2)`` and their
+hashes agree), so the storage type never changes equality.  Products,
+powers and substitutions clear denominators once and run their inner
+loops on Python ints; a coefficient comes back as an ``int`` whenever it
+is integral.  The public accessors ``constant_term`` and ``as_constant``
+always return a ``Fraction``.
 
 Zero coefficients are never stored; the zero polynomial has an empty term
 dictionary.  One exponent unit corresponds to cohomological degree 2 (each
@@ -20,23 +27,86 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from math import lcm
+from operator import add
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, ZeroConstantTerm
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
+_ZERO = 0
+
+
+def _exact(value) -> Scalar:
+    """An exact coefficient: ``int`` when integral, else ``Fraction``."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _integral(terms: dict) -> tuple[dict, int]:
+    """Integer numerators over one positive common denominator D, so that
+    terms[e] == numerators[e] / D.  Integer terms come back unchanged."""
+    den, integral = 1, True
+    for c in terms.values():
+        if type(c) is not int:
+            integral = False
+            den = lcm(den, c.denominator)
+    if integral:
+        return terms, 1
+    return {
+        e: c * den if type(c) is int else c.numerator * (den // c.denominator)
+        for e, c in terms.items()
+    }, den
+
+
+def _rational(numerators: dict, den: int) -> dict:
+    """The terms numerators[e] / den, integral ones as ``int``."""
+    if den == 1:
+        return numerators
+    out = {}
+    for e, v in numerators.items():
+        q, r = divmod(v, den)
+        out[e] = Fraction(v, den) if r else q
+    return out
+
+
+def _int_product(left: dict, right: dict) -> dict:
+    """Product of two integer term dictionaries (zeros are not dropped)."""
+    out: dict[Exponent, int] = {}
+    get = out.get
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _affine_terms(constant: Scalar, coeffs: Sequence[Scalar]) -> dict:
+    """Terms of constant + sum_i coeffs[i] * u_i, zeros dropped."""
+    n = len(coeffs)
+    terms = {(0,) * n: constant} if constant else {}
+    for i, c in enumerate(coeffs):
+        if c:
+            terms[(0,) * i + (1,) + (0,) * (n - i - 1)] = c
+    return terms
 
 
 class MultiPoly:
-    """A sparse polynomial with Fraction coefficients in ``nvars`` variables."""
+    """A sparse polynomial in ``nvars`` variables with exact coefficients.
+
+    Each stored coefficient is an ``int`` or a ``Fraction`` and compares
+    and hashes by value, so two polynomials are equal exactly when their
+    values are.  ``constant_term`` and ``as_constant`` return ``Fraction``.
+    """
 
     __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] | None = None):
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Scalar] = {}
         if terms:
             for exp, coeff in terms.items():
                 exp = tuple(exp)
@@ -46,9 +116,9 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c:
-                    clean[exp] = clean.get(exp, Fraction(0)) + c
+                    clean[exp] = clean.get(exp, _ZERO) + c
                     if not clean[exp]:
                         del clean[exp]
         object.__setattr__(self, "nvars", nvars)
@@ -60,7 +130,8 @@ class MultiPoly:
     @classmethod
     def _make(cls, nvars: int, terms: dict) -> "MultiPoly":
         """Internal constructor for terms already in canonical shape
-        (tuple keys of the right length, Fraction values); only drops zeros."""
+        (tuple keys of the right length, int or Fraction values); only
+        drops zeros."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "nvars", nvars)
         object.__setattr__(obj, "terms", {e: c for e, c in terms.items() if c})
@@ -75,7 +146,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls._make(nvars, {(0,) * nvars: _exact(value)})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -83,19 +154,12 @@ class MultiPoly:
             raise DimensionMismatch(f"variable index {index} out of range for {nvars} variables")
         exp = [0] * nvars
         exp[index] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls(nvars, {tuple(exp): 1})
 
     @classmethod
     def linear_form(cls, coeffs: Sequence[Scalar]) -> "MultiPoly":
         """The polynomial sum_i coeffs[i] * u_i."""
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                exp = [0] * n
-                exp[i] = 1
-                terms[tuple(exp)] = Fraction(c)
-        return cls._make(n, terms)
+        return cls._make(len(coeffs), _affine_terms(0, [_exact(c) for c in coeffs]))
 
     # ------------------------------------------------------------------
     # queries
@@ -104,7 +168,7 @@ class MultiPoly:
         return not self.terms
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.terms.get((0,) * self.nvars, 0))
 
     def as_constant(self) -> Fraction:
         """The value of a constant polynomial; raises if nonconstant terms exist."""
@@ -159,31 +223,32 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _exact(other)
             return MultiPoly._make(self.nvars, {e: v * c for e, v in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, _ZERO) + c1 * c2
-        return MultiPoly._make(self.nvars, out)
+        left, den_left = _integral(self.terms)
+        right, den_right = _integral(other.terms)
+        return MultiPoly._make(
+            self.nvars, _rational(_int_product(left, right), den_left * den_right)
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.const(self.nvars, 1)
-        base = self
+        base, den = _integral(self.terms)
+        den **= n
+        result = {(0,) * self.nvars: 1}
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = _int_product(result, base)
+            if n > 1:
+                base = _int_product(base, base)
             n >>= 1
-        return result
+        return MultiPoly._make(self.nvars, _rational(result, den))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -194,7 +259,9 @@ class MultiPoly:
 
     def __hash__(self):
         # Computed on first use and kept: grouping by restriction hashes the
-        # same shared polynomial once per fixed point.
+        # same shared polynomial once per fixed point.  hash(2) equals
+        # hash(Fraction(2)), so the storage type of a coefficient never
+        # splits equal polynomials.
         try:
             return self._hash
         except AttributeError:
@@ -214,7 +281,7 @@ class MultiPoly:
             self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= order}
         )
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in canonical order: by total degree, then earlier variables first."""
         return sorted(
             self.terms.items(),
@@ -233,9 +300,30 @@ def homogeneous_part(p: MultiPoly, e: int) -> MultiPoly:
     return MultiPoly._make(p.nvars, {exp: c for exp, c in p.terms.items() if sum(exp) == e})
 
 
+def affine_product(nvars: int, factors: Iterable[tuple[int, Sequence[int]]]) -> MultiPoly:
+    """The product over (constant, coeffs) of constant + sum_i coeffs[i] * u_i.
+
+    Constants and coefficients are integers, and so is every intermediate
+    coefficient.
+    """
+    terms = {(0,) * nvars: 1}
+    for constant, coeffs in factors:
+        terms = _int_product(terms, _affine_terms(constant, coeffs))
+    return MultiPoly._make(nvars, terms)
+
+
 @lru_cache(maxsize=4096)
-def _linear_form_power(coeffs: tuple[int, ...], e: int) -> MultiPoly:
-    return MultiPoly.linear_form(coeffs) ** e
+def _monomial_image(exp: Exponent, forms: tuple[Exponent, ...]) -> tuple:
+    """Integer (exponent, coefficient) pairs of prod_j (sum_i forms[j][i] * u_i)^exp[j].
+
+    Built one linear factor at a time from the cached image of the
+    monomial one degree lower; a tuple, so no caller can alter the cache.
+    """
+    for j, e in enumerate(exp):
+        if e:
+            lower = _monomial_image(exp[:j] + (e - 1,) + exp[j + 1 :], forms)
+            return tuple(_int_product(dict(lower), _affine_terms(0, forms[j])).items())
+    return ((exp, 1),)
 
 
 def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly:
@@ -248,15 +336,14 @@ def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly
     d = p.nvars
     if len(basis) != d or any(len(xi) != d for xi in basis):
         raise DimensionMismatch(f"basis must consist of {d} vectors of length {d}")
-    image_coeffs = [tuple(int(basis[i][j]) for i in range(d)) for j in range(d)]
-    out = MultiPoly.zero(d)
-    for exp, coeff in p.terms.items():
-        term = MultiPoly.const(d, coeff)
-        for j, e in enumerate(exp):
-            if e:
-                term = term * _linear_form_power(image_coeffs[j], e)
-        out = out + term
-    return out
+    forms = tuple(tuple(int(basis[i][j]) for i in range(d)) for j in range(d))
+    numerators, den = _integral(p.terms)
+    out: dict[Exponent, int] = {}
+    get = out.get
+    for exp, coeff in numerators.items():
+        for e, v in _monomial_image(exp, forms):
+            out[e] = get(e, 0) + coeff * v
+    return MultiPoly._make(d, _rational(out, den))
 
 
 @dataclass(frozen=True)
@@ -283,23 +370,31 @@ class TruncSeries:
 def series_invert(p: MultiPoly, order: int) -> TruncSeries:
     """Multiplicative inverse of ``p`` modulo terms of total exponent > order.
 
-    Writing p = c0 * (1 + m) with m of positive valuation, the inverse is
-    (1/c0) * sum_i (-m)^i, which terminates at i = order after truncation.
+    With denominators cleared, p = (c0 + m) / D with integer c0 != 0 and
+    integer m of positive valuation, and the inverse is
+    D * sum_i (-m)^i / c0^(i+1), which terminates at i = order after
+    truncation.  The sum runs in integers over the single denominator
+    c0^(order+1).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    c0 = p.constant_term()
+    numerators, den = _integral(p.terms)
+    zero = (0,) * p.nvars
+    c0 = numerators.get(zero, 0)
     if not c0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
-    m = ((p - c0) * (1 / c0)).truncate(order)
-    acc = MultiPoly.const(p.nvars, 1)
-    power = MultiPoly.const(p.nvars, 1)
-    for _ in range(order):
-        power = (power * (-m)).truncate(order)
-        if power.is_zero():
+    minus_m = {e: -v for e, v in numerators.items() if e != zero and sum(e) <= order}
+    acc = {zero: c0**order}
+    power = {zero: 1}
+    for i in range(1, order + 1):
+        power = {e: v for e, v in _int_product(power, minus_m).items() if v and sum(e) <= order}
+        if not power:
             break
-        acc = acc + power
-    return TruncSeries((acc * (1 / c0)).truncate(order), order)
+        scale = c0 ** (order - i)
+        for e, v in power.items():
+            acc[e] = acc.get(e, 0) + v * scale
+    body = _rational({e: v * den for e, v in acc.items()}, c0 ** (order + 1))
+    return TruncSeries(MultiPoly._make(p.nvars, body), order)
 
 
 def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:

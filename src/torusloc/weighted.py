@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmptyStage
-from .poly import MultiPoly, TruncSeries, homogeneous_part, series_invert
+from .poly import MultiPoly, TruncSeries, affine_product, homogeneous_part, series_invert
 
 Line = tuple[int, tuple[int, ...]]
 
@@ -60,10 +60,7 @@ class WeightedSpace:
 
 @lru_cache(maxsize=4096)
 def _chern_cached(lines: tuple[Line, ...], residual_count: int) -> MultiPoly:
-    out = MultiPoly.const(residual_count, 1)
-    for weight, residual in lines:
-        out = out * (MultiPoly.linear_form(residual) + weight)
-    return out
+    return affine_product(residual_count, lines)
 
 
 def weighted_chern(space: WeightedSpace) -> MultiPoly:
@@ -71,6 +68,7 @@ def weighted_chern(space: WeightedSpace) -> MultiPoly:
 
     The graded piece of exponent i is the i-th weighted Chern class; the
     constant term is the product of the circle weights, hence nonzero.
+    Every coefficient is an ``int``.
     """
     return _chern_cached(space.lines, space.residual_count)
 
@@ -111,12 +109,10 @@ def equivariant_euler(space: WeightedSpace) -> MultiPoly:
     whose expansion in powers of u_circ has the weighted Chern classes as
     coefficients.
     """
-    n = space.residual_count + 1
-    out = MultiPoly.const(n, 1)
-    for weight, residual in space.lines:
-        factor = MultiPoly.linear_form(tuple(residual) + (weight,))
-        out = out * factor
-    return out
+    return affine_product(
+        space.residual_count + 1,
+        ((0, residual + (weight,)) for weight, residual in space.lines),
+    )
 
 
 def fiber_integrate_power(space: WeightedSpace, i: int) -> MultiPoly:

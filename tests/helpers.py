@@ -50,3 +50,26 @@ def cp2_volume_class(model: TorusModel, n: int) -> EquivariantClass:
     m = 2 * n - 8
     cls = class_generator(model, "prequantum") ** m
     return weyl_correct(model, cls) * Fraction(1, factorial(m))
+
+
+# ----------------------------------------------------------------------
+# plain-Fraction polynomial reference for the integer kernels
+
+
+def ref_terms(p: MultiPoly) -> dict:
+    """The terms of p with every coefficient as a Fraction."""
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def ref_clean(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    """Product of two {exponent: Fraction} dictionaries, zeros dropped."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return ref_clean(out)

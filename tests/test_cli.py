@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import torusloc.model as model_module
 from torusloc.cli import main
 
 
@@ -256,3 +257,21 @@ class TestStrictFiles:
         assert code == 3
         assert out == ""
         assert "malformed JSON" in err
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("argv", [
+        ("volume", "--model", "spheres:40", "--group", "torus", "--path", "0:+"),
+        ("pair", "--model", "cp2:30", "--class", "L", "--cp2-variant", "swapped"),
+    ])
+    def test_oversized_family_is_domain_error(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the size guard let a model build start")
+
+        monkeypatch.setattr(model_module, "FixedPoint", refuse)
+        monkeypatch.setattr(model_module, "partitions_of", refuse)
+        monkeypatch.setattr(model_module.itertools, "product", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "fixed points" in err and str(model_module.MAX_FIXED_POINTS) in err

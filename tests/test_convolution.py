@@ -1,9 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from torusloc.convolution import uniform_sum_density, uniform_sum_density_at_zero
+from torusloc import TorusLocError
+from torusloc.convolution import (
+    PiecewiseDensity,
+    uniform_sum_density,
+    uniform_sum_density_at_zero,
+)
 
 
 def test_single_uniform():
@@ -77,3 +86,27 @@ def test_convolution_matches_cumulative_difference():
 def test_invalid_n():
     with pytest.raises(ValueError):
         uniform_sum_density(0)
+
+
+def test_discontinuous_density_raises():
+    with pytest.raises(TorusLocError, match="discontinuous"):
+        PiecewiseDensity({-1: [1], 0: [2]}).value(0)
+
+
+def test_discontinuous_density_raises_under_python_O():
+    # python -O strips assert statements; the check must survive it.
+    script = (
+        "from torusloc import TorusLocError\n"
+        "from torusloc.convolution import PiecewiseDensity\n"
+        "try:\n"
+        "    PiecewiseDensity({-1: [1], 0: [2]}).value(0)\n"
+        "except TorusLocError as err:\n"
+        "    print('raised', err)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised")

@@ -12,6 +12,8 @@ from torusloc import (
     NoRootData,
     NotUnimodular,
     OrientedFlag,
+    PlanFormatError,
+    TorusLocError,
     TorusModel,
     UnknownFixedPoint,
     WeightedSpace,
@@ -300,3 +302,33 @@ class TestPlanFiles:
             load_plan(
                 io.StringIO('[{"coefficient": 1, "fixed_point": "f{}", "flag": [[2]]}]')
             ).terms[0].flag.check_unimodular()
+
+
+class TestStrictFlag:
+    @pytest.mark.parametrize("bad", [1.7, 1.0, "1", True])
+    def test_non_integer_stage_entry_is_rejected(self, bad):
+        with pytest.raises(PlanFormatError):
+            OrientedFlag(((bad, 0), (0, 1)))
+        assert issubclass(PlanFormatError, TorusLocError)
+
+    def test_lists_and_tuples_are_accepted(self):
+        assert OrientedFlag(([1, 0], (0, -1))).stages == ((1, 0), (0, -1))
+
+
+class TestReturnTypes:
+    """Public values stay Fraction even when every coefficient is an int."""
+
+    def test_lambda_flag_and_evaluate_plan_return_fraction(self):
+        m = build_sphere_product(3)
+        cls = class_generator(m, "prequantum") ** 2
+        plan = rank1_plan(m, 0, 1)
+        value = evaluate_plan(m, plan, cls)
+        assert type(value) is Fraction and value == 6
+        for t in plan.terms:
+            assert type(lambda_flag(m, t.fixed_point_id, t.flag, cls)) is Fraction
+
+    def test_off_degree_and_empty_plan_return_fraction(self):
+        m = build_sphere_product(3)
+        cls = class_generator(m, "prequantum") ** 3
+        assert type(evaluate_plan(m, rank1_plan(m, 0, 1), cls)) is Fraction
+        assert type(evaluate_plan(m, Plan(()), cls)) is Fraction

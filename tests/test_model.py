@@ -8,7 +8,9 @@ from torusloc import (
     EquivariantClass,
     IndexOutOfRange,
     ModelFormatError,
+    ModelTooLarge,
     MultiPoly,
+    TorusModel,
     UnknownGenerator,
     Unsupported,
     build_cp_product,
@@ -17,7 +19,7 @@ from torusloc import (
     class_generator,
     load_model,
 )
-from torusloc.model import cp_point_id, sphere_point_id
+from torusloc.model import MAX_FIXED_POINTS, FixedPoint, check_family_size, cp_point_id, sphere_point_id
 
 
 class TestSphereProduct:
@@ -206,3 +208,45 @@ class TestModelFile:
         bad["roots"] = [[1], [1]]
         with pytest.raises(ModelFormatError, match="negation"):
             load_model(io.StringIO(json.dumps(bad)))
+
+
+class TestStrictFixedPoint:
+    """Library callers get the same integer checks as the file loader."""
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, "1", True, None])
+    def test_non_integer_weight_entry_is_rejected(self, bad):
+        with pytest.raises(ModelFormatError, match="fixed point 'a'"):
+            FixedPoint("a", (1,), ((bad,),))
+
+    def test_float_weight_is_not_truncated(self):
+        with pytest.raises(ModelFormatError):
+            FixedPoint("a", (1,), ((1.7,),))
+
+    def test_weight_must_be_a_sequence(self):
+        with pytest.raises(ModelFormatError):
+            FixedPoint("a", (1,), (1,))
+
+    def test_integer_weights_are_kept(self):
+        assert FixedPoint("a", (1,), [[2], (-3,)]).weights == ((2,), (-3,))
+
+    def test_non_integer_root_is_rejected(self):
+        point = FixedPoint("a", (0,), ((1,),))
+        with pytest.raises(ModelFormatError):
+            TorusModel(rank=1, fixed_points=(point,), roots=((1.5,), (-1.5,)), weyl_order=2)
+
+
+class TestSizeGuard:
+    def test_largest_legal_sizes_pass(self):
+        check_family_size("spheres", 2, 20)
+        check_family_size("cp2", 3, 12)
+        assert MAX_FIXED_POINTS >= 2**20
+
+    def test_one_step_beyond_is_rejected(self):
+        with pytest.raises(ModelTooLarge):
+            check_family_size("spheres", 2, 21)
+        with pytest.raises(ModelTooLarge):
+            check_family_size("cp2", 3, 13)
+
+    def test_huge_size_is_rejected_without_computing_the_count(self):
+        with pytest.raises(ModelTooLarge):
+            check_family_size("spheres", 2, 10**12)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from torusloc import (
     poly_str,
     series_invert,
 )
+
+from helpers import ref_clean, ref_mul, ref_terms
 
 
 def P(nvars, terms):
@@ -141,3 +144,153 @@ def test_homogeneous_parts_sum_back(p):
 def test_poly_str_canonical_order():
     p = P(2, {(0, 0): 1, (1, 0): 2, (0, 1): -1, (2, 0): Fraction(1, 2)})
     assert poly_str(p) == "1 + 2*u1 - u2 + 1/2*u1^2"
+
+
+# ----------------------------------------------------------------------
+# integer kernels against a plain-Fraction reference
+#
+# The reference (here and in helpers.py) works on {exponent: Fraction}
+# dictionaries with the schoolbook loops the kernels replace.  Inputs mix int, Fraction and
+# integral Fraction (such as Fraction(2)) coefficients, the last stored
+# as is through MultiPoly._make, so every storage shape reaches the
+# kernels.
+
+
+def ref_pow(a, n, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_substitute(a, basis):
+    d = len(basis)
+    out = {}
+    for exp, c in a.items():
+        term = {(0,) * d: c}
+        for j, e in enumerate(exp):
+            form = {
+                tuple(int(k == i) for k in range(d)): Fraction(basis[i][j])
+                for i in range(d)
+                if basis[i][j]
+            }
+            for _ in range(e):
+                term = ref_mul(term, form)
+        for e, v in term.items():
+            out[e] = out.get(e, Fraction(0)) + v
+    return ref_clean(out)
+
+
+def ref_invert(a, nvars, order):
+    """Coefficients of 1/a through total degree ``order`` by the recurrence
+    a * s = 1, solved degree by degree."""
+    zero = (0,) * nvars
+    c0 = a[zero]
+    monomials = [e for e in itertools.product(range(order + 1), repeat=nvars) if sum(e) <= order]
+    s = {}
+    for e in sorted(monomials, key=sum):
+        acc = Fraction(int(e == zero))
+        for f, c in a.items():
+            g = tuple(x - y for x, y in zip(e, f))
+            if f != zero and min(g) >= 0:
+                acc -= c * s.get(g, Fraction(0))
+        s[e] = acc / c0
+    return ref_clean(s)
+
+
+def exact_shape(p):
+    """Every stored coefficient is an int, or a Fraction that is not integral."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.terms.values()
+    )
+
+
+mixed_coeffs = st.one_of(
+    st.integers(-6, 6),
+    fractions,
+    st.integers(-6, 6).map(Fraction),  # integral, but stored as Fraction
+)
+
+
+def mixed_polys(nvars, max_exp=3, max_terms=5):
+    exponents = st.tuples(*([st.integers(0, max_exp)] * nvars))
+    return st.dictionaries(exponents, mixed_coeffs, max_size=max_terms).map(
+        lambda terms: MultiPoly._make(nvars, terms)
+    )
+
+
+@st.composite
+def unimodular(draw, d):
+    """A random integer basis of determinant +-1, built from row operations."""
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.permutations(range(d)))[:2]
+        k = draw(st.integers(-2, 2))
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    if draw(st.booleans()):
+        rows[0] = [-a for a in rows[0]]
+    return [tuple(row) for row in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(mixed_polys(n), mixed_polys(n))))
+def test_mul_matches_fraction_reference(pair):
+    p, q = pair
+    product = p * q
+    assert product.terms == ref_mul(ref_terms(p), ref_terms(q))
+    assert exact_shape(product)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: mixed_polys(n, max_exp=2, max_terms=3)), st.integers(0, 4))
+def test_pow_matches_fraction_reference(p, n):
+    power = p**n
+    assert power.terms == ref_pow(ref_terms(p), n, p.nvars)
+    assert exact_shape(power)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(mixed_polys(d), unimodular(d))))
+def test_linear_substitute_matches_fraction_reference(case):
+    p, basis = case
+    image = linear_substitute(p, basis)
+    assert image.terms == ref_substitute(ref_terms(p), basis)
+    assert exact_shape(image)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(mixed_polys), mixed_coeffs.filter(bool), st.integers(0, 5))
+def test_series_invert_matches_fraction_reference(p, c0, order):
+    p = p - p.constant_term() + c0
+    inverse = series_invert(p, order)
+    assert inverse.body.terms == ref_invert(ref_terms(p), p.nvars, order)
+    assert exact_shape(inverse.body)
+
+
+class TestCoefficientTypes:
+    def test_integer_constructors_store_int(self):
+        assert type(MultiPoly.const(2, 3).terms[(0, 0)]) is int
+        assert type(MultiPoly.const(1, Fraction(4, 2)).terms[(0,)]) is int
+        assert all(type(c) is int for c in MultiPoly.linear_form((1, Fraction(-2), 0)).terms.values())
+        assert all(type(c) is int for c in P(2, {(1, 0): 5, (0, 1): Fraction(6, 3)}).terms.values())
+
+    def test_bool_goes_through_fraction(self):
+        assert MultiPoly.const(1, True) == MultiPoly.const(1, 1)
+        assert type(MultiPoly.const(1, True).terms[(0,)]) is int
+
+    def test_public_accessors_return_fraction(self):
+        for p in (MultiPoly.const(2, 3), MultiPoly.const(2, Fraction(1, 3)), MultiPoly.zero(2)):
+            assert type(p.constant_term()) is Fraction
+            assert type(p.as_constant()) is Fraction
+        assert type(P(1, {(1,): 2, (0,): 7}).constant_term()) is Fraction
+
+    def test_division_by_constant_term_stays_exact(self):
+        # an int constant term would turn int / int into a float here
+        assert type(3 / MultiPoly.const(0, 2).constant_term()) is Fraction
+
+    def test_equal_values_hash_alike_across_storage(self):
+        as_int = MultiPoly._make(2, {(1, 0): 2, (0, 0): -1})
+        as_fraction = MultiPoly._make(2, {(1, 0): Fraction(2), (0, 0): Fraction(-1)})
+        assert as_int == as_fraction
+        assert hash(as_int) == hash(as_fraction)
+        assert len({as_int, as_fraction}) == 1

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import torusloc.localization as localization
 from torusloc import (
+    EquivariantClass,
     MultiPoly,
     OrientedFlag,
     Plan,
@@ -159,3 +160,29 @@ def test_class_power_runs_once_per_distinct_moment(monkeypatch):
     assert len(powers) == len(moments) < len(model.fixed_points)
     # Points with equal moments share one restriction object.
     assert len({id(p) for p in cls.restrictions.values()}) == len(moments)
+
+
+def test_int_and_fraction_restrictions_share_one_key(monkeypatch):
+    # Equal in value, stored once with int and once with Fraction
+    # coefficients: hash(2) == hash(Fraction(2)), so they group together.
+    weights = ((1,), (2,), (-1,))
+    model = TorusModel(
+        rank=1,
+        fixed_points=(FixedPoint("a", (0,), weights), FixedPoint("b", (0,), weights[::-1])),
+    )
+    cls = EquivariantClass({
+        "a": MultiPoly._make(1, {(2,): 2, (0,): -1}),
+        "b": MultiPoly._make(1, {(2,): Fraction(2), (0,): Fraction(-1)}),
+    })
+    flag = OrientedFlag(((1,),))
+    plan = Plan((PlanTerm(1, "a", flag), PlanTerm(3, "b", flag)))
+    expected = 4 * lambda_flag(model, "a", flag, cls)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lambda_flag(*args)
+
+    monkeypatch.setattr(localization, "lambda_flag", counted)
+    assert evaluate_plan(model, plan, cls) == expected != 0
+    assert len(calls) == 1

@@ -19,6 +19,8 @@ from torusloc import (
     weighted_segre,
 )
 
+from helpers import ref_mul
+
 
 def space(*lines, residuals=0):
     return WeightedSpace(tuple(lines), residuals)
@@ -212,3 +214,34 @@ def test_top_fiber_integral_is_gcd_over_leading_chern():
         c0 = weighted_chern(v).constant_term()
         expected = MultiPoly.const(v.residual_count, Fraction(weight_gcd(v), 1) / c0)
         assert fiber_integrate_power(v, r - 1) == expected
+
+
+# ----------------------------------------------------------------------
+# integer Chern kernel
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(spaces))
+def test_chern_matches_fraction_reference(v):
+    n = v.residual_count
+    expected = {(0,) * n: Fraction(1)}
+    for weight, residual in v.lines:
+        factor = {(0,) * n: Fraction(weight)}
+        for i, r in enumerate(residual):
+            if r:
+                factor[tuple(int(k == i) for k in range(n))] = Fraction(r)
+        expected = ref_mul(expected, factor)
+    assert weighted_chern(v).terms == expected
+
+
+def test_chern_coefficients_are_int():
+    rng = random.Random(5)
+    for _ in range(50):
+        chern = weighted_chern(random_space(rng))
+        assert all(type(c) is int for c in chern.terms.values())
+
+
+def test_gcd_over_constant_term_is_a_fraction():
+    v = space((2, ()), (-4, ()), (6, ()))
+    ratio = weight_gcd(v) / weighted_chern(v).constant_term()
+    assert type(ratio) is Fraction and ratio == Fraction(-1, 24)
