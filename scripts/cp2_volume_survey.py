@@ -9,18 +9,11 @@ The table is the evidence behind the finding recorded in the README.
 """
 
 import argparse
-from fractions import Fraction
 from math import factorial
 
-from torusloc import build_cp_product, class_generator, cp2_plan, evaluate_plan, weyl_correct
+from torusloc import build_cp_product, cp2_plan, evaluate_plan, volume_class
 from torusloc.closedforms import cp2_volume_printed_double_sum
 from torusloc.plans import CP2_VARIANTS
-
-
-def volume_class(model, n):
-    m = 2 * n - 8
-    cls = weyl_correct(model, class_generator(model, "prequantum") ** m)
-    return cls * Fraction(1, factorial(m))
 
 
 def main():
@@ -34,9 +27,9 @@ def main():
         if n % 3 == 0:
             continue
         model = build_cp_product(3, n)
-        cls = volume_class(model, n)
-        scale = 6 * factorial(2 * n - 8)
-        values = [evaluate_plan(model, cp2_plan(n, v), cls) for v in CP2_VARIANTS]
+        cls, m = volume_class(model, "weyl")
+        scale = 6 * factorial(m)
+        values = [evaluate_plan(model, cp2_plan(n, v), cls) / factorial(m) for v in CP2_VARIANTS]
         values.append(cp2_volume_printed_double_sum(n) / scale)
         values.append(cp2_volume_printed_double_sum(n, repair_base=True) / scale)
         print(f"{n:>3} " + " ".join(f"{str(v):>18}" for v in values))

@@ -35,6 +35,7 @@ from .localization import (
     lambda_flag,
     load_plan,
     stage_map,
+    volume_class,
     weyl_correct,
 )
 from .model import (

@@ -22,8 +22,8 @@ from math import factorial
 
 from .errors import TorusLocError, Unsupported
 from .expr import evaluate_expr, parse_class_expr
-from .localization import dump_plan, evaluate_plan, load_plan, weyl_correct
-from .model import TorusModel, build_cp_product, build_sphere_product, class_generator, load_model
+from .localization import dump_plan, evaluate_plan, load_plan, volume_class
+from .model import TorusModel, build_cp_product, build_sphere_product, load_model
 from .plans import CP2_VARIANTS, cp2_plan, rank1_plan, wall_list
 from .poly import MultiPoly, poly_str
 from .weighted import (
@@ -83,18 +83,7 @@ def cmd_pair(args) -> int:
 
 def cmd_volume(args) -> int:
     model = resolve_model(args.model)
-    if not model.fixed_points:
-        raise Unsupported("volume of a model without fixed points")
-    m = model.weights_per_point - model.rank
-    if args.group == "weyl":
-        if model.roots is None:
-            raise TorusLocError("model carries no root data for --group weyl")
-        m -= len(model.roots)
-    if m < 0:
-        raise Unsupported("negative volume degree: quotient dimension is negative")
-    cls = class_generator(model, "prequantum") ** m
-    if args.group == "weyl":
-        cls = weyl_correct(model, cls)
+    cls, m = volume_class(model, args.group)
     plan = plan_for(args, model)
     coefficient = evaluate_plan(model, plan, cls) / factorial(m)
     text = f"{coefficient} * (2pi)^{m}"

@@ -26,12 +26,15 @@ from .errors import (
     NoRootData,
     NotUnimodular,
     PlanFormatError,
+    TorusLocError,
     UnknownFixedPoint,
+    Unsupported,
 )
 from .model import (
     EquivariantClass,
     FixedPoint,
     TorusModel,
+    class_generator,
     read_json,
     strict_int,
     strict_int_vector,
@@ -239,6 +242,31 @@ def weyl_correct(model: TorusModel, cls: EquivariantClass) -> EquivariantClass:
     root_product = affine_product(model.rank, ((0, root) for root in model.roots))
     scale = Fraction(1, model.weyl_order)
     return cls.pointwise(lambda p: p * root_product * scale)
+
+
+def volume_class(model: TorusModel, group: str) -> tuple[EquivariantClass, int]:
+    """The volume class L^m of the quotient by the torus or the full group, and m.
+
+    m is the quotient's complex dimension: weights per point minus the rank,
+    minus the number of roots for group "weyl", where the class is also
+    Weyl-corrected.  Pairing it and dividing by m! gives the coefficient of
+    (2pi)^m in the symplectic volume.
+    """
+    if group not in ("torus", "weyl"):
+        raise ValueError(f"group must be 'torus' or 'weyl', got {group!r}")
+    if not model.fixed_points:
+        raise Unsupported("volume of a model without fixed points")
+    m = model.weights_per_point - model.rank
+    if group == "weyl":
+        if model.roots is None:
+            raise TorusLocError("model carries no root data for --group weyl")
+        m -= len(model.roots)
+    if m < 0:
+        raise Unsupported("negative volume degree: quotient dimension is negative")
+    cls = class_generator(model, "prequantum") ** m
+    if group == "weyl":
+        cls = weyl_correct(model, cls)
+    return cls, m
 
 
 # ----------------------------------------------------------------------

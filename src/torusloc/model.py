@@ -53,11 +53,20 @@ class FixedPoint:
     weights: tuple[Weight, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "moment", tuple(Fraction(m) for m in self.moment))
-        what = f"fixed point {self.id!r}: weight"
-        object.__setattr__(
-            self, "weights", tuple(strict_int_vector(w, what) for w in self.weights)
-        )
+        moment = self.moment
+        if type(moment) is not tuple or {*map(type, moment)} - {Fraction}:
+            object.__setattr__(self, "moment", tuple(Fraction(m) for m in moment))
+        weights = tuple(self.weights)
+        kinds = {*map(type, weights)}
+        # One pass over all entries; only a failing point pays the per-weight
+        # check, which names the first bad weight.
+        if kinds <= {tuple, list} and {*map(type, itertools.chain.from_iterable(weights))} <= {int}:
+            if list in kinds:
+                weights = tuple(map(tuple, weights))
+        else:
+            what = f"fixed point {self.id!r}: weight"
+            weights = tuple(strict_int_vector(w, what) for w in weights)
+        object.__setattr__(self, "weights", weights)
 
     @cached_property
     def sorted_weights(self) -> tuple[Weight, ...]:
@@ -78,6 +87,10 @@ class TorusModel:
 
     def __post_init__(self):
         object.__setattr__(self, "fixed_points", tuple(self.fixed_points))
+        strict_int(self.rank, "rank")
+        strict_int(self.global_stabilizer_order, "global_stabilizer_order")
+        if self.weyl_order is not None:
+            strict_int(self.weyl_order, "weyl_order")
         if self.rank < 1:
             raise ModelFormatError("rank must be a positive integer")
         if self.global_stabilizer_order < 1:
@@ -219,8 +232,38 @@ def check_family_size(name: str, k: int, n: int):
             )
 
 
+def assignments(n: int, k: int):
+    """Every assignment of the elements 1..n to k groups, as (word, groups).
+
+    Words run over {0..k-1}^n in itertools.product order; element i goes
+    to group word[i-1].  groups[j] lists the decimal labels of the
+    elements in group j in increasing order, ready to join into a point
+    id; each word costs O(n) appends and no sorting.
+    """
+    labels = [str(i) for i in range(1, n + 1)]
+    for word in itertools.product(range(k), repeat=n):
+        groups = [[] for _ in range(k)]
+        for label, j in zip(labels, word):
+            groups[j].append(label)
+        yield word, groups
+
+
+def sphere_label_id(labels: Iterable[str]) -> str:
+    """Id of the sphere-product point whose south-pole factors carry these labels."""
+    return "f{" + ",".join(labels) + "}"
+
+
+def cp_label_id(groups: Iterable[Iterable[str]]) -> str:
+    """Id of the projective-product point with these label groups, "F{1,2}|{}|{3}"."""
+    return "F{" + "}|{".join(map(",".join, groups)) + "}"
+
+
 def sphere_point_id(subset: Iterable[int]) -> str:
-    return "f{" + ",".join(str(i) for i in sorted(subset)) + "}"
+    return sphere_label_id(map(str, sorted(subset)))
+
+
+def cp_point_id(partition: Sequence[Iterable[int]]) -> str:
+    return cp_label_id([map(str, sorted(part)) for part in partition])
 
 
 def build_sphere_product(n: int) -> TorusModel:
@@ -234,17 +277,12 @@ def build_sphere_product(n: int) -> TorusModel:
     if n < 1:
         raise ValueError("n must be a positive integer")
     check_family_size("spheres", 2, n)
-    points = []
-    for bits in itertools.product((0, 1), repeat=n):
-        subset = frozenset(i + 1 for i, b in enumerate(bits) if b)
-        weights = tuple((-1,) if (i + 1) in subset else (1,) for i in range(n))
-        points.append(
-            FixedPoint(
-                id=sphere_point_id(subset),
-                moment=(Fraction(n - 2 * len(subset)),),
-                weights=weights,
-            )
-        )
+    moments = [(Fraction(n - 2 * size),) for size in range(n + 1)]
+    signs = ((1,), (-1,))
+    points = [
+        FixedPoint(sphere_label_id(south), moments[len(south)], tuple(map(signs.__getitem__, word)))
+        for word, (_, south) in assignments(n, 2)
+    ]
     return TorusModel(
         rank=1,
         fixed_points=tuple(points),
@@ -252,23 +290,6 @@ def build_sphere_product(n: int) -> TorusModel:
         weyl_order=2,
         family=("sphere", n),
     )
-
-
-def cp_point_id(partition: Sequence[Iterable[int]]) -> str:
-    groups = ["{" + ",".join(str(i) for i in sorted(part)) + "}" for part in partition]
-    return "F" + "|".join(groups)
-
-
-def cp_vertex_moments(k: int) -> list[Moment]:
-    """Moment images of the k coordinate fixed points of one projective factor."""
-    ones = [Fraction(1)] * (k - 1)
-    vertices = []
-    for j in range(1, k):
-        v = list(ones)
-        v[j - 1] -= k
-        vertices.append(tuple(v))
-    vertices.append(tuple(ones))
-    return vertices
 
 
 def cp_vertex_weights(k: int) -> list[tuple[Weight, ...]]:
@@ -291,41 +312,32 @@ def cp_vertex_weights(k: int) -> list[tuple[Weight, ...]]:
     return out
 
 
-def partitions_of(n: int, k: int):
-    """All ordered partitions (I_1, ..., I_k) of {1..n} into k disjoint groups."""
-    for assignment in itertools.product(range(k), repeat=n):
-        parts = [[] for _ in range(k)]
-        for element, j in enumerate(assignment, start=1):
-            parts[j].append(element)
-        yield tuple(frozenset(part) for part in parts)
-
-
 def build_cp_product(k: int, n: int) -> TorusModel:
     """The n-fold product of (k-1)-dimensional projective spaces.
 
     The acting torus is the rank k-1 maximal torus of the projective
     unitary group; fixed points are indexed by ordered partitions of
-    {1..n} into k groups, one per coordinate point of the factor.  For
-    k = 3 the six roots and Weyl order 6 are attached.
+    {1..n} into k groups, one per coordinate point of the factor.  The
+    j-th coordinate point has moment (1, ..., 1) - k e_j (the last one
+    (1, ..., 1)), so a point whose groups have sizes (i_1, ..., i_k) has
+    moment (n - k i_1, ..., n - k i_{k-1}); it is built once per size
+    vector.  For k = 3 the six roots and Weyl order 6 are attached.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if n < 1:
         raise ValueError("n must be a positive integer")
     check_family_size(f"cp{k - 1}", k, n)
-    vertices = cp_vertex_moments(k)
     vertex_weights = cp_vertex_weights(k)
+    moments: dict[tuple[int, ...], Moment] = {}
     points = []
-    for partition in partitions_of(n, k):
-        moment = tuple(
-            sum((len(part) * v[i] for part, v in zip(partition, vertices)), Fraction(0))
-            for i in range(k - 1)
-        )
-        weights = []
-        for element in range(1, n + 1):
-            j = next(idx for idx, part in enumerate(partition) if element in part)
-            weights.extend(vertex_weights[j])
-        points.append(FixedPoint(id=cp_point_id(partition), moment=moment, weights=tuple(weights)))
+    for word, groups in assignments(n, k):
+        sizes = tuple(map(len, groups))
+        moment = moments.get(sizes)
+        if moment is None:
+            moment = moments[sizes] = tuple(Fraction(n - k * size) for size in sizes[:-1])
+        weights = tuple(itertools.chain.from_iterable(map(vertex_weights.__getitem__, word)))
+        points.append(FixedPoint(cp_label_id(groups), moment, weights))
     roots = None
     weyl = None
     if k == 3:
@@ -354,9 +366,17 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
     kind "line": the constant linear form <direction, u> at every point.
     """
     if kind == "prequantum":
-        return EquivariantClass(
-            {fp.id: MultiPoly.linear_form(fp.moment) for fp in model.fixed_points}
-        )
+        # Points holding the same moment tuple share one form; the built-in
+        # families hand every point of a group-size vector the same tuple.
+        # Keying by identity spares hashing Fractions at every point.
+        forms: dict[int, MultiPoly] = {}
+        restrictions = {}
+        for fp in model.fixed_points:
+            form = forms.get(id(fp.moment))
+            if form is None:
+                form = forms[id(fp.moment)] = MultiPoly.linear_form(fp.moment)
+            restrictions[fp.id] = form
+        return EquivariantClass(restrictions)
     if kind == "line":
         if direction is None or len(direction) != model.rank:
             raise IndexOutOfRange(f"line class needs a direction of length {model.rank}")

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 from .errors import NotRegular, Unsupported
 from .localization import OrientedFlag, Plan, PlanTerm
-from .model import TorusModel, cp_point_id, partitions_of
+from .model import TorusModel, assignments, check_family_size, cp_label_id
 
 # The two oriented flags of the projective-plane recipe: cross the second
 # circle first and descend against the first circle, or the reverse.
@@ -109,18 +109,22 @@ def cp2_plan(n: int, variant: str = "general") -> Plan:
 
     One term per partition of {1..n} satisfying one of the two region
     predicates, with the flag the chosen variant assigns to that region.
-    The regions are disjoint, so no partition receives two terms.
+    The regions are disjoint, so no partition receives two terms.  The
+    predicates depend only on the group sizes and run once per size vector.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n % 3 == 0:
         raise NotRegular("the origin is not a regular value when n is a multiple of 3")
     predicates = _cp2_predicates(n, variant)
+    check_family_size("cp2", 3, n)
+    flags: dict[tuple[int, ...], OrientedFlag | None] = {}
     terms = []
-    for partition in partitions_of(n, 3):
-        sizes = tuple(len(part) for part in partition)
-        for predicate, flag in predicates:
-            if predicate(*sizes):
-                terms.append(PlanTerm(1, cp_point_id(partition), flag))
-                break
+    for _, groups in assignments(n, 3):
+        sizes = tuple(map(len, groups))
+        if sizes not in flags:
+            flags[sizes] = next((flag for predicate, flag in predicates if predicate(*sizes)), None)
+        flag = flags[sizes]
+        if flag is not None:
+            terms.append(PlanTerm(1, cp_label_id(groups), flag))
     return Plan(tuple(terms))

@@ -41,13 +41,17 @@ class WeightedSpace:
         for weight, residual in self.lines:
             if weight == 0:
                 raise ValueError("circle weight 0: the circle must fix only the origin")
-            residual = tuple(int(r) for r in residual)
+            if type(weight) is not int:
+                raise ValueError(f"circle weight must be an integer, got {weight!r}")
+            residual = tuple(residual)
+            if any(type(r) is not int for r in residual):
+                raise ValueError(f"residual vector {residual} must have integer entries")
             if len(residual) != self.residual_count:
                 raise ValueError(
                     f"residual vector {residual} has length {len(residual)},"
                     f" expected {self.residual_count}"
                 )
-            norm.append((int(weight), residual))
+            norm.append((weight, residual))
         object.__setattr__(self, "lines", tuple(norm))
 
     @property

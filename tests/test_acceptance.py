@@ -158,7 +158,7 @@ def test_criterion_7_cp2_volume_closed_form_with_recorded_variant():
     """
     for n in CP2_NS:
         model = build_cp_product(3, n)
-        cls = cp2_volume_class(model, n)
+        cls = cp2_volume_class(model)
         general = evaluate_plan(model, cp2_plan(n, "general"), cls)
         repaired = cp2_volume_printed_double_sum(n, repair_base=True)
         assert repaired == general * 6 * factorial(2 * n - 8), f"n={n}"
@@ -188,14 +188,14 @@ def test_criterion_7_cp2_volume_closed_form_with_recorded_variant():
 def test_criterion_7_mirror_consistency_of_valid_descents():
     for n in CP2_NS:
         model = build_cp_product(3, n)
-        cls = cp2_volume_class(model, n)
+        cls = cp2_volume_class(model)
         swapped = evaluate_plan(model, cp2_plan(n, "swapped"), cls)
         mirror = evaluate_plan(model, cp2_plan(n, "mirror"), cls)
         assert swapped == mirror, f"n={n}"
         assert swapped == cp2_volume_from_lambda_forms(n, "swapped"), f"n={n}"
         assert swapped > 0, f"n={n}: a volume must be positive"
     model = build_cp_product(3, 4)
-    assert evaluate_plan(model, cp2_plan(4, "swapped"), cp2_volume_class(model, 4)) == 1
+    assert evaluate_plan(model, cp2_plan(4, "swapped"), cp2_volume_class(model)) == 1
     report(7, "swapped and mirror descents agree and give positive volumes (n=4 gives 1)")
 
 

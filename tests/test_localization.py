@@ -16,6 +16,7 @@ from torusloc import (
     TorusLocError,
     TorusModel,
     UnknownFixedPoint,
+    Unsupported,
     WeightedSpace,
     build_cp_product,
     build_sphere_product,
@@ -26,6 +27,7 @@ from torusloc import (
     lambda_flag,
     load_plan,
     stage_map,
+    volume_class,
     weyl_correct,
 )
 from torusloc.model import FixedPoint, cp_point_id
@@ -277,6 +279,30 @@ class TestWeylCorrect:
         m = build_cp_product(4, 1)  # no roots attached for k = 4
         with pytest.raises(NoRootData):
             weyl_correct(m, EquivariantClass.constant(m, 1))
+
+
+class TestVolumeClass:
+    def test_torus_volume_class_is_a_power_of_the_prequantum_class(self):
+        m = build_sphere_product(5)
+        cls, degree = volume_class(m, "torus")
+        assert degree == 4
+        assert cls == class_generator(m, "prequantum") ** 4
+
+    def test_weyl_volume_class_drops_the_roots(self):
+        m = build_cp_product(3, 5)
+        cls, degree = volume_class(m, "weyl")
+        assert degree == 2 * 5 - 8
+        assert cls == weyl_correct(m, class_generator(m, "prequantum") ** degree)
+
+    def test_errors(self):
+        with pytest.raises(Unsupported, match="without fixed points"):
+            volume_class(TorusModel(1, ()), "torus")
+        with pytest.raises(TorusLocError, match="no root data"):
+            volume_class(build_cp_product(4, 2), "weyl")
+        with pytest.raises(Unsupported, match="negative volume degree"):
+            volume_class(build_cp_product(3, 2), "weyl")
+        with pytest.raises(ValueError):
+            volume_class(build_sphere_product(2), "borel")
 
 
 class TestPlanFiles:

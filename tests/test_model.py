@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torusloc import (
     EquivariantClass,
@@ -19,7 +21,48 @@ from torusloc import (
     class_generator,
     load_model,
 )
-from torusloc.model import MAX_FIXED_POINTS, FixedPoint, check_family_size, cp_point_id, sphere_point_id
+from torusloc.model import (
+    MAX_FIXED_POINTS,
+    FixedPoint,
+    check_family_size,
+    cp_point_id,
+    sphere_point_id,
+    strict_int_vector,
+)
+
+from helpers import ref_build_cp_product, ref_build_sphere_product
+
+
+def model_record(model: TorusModel):
+    """Every field of a model, with each value's exact type beside it."""
+    points = [
+        (fp.id, [(type(m), m) for m in fp.moment], [(type(w), [(type(a), a) for a in w]) for w in fp.weights])
+        for fp in model.fixed_points
+    ]
+    return (model.rank, points, model.roots, model.weyl_order,
+            model.global_stabilizer_order, model.family)
+
+
+class TestBuildersMatchPartitionReference:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_cp_product(self, k, n):
+        assert model_record(build_cp_product(k, n)) == model_record(ref_build_cp_product(k, n))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sphere_product(self, n):
+        assert model_record(build_sphere_product(n)) == model_record(ref_build_sphere_product(n))
+
+    def test_points_of_one_size_vector_share_their_moment(self):
+        m = build_cp_product(3, 4)
+        assert len({id(fp.moment) for fp in m.fixed_points}) == 15
+
+    def test_point_id_helpers_match_the_built_ids(self):
+        cp = build_cp_product(3, 4)
+        assert cp.fixed_points[5].id == cp_point_id((frozenset({2, 1}), {3}, [4]))
+        assert cp.fixed_points[0].id == cp_point_id(({4, 3, 2, 1}, (), ()))
+        sphere = build_sphere_product(4)
+        assert sphere.fixed_points[5].id == sphere_point_id({4, 2})
 
 
 class TestSphereProduct:
@@ -229,10 +272,97 @@ class TestStrictFixedPoint:
     def test_integer_weights_are_kept(self):
         assert FixedPoint("a", (1,), [[2], (-3,)]).weights == ((2,), (-3,))
 
+    def test_tuple_subclass_weight_is_accepted_as_a_tuple(self):
+        weights = FixedPoint("a", (1,), (_Vec((2,)), (3,))).weights
+        assert weights == ((2,), (3,)) and {type(w) for w in weights} == {tuple}
+
+    def test_weights_from_a_generator(self):
+        assert FixedPoint("a", (1,), ([w] for w in (1, -1))).weights == ((1,), (-1,))
+
+    @pytest.mark.parametrize("moment", [(1,), [Fraction(1, 2)], ("3/4",), (Fraction(2),)])
+    def test_moment_is_a_fraction_tuple(self, moment):
+        got = FixedPoint("a", moment, ((1,),)).moment
+        assert type(got) is tuple and {type(m) for m in got} == {Fraction}
+        assert got == tuple(Fraction(m) for m in moment)
+
     def test_non_integer_root_is_rejected(self):
         point = FixedPoint("a", (0,), ((1,),))
         with pytest.raises(ModelFormatError):
             TorusModel(rank=1, fixed_points=(point,), roots=((1.5,), (-1.5,)), weyl_order=2)
+
+
+class _Vec(tuple):
+    """A tuple subclass; the per-weight check accepts it."""
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.floats(-2, 2, allow_nan=False),
+    st.text(max_size=2),
+    st.fractions(max_denominator=3),
+)
+WEIGHTS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from([tuple, list, _Vec]), st.lists(ENTRIES, max_size=3)).map(
+            lambda pair: pair[0](pair[1])
+        ),
+        # not sequences of ints, though iterating some of them yields ints or nothing
+        st.text(max_size=1),
+        st.frozensets(st.integers(-2, 2), max_size=2),
+        st.integers(-2, 2),
+    ),
+    max_size=4,
+)
+
+
+def per_weight_outcome(weights):
+    """Result or error text of checking each weight through strict_int_vector."""
+    try:
+        return tuple(strict_int_vector(w, "fixed point 'p': weight") for w in weights)
+    except ModelFormatError as err:
+        return str(err)
+
+
+def fixed_point_outcome(weights):
+    try:
+        return FixedPoint("p", (0,), weights).weights
+    except ModelFormatError as err:
+        return str(err)
+
+
+@given(WEIGHTS)
+def test_bulk_weight_check_matches_the_per_weight_check(weights):
+    got = fixed_point_outcome(weights)
+    assert got == per_weight_outcome(weights)
+    if not isinstance(got, str):
+        assert all(type(w) is tuple for w in got)
+
+
+class TestStrictModelFields:
+    """rank, weyl_order and global_stabilizer_order must be ints, as in files."""
+
+    POINT = FixedPoint("a", (0,), ((1,),))
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", True])
+    def test_rank(self, bad):
+        with pytest.raises(ModelFormatError, match="rank must be an integer"):
+            TorusModel(bad, ())
+
+    @pytest.mark.parametrize("bad", [2.0, 1.5, "2", True])
+    def test_weyl_order(self, bad):
+        with pytest.raises(ModelFormatError, match="weyl_order must be an integer"):
+            TorusModel(1, (self.POINT,), roots=((1,), (-1,)), weyl_order=bad)
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", True])
+    def test_global_stabilizer_order(self, bad):
+        with pytest.raises(ModelFormatError, match="global_stabilizer_order must be an integer"):
+            TorusModel(1, (self.POINT,), global_stabilizer_order=bad)
+
+    def test_integer_fields_are_accepted(self):
+        model = TorusModel(1, (self.POINT,), roots=((1,), (-1,)), weyl_order=2,
+                           global_stabilizer_order=3)
+        assert (model.rank, model.weyl_order, model.global_stabilizer_order) == (1, 2, 3)
 
 
 class TestSizeGuard:

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from torusloc import (
+    ModelTooLarge,
     NotRegular,
     OrientedFlag,
     Unsupported,
@@ -27,7 +28,7 @@ from torusloc.closedforms import (
 )
 from torusloc.plans import THETA1, THETA2
 
-from helpers import all_v_monomials, cp2_volume_class, sizes_of, v_monomial
+from helpers import all_v_monomials, cp2_volume_class, ref_cp2_plan, sizes_of, v_monomial
 
 
 class TestWallList:
@@ -118,6 +119,15 @@ class TestCp2Plan:
         with pytest.raises(ValueError):
             cp2_plan(4, "bogus")
 
+    @pytest.mark.parametrize("variant", ["general", "swapped", "mirror"])
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_matches_the_partition_reference(self, n, variant):
+        assert cp2_plan(n, variant) == ref_cp2_plan(n, variant)
+
+    def test_oversized_plan_is_refused(self):
+        with pytest.raises(ModelTooLarge):
+            cp2_plan(31)
+
     def test_n4_general_composition_classes(self):
         plan = cp2_plan(4, "general")
         by_flag = Counter((sizes_of(t.fixed_point_id), t.flag) for t in plan.terms)
@@ -146,7 +156,7 @@ class TestCp2Plan:
         # the swapped assignment and its coordinate-swapped image are two
         # different descents of the same pairing and must agree
         model = build_cp_product(3, n)
-        cls = cp2_volume_class(model, n)
+        cls = cp2_volume_class(model)
         swapped = evaluate_plan(model, cp2_plan(n, "swapped"), cls)
         mirror = evaluate_plan(model, cp2_plan(n, "mirror"), cls)
         assert swapped == mirror
@@ -155,13 +165,13 @@ class TestCp2Plan:
         # four generic points of the plane form a single free orbit of the
         # projective group, so the zero-dimensional quotient has volume 1
         model = build_cp_product(3, 4)
-        cls = cp2_volume_class(model, 4)
+        cls = cp2_volume_class(model)
         assert evaluate_plan(model, cp2_plan(4, "swapped"), cls) == 1
 
     @pytest.mark.parametrize("n", [4, 5, 7])
     def test_engine_matches_lambda_closed_forms(self, n):
         model = build_cp_product(3, n)
-        cls = cp2_volume_class(model, n)
+        cls = cp2_volume_class(model)
         for variant in ("general", "swapped"):
             engine = evaluate_plan(model, cp2_plan(n, variant), cls)
             assert engine == cp2_volume_from_lambda_forms(n, variant)
@@ -185,7 +195,7 @@ class TestPrintedVolumeFormula:
     @pytest.mark.parametrize("n", [4, 5, 7])
     def test_repaired_formula_matches_general_variant(self, n):
         model = build_cp_product(3, n)
-        cls = cp2_volume_class(model, n)
+        cls = cp2_volume_class(model)
         general = evaluate_plan(model, cp2_plan(n, "general"), cls)
         repaired = cp2_volume_printed_double_sum(n, repair_base=True)
         assert repaired == general * 6 * factorial(2 * n - 8)

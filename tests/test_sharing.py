@@ -10,6 +10,7 @@ coefficients.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from torusloc import (
     PlanTerm,
     TorusModel,
     build_cp_product,
+    build_sphere_product,
     class_generator,
     cp2_plan,
     evaluate_plan,
@@ -124,7 +126,7 @@ def test_splitting_terms_into_unit_terms(case):
 
 def test_cp2_volume_evaluates_each_distinct_key_once(monkeypatch):
     model = build_cp_product(3, 5)
-    cls = cp2_volume_class(model, 5)
+    cls = cp2_volume_class(model)
     plan = cp2_plan(5, "swapped")
     keys = {
         (
@@ -160,6 +162,25 @@ def test_class_power_runs_once_per_distinct_moment(monkeypatch):
     assert len(powers) == len(moments) < len(model.fixed_points)
     # Points with equal moments share one restriction object.
     assert len({id(p) for p in cls.restrictions.values()}) == len(moments)
+
+
+@pytest.mark.parametrize("build, distinct", [
+    (lambda: build_cp_product(3, 5), 21),  # one moment per group-size vector
+    (lambda: build_sphere_product(6), 7),
+])
+def test_prequantum_class_builds_one_form_per_distinct_moment(monkeypatch, build, distinct):
+    model = build()
+    forms = []
+    linear_form = MultiPoly.linear_form
+
+    def counted(moment):
+        forms.append(moment)
+        return linear_form(moment)
+
+    monkeypatch.setattr(MultiPoly, "linear_form", counted)
+    cls = class_generator(model, "prequantum")
+    assert len(forms) == len(set(forms)) == distinct
+    assert all(cls.at(fp.id) == linear_form(fp.moment) for fp in model.fixed_points)
 
 
 def test_int_and_fraction_restrictions_share_one_key(monkeypatch):

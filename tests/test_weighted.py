@@ -161,6 +161,27 @@ class TestParseWeightedSpace:
             parse_weighted_space("1:1;2")
 
 
+class TestStrictWeightedSpace:
+    """Circle weights and residual entries must be ints; nothing is truncated."""
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2", True, Fraction(3)])
+    def test_non_integer_circle_weight(self, bad):
+        with pytest.raises(ValueError, match="circle weight must be an integer"):
+            WeightedSpace(((bad, (1,)),), 1)
+
+    @pytest.mark.parametrize("bad", [2.7, 0.0, "1", False, Fraction(1)])
+    def test_non_integer_residual_entry(self, bad):
+        with pytest.raises(ValueError, match="integer entries"):
+            WeightedSpace(((1, (0, bad)),), 2)
+
+    def test_float_line_is_not_truncated(self):
+        with pytest.raises(ValueError):
+            WeightedSpace(((1.5, (2.7,)),), 1)
+
+    def test_integer_lines_are_kept(self):
+        assert WeightedSpace(((2, [1, -1]), (-1, (0, 3))), 2).lines == ((2, (1, -1)), (-1, (0, 3)))
+
+
 # ----------------------------------------------------------------------
 # properties
 
