@@ -48,7 +48,11 @@ def parse_path(text: str) -> tuple[Fraction, int]:
     head, _, tail = text.rpartition(":")
     if not head or tail not in ("+", "-", "+1", "-1"):
         raise ValueError(f"path must look like 'p0:+' or 'p0:-', got {text!r}")
-    return Fraction(head), 1 if tail.startswith("+") else -1
+    try:
+        p0 = Fraction(head)
+    except ZeroDivisionError:
+        raise ValueError(f"path base point {head!r} has a zero denominator") from None
+    return p0, 1 if tail.startswith("+") else -1
 
 
 def plan_for(args, model: TorusModel):

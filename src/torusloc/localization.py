@@ -19,10 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import IO, Sequence, Union
 
 from .errors import (
+    DimensionMismatch,
     EmptyStage,
+    ModelFormatError,
     NoRootData,
     NotUnimodular,
     PlanFormatError,
@@ -39,8 +42,13 @@ from .model import (
     strict_int,
     strict_int_vector,
 )
-from .poly import MultiPoly, affine_product, linear_substitute
-from .weighted import WeightedSpace, weight_gcd, weighted_segre
+from .poly import MultiPoly, _integral, _rational, affine_product, linear_substitute
+from .weighted import (
+    WeightedSpace,
+    _segre_numerators,
+    weight_gcd,
+    weighted_segre,  # noqa: F401  re-exported; instrumentation wraps it by this name
+)
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -124,22 +132,65 @@ def flag_split(point: FixedPoint, flag: OrientedFlag) -> tuple[list[WeightedSpac
     Each weight a is rewritten in flag coordinates a'_i = <a, stage_i> and
     assigned to the first stage j with a'_j nonzero; there it is a line
     with circle weight a'_j and residual vector (a'_{j+1}, ..., a'_d).
-    Also returns the substitution basis for rewriting classes in the same
-    coordinates.  Stages may come back empty; an empty stage makes the
-    pair inadmissible and every evaluation through it zero.
+    Each stage's lines come back sorted, so permuted weights give equal
+    spaces.  Also returns the substitution basis for rewriting classes in
+    the same coordinates.  Stages may come back empty; an empty stage makes
+    the pair inadmissible and every evaluation through it zero.  A weight
+    whose length is not the flag's rank raises DimensionMismatch.
     """
     flag.check_unimodular()
-    d = flag.rank
+    stages = flag.stages
+    d = len(stages)
     stage_lines: list[list] = [[] for _ in range(d)]
     for weight in point.weights:
-        transformed = tuple(sum(a * x for a, x in zip(weight, stage)) for stage in flag.stages)
-        j = next(i for i, c in enumerate(transformed) if c)
-        stage_lines[j].append((transformed[j], transformed[j + 1 :]))
+        if len(weight) != d:
+            raise DimensionMismatch(
+                f"weight {weight} of fixed point {point.id!r} has length {len(weight)},"
+                f" but the flag has rank {d}"
+            )
+        transformed = [sum(map(mul, weight, stage)) for stage in stages]
+        for j, c in enumerate(transformed):
+            if c:
+                stage_lines[j].append((c, tuple(transformed[j + 1 :])))
+                break
+        else:
+            raise ModelFormatError(f"fixed point {point.id!r}: zero tangent weight")
     spaces = [
-        WeightedSpace(tuple(lines), residual_count=d - j - 1)
+        WeightedSpace(tuple(sorted(lines)), residual_count=d - j - 1)
         for j, lines in enumerate(stage_lines)
     ]
-    return spaces, flag.stages
+    return spaces, stages
+
+
+def _stage_fold(numerators: dict, space: WeightedSpace) -> tuple[dict, int]:
+    """The stage map on integer numerators, the one kernel behind stage_map
+    and lambda_flag.
+
+    Variable 0 of each exponent is the stage variable.  Each term
+    c * x^j * rest with j >= r-1 adds c * k * s_{j-r+1} * rest, with r the
+    rank of the nonempty space, k its weight gcd and s the integer
+    numerators of its weighted Segre pieces.  Returns the numerators of the
+    result (zeros may remain) and the Segre denominator, by which the
+    input's denominator must be multiplied.
+    """
+    r = space.rank
+    top = max((e[0] for e in numerators), default=-1) - r + 1
+    if top < 0:
+        return {}, 1
+    pieces, den = _segre_numerators(space.lines, space.residual_count, top)
+    k = weight_gcd(space)
+    out: dict[tuple, int] = {}
+    get = out.get
+    for exp, c in numerators.items():
+        i = exp[0] - r + 1
+        if i < 0:
+            continue
+        rest = exp[1:]
+        ck = c * k
+        for e, v in pieces[i]:
+            e = tuple(map(add, rest, e))
+            out[e] = get(e, 0) + ck * v
+    return out, den
 
 
 def stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
@@ -157,26 +208,9 @@ def stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
         raise ValueError(
             f"polynomial has {p.nvars} variables, expected {space.residual_count + 1}"
         )
-    r = space.rank
-    coefficients: dict[int, dict] = {}
-    for exp, coeff in p.terms.items():
-        coefficients.setdefault(exp[0], {})[exp[1:]] = coeff
-    out = MultiPoly.zero(space.residual_count)
-    if not coefficients:
-        return out
-    max_index = max(coefficients) - r + 1
-    if max_index < 0:
-        return out
-    segre = weighted_segre(space, max_index)
-    k = weight_gcd(space)
-    for j, residual_terms in coefficients.items():
-        if j < r - 1:
-            continue
-        piece = segre.piece(j - r + 1)
-        if piece.is_zero():
-            continue
-        out = out + MultiPoly._make(space.residual_count, residual_terms) * piece * k
-    return out
+    numerators, den = _integral(p.terms)
+    out, stage_den = _stage_fold(numerators, space)
+    return MultiPoly._make(space.residual_count, _rational(out, den * stage_den))
 
 
 def lambda_flag(
@@ -188,9 +222,10 @@ def lambda_flag(
     """Evaluate the localization of a class at one (fixed point, flag) pair.
 
     The class restriction is rewritten once in flag coordinates and the
-    stage maps are folded in order.  Inadmissible pairs (an empty stage)
-    evaluate to zero; the final constant is scaled by the model's global
-    stabilizer order.
+    stage maps are folded in order on integer numerators over one growing
+    denominator; only the final constant becomes a Fraction.  Inadmissible
+    pairs (an empty stage) evaluate to zero; the final constant is scaled
+    by the model's global stabilizer order.
     """
     if not model.has_fixed_point(fp_id):
         raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
@@ -198,12 +233,13 @@ def lambda_flag(
     spaces, basis = flag_split(point, flag)
     if any(space.is_empty() for space in spaces):
         return Fraction(0)
-    current = linear_substitute(cls.at(fp_id), basis)
+    numerators, den = _integral(linear_substitute(cls.at(fp_id), basis).terms)
     for space in spaces:
-        current = stage_map(current, space)
-        if current.is_zero():
+        numerators, stage_den = _stage_fold(numerators, space)
+        if not any(numerators.values()):
             return Fraction(0)
-    return current.as_constant() * model.global_stabilizer_order
+        den *= stage_den
+    return Fraction(numerators[()], den) * model.global_stabilizer_order
 
 
 def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fraction:

@@ -300,16 +300,50 @@ def homogeneous_part(p: MultiPoly, e: int) -> MultiPoly:
     return MultiPoly._make(p.nvars, {exp: c for exp, c in p.terms.items() if sum(exp) == e})
 
 
+def _graded(numerators: dict, order: int) -> list[dict]:
+    """The terms split by total exponent: element n holds those of exponent
+    n, for n = 0..order; higher terms are dropped."""
+    pieces: list[dict] = [{} for _ in range(order + 1)]
+    for e, v in numerators.items():
+        n = sum(e)
+        if n <= order:
+            pieces[n][e] = v
+    return pieces
+
+
+def _affine_pieces(
+    nvars: int, factors: Iterable[tuple[int, Sequence[int]]], order: int
+) -> list[dict]:
+    """Graded integer terms of prod (constant + sum_i coeffs[i] * u_i) through ``order``.
+
+    Element n holds the part of total exponent n; zeros may remain.  Each
+    factor scales piece n by its constant and adds piece n-1 shifted up in
+    each variable, so nothing above ``order`` is ever formed.
+    """
+    pieces: list[dict] = [{(0,) * nvars: 1}] + [{} for _ in range(order)]
+    for constant, coeffs in factors:
+        shifts = [(i, a) for i, a in enumerate(coeffs) if a]
+        for n in range(order, -1, -1):  # downwards, so piece n-1 is still the old one
+            out = {e: v * constant for e, v in pieces[n].items()} if constant else {}
+            if n and shifts:
+                get = out.get
+                for e, v in pieces[n - 1].items():
+                    for i, a in shifts:
+                        e_up = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                        out[e_up] = get(e_up, 0) + v * a
+            pieces[n] = out
+    return pieces
+
+
 def affine_product(nvars: int, factors: Iterable[tuple[int, Sequence[int]]]) -> MultiPoly:
     """The product over (constant, coeffs) of constant + sum_i coeffs[i] * u_i.
 
     Constants and coefficients are integers, and so is every intermediate
     coefficient.
     """
-    terms = {(0,) * nvars: 1}
-    for constant, coeffs in factors:
-        terms = _int_product(terms, _affine_terms(constant, coeffs))
-    return MultiPoly._make(nvars, terms)
+    factors = list(factors)
+    pieces = _affine_pieces(nvars, factors, len(factors))
+    return MultiPoly._make(nvars, {e: v for piece in pieces for e, v in piece.items()})
 
 
 @lru_cache(maxsize=4096)
@@ -367,33 +401,48 @@ class TruncSeries:
         return homogeneous_part(self.body, e)
 
 
+def _int_invert(pieces: Sequence[dict], nvars: int, order: int) -> tuple[list[dict], int]:
+    """Graded integer inverse of a graded integer series through total exponent ``order``.
+
+    ``pieces[k]`` is the part c_k of total exponent k, for k = 0..order, and
+    c0 != 0.  The inverse sum_n s_n has s_0 = 1/c0 and
+    c0 s_n = -sum_{k=1..n} c_k s_{n-k}.  With s_n = t_n / c0^(n+1) this is
+    the integer recurrence t_n = -sum_k c0^(k-1) c_k t_{n-k}.  Returns the
+    pieces t_n c0^(order-n) over the single denominator c0^(order+1):
+    element n is a dictionary of total exponent n, and zeros are dropped.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    zero = (0,) * nvars
+    c0 = pieces[0].get(zero, 0)
+    if not c0:
+        raise ZeroConstantTerm("cannot invert a series with zero constant term")
+    t = [{zero: 1}]
+    for n in range(1, order + 1):
+        acc: dict[Exponent, int] = {}
+        get = acc.get
+        for k in range(1, n + 1):
+            if pieces[k] and t[n - k]:
+                scale = -(c0 ** (k - 1))
+                for e, v in _int_product(pieces[k], t[n - k]).items():
+                    acc[e] = get(e, 0) + v * scale
+        t.append({e: v for e, v in acc.items() if v})
+    return [
+        {e: v * c0 ** (order - n) for e, v in piece.items()} for n, piece in enumerate(t)
+    ], c0 ** (order + 1)
+
+
 def series_invert(p: MultiPoly, order: int) -> TruncSeries:
     """Multiplicative inverse of ``p`` modulo terms of total exponent > order.
 
-    With denominators cleared, p = (c0 + m) / D with integer c0 != 0 and
-    integer m of positive valuation, and the inverse is
-    D * sum_i (-m)^i / c0^(i+1), which terminates at i = order after
-    truncation.  The sum runs in integers over the single denominator
-    c0^(order+1).
+    With denominators cleared, p = (c0 + m) / D, and the inverse is D times
+    the integer inverse of c0 + m computed by ``_int_invert``.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     numerators, den = _integral(p.terms)
-    zero = (0,) * p.nvars
-    c0 = numerators.get(zero, 0)
-    if not c0:
-        raise ZeroConstantTerm("cannot invert a series with zero constant term")
-    minus_m = {e: -v for e, v in numerators.items() if e != zero and sum(e) <= order}
-    acc = {zero: c0**order}
-    power = {zero: 1}
-    for i in range(1, order + 1):
-        power = {e: v for e, v in _int_product(power, minus_m).items() if v and sum(e) <= order}
-        if not power:
-            break
-        scale = c0 ** (order - i)
-        for e, v in power.items():
-            acc[e] = acc.get(e, 0) + v * scale
-    body = _rational({e: v * den for e, v in acc.items()}, c0 ** (order + 1))
+    pieces, inverse_den = _int_invert(_graded(numerators, order), p.nvars, order)
+    body = _rational({e: v * den for piece in pieces for e, v in piece.items()}, inverse_den)
     return TruncSeries(MultiPoly._make(p.nvars, body), order)
 
 

@@ -20,7 +20,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EmptyStage
-from .poly import MultiPoly, TruncSeries, affine_product, homogeneous_part, series_invert
+from .poly import (
+    MultiPoly,
+    TruncSeries,
+    _affine_pieces,
+    _int_invert,
+    _rational,
+    affine_product,
+    homogeneous_part,
+    series_invert,  # noqa: F401  re-exported; instrumentation wraps it by this name
+)
 
 Line = tuple[int, tuple[int, ...]]
 
@@ -62,11 +71,6 @@ class WeightedSpace:
         return not self.lines
 
 
-@lru_cache(maxsize=4096)
-def _chern_cached(lines: tuple[Line, ...], residual_count: int) -> MultiPoly:
-    return affine_product(residual_count, lines)
-
-
 def weighted_chern(space: WeightedSpace) -> MultiPoly:
     """Product over all lines of (circle weight + residual linear form).
 
@@ -74,17 +78,29 @@ def weighted_chern(space: WeightedSpace) -> MultiPoly:
     constant term is the product of the circle weights, hence nonzero.
     Every coefficient is an ``int``.
     """
-    return _chern_cached(space.lines, space.residual_count)
+    return affine_product(space.residual_count, space.lines)
 
 
 @lru_cache(maxsize=4096)
-def _segre_cached(lines: tuple[Line, ...], residual_count: int, order: int) -> TruncSeries:
-    return series_invert(_chern_cached(lines, residual_count), order)
+def _segre_numerators(lines: tuple[Line, ...], residual_count: int, order: int) -> tuple:
+    """Graded integer numerators of the weighted Segre class through ``order``.
+
+    Returns (pieces, den): pieces[i] holds the (exponent, numerator) pairs
+    of total exponent i, and the Segre piece s_i is their sum over den =
+    c0^(order+1), with c0 the product of the circle weights.  The Chern
+    class is formed only through ``order``.  Tuples, so no caller can
+    alter the cache.
+    """
+    chern = _affine_pieces(residual_count, lines, order)
+    pieces, den = _int_invert(chern, residual_count, order)
+    return tuple(tuple(piece.items()) for piece in pieces), den
 
 
 def weighted_segre(space: WeightedSpace, order: int) -> TruncSeries:
     """Multiplicative inverse of the weighted Chern class through ``order``."""
-    return _segre_cached(space.lines, space.residual_count, order)
+    pieces, den = _segre_numerators(space.lines, space.residual_count, order)
+    body = _rational({e: v for piece in pieces for e, v in piece}, den)
+    return TruncSeries(MultiPoly._make(space.residual_count, body), order)
 
 
 def weight_gcd(space: WeightedSpace) -> int:

@@ -6,15 +6,22 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
+from hypothesis import strategies as st
+
 from torusloc import (
+    EmptyStage,
     EquivariantClass,
     FixedPoint,
     MultiPoly,
     Plan,
     PlanTerm,
     TorusModel,
+    WeightedSpace,
     class_generator,
+    linear_substitute,
     volume_class,
+    weight_gcd,
+    weighted_segre,
 )
 from torusloc.model import cp_vertex_weights
 from torusloc.plans import THETA1, THETA1_MIRROR, THETA2, THETA2_MIRROR
@@ -176,3 +183,95 @@ def ref_mul(a: dict, b: dict) -> dict:
             e = tuple(x + y for x, y in zip(e1, e2))
             out[e] = out.get(e, Fraction(0)) + c1 * c2
     return ref_clean(out)
+
+
+# ----------------------------------------------------------------------
+# per-power reference for the integer stage fold: the stage map built as
+# one MultiPoly product per stage-variable power, and the fold over an
+# unsorted flag split
+
+
+def ref_stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
+    """gcd * sum_{j >= r-1} a_j s_{j-r+1}, one MultiPoly product per power j."""
+    if space.is_empty():
+        raise EmptyStage("stage map over an empty space")
+    if p.nvars != space.residual_count + 1:
+        raise ValueError(
+            f"polynomial has {p.nvars} variables, expected {space.residual_count + 1}"
+        )
+    r = space.rank
+    coefficients: dict[int, dict] = {}
+    for exp, coeff in p.terms.items():
+        coefficients.setdefault(exp[0], {})[exp[1:]] = coeff
+    out = MultiPoly.zero(space.residual_count)
+    if not coefficients:
+        return out
+    max_index = max(coefficients) - r + 1
+    if max_index < 0:
+        return out
+    segre = weighted_segre(space, max_index)
+    k = weight_gcd(space)
+    for j, residual_terms in coefficients.items():
+        if j < r - 1:
+            continue
+        piece = segre.piece(j - r + 1)
+        if piece.is_zero():
+            continue
+        out = out + MultiPoly(space.residual_count, residual_terms) * piece * k
+    return out
+
+
+def ref_lambda_flag(model: TorusModel, fp_id: str, flag, cls: EquivariantClass) -> Fraction:
+    """lambda_flag with the lines of each stage in weight order and ref_stage_map
+    folded on MultiPoly values."""
+    flag.check_unimodular()
+    d = flag.rank
+    stage_lines = [[] for _ in range(d)]
+    for weight in model.fixed_point(fp_id).weights:
+        transformed = tuple(sum(a * x for a, x in zip(weight, stage)) for stage in flag.stages)
+        j = next(i for i, c in enumerate(transformed) if c)
+        stage_lines[j].append((transformed[j], transformed[j + 1 :]))
+    if not all(stage_lines):
+        return Fraction(0)
+    current = linear_substitute(cls.at(fp_id), flag.stages)
+    for j, lines in enumerate(stage_lines):
+        current = ref_stage_map(current, WeightedSpace(tuple(lines), d - j - 1))
+    return current.as_constant() * model.global_stabilizer_order
+
+
+# ----------------------------------------------------------------------
+# Hypothesis strategies shared by the kernel tests
+
+
+def exact_shape(p: MultiPoly) -> bool:
+    """Every stored coefficient is an int, or a Fraction that is not integral."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.terms.values()
+    )
+
+
+mixed_coeffs = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6),
+    st.integers(-6, 6).map(Fraction),  # integral, but stored as Fraction
+)
+
+
+def mixed_polys(nvars, max_exp=3, max_terms=5):
+    exponents = st.tuples(*([st.integers(0, max_exp)] * nvars))
+    return st.dictionaries(exponents, mixed_coeffs, max_size=max_terms).map(
+        lambda terms: MultiPoly._make(nvars, terms)
+    )
+
+
+@st.composite
+def unimodular(draw, d):
+    """A random integer basis of determinant +-1, built from row operations."""
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 4)) if d > 1 else 0):
+        i, j = draw(st.permutations(range(d)))[:2]
+        k = draw(st.integers(-2, 2))
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    if draw(st.booleans()):
+        rows[0] = [-a for a in rows[0]]
+    return [tuple(row) for row in rows]

@@ -49,6 +49,13 @@ class TestPair:
         assert code == 3
         assert "column" in err
 
+    def test_zero_denominator_path_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "pair", "--model", "spheres:3", "--class", "L^2",
+                             "--path", "1/0:+")
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err and "Traceback" not in err
+
     def test_missing_plan_source_is_usage_error(self, capsys):
         code, _, err = run(capsys, "pair", "--model", "spheres:3", "--class", "L^2")
         assert code == 2
@@ -257,6 +264,27 @@ class TestStrictFiles:
         assert code == 3
         assert out == ""
         assert "malformed JSON" in err
+
+
+RANK2_MODEL = {
+    "rank": 2,
+    "fixed_points": [{"id": "a", "moment": [0, 0], "weights": [[1, 0], [0, 1], [1, 1]]}],
+}
+
+
+class TestFlagRank:
+    @pytest.mark.parametrize(
+        "flag",
+        [[[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+        ids=["flag-rank-below-model", "flag-rank-above-model"],
+    )
+    def test_flag_rank_mismatch_is_domain_error(self, capsys, tmp_path, flag):
+        # Rank 1 used to crash with a StopIteration traceback, rank 3 to print 0.
+        plan = [{"coefficient": 1, "fixed_point": "a", "flag": flag}]
+        code, out, err = _pair_files(capsys, tmp_path, RANK2_MODEL, plan, cls="L")
+        assert code == 3
+        assert out == ""
+        assert "flag has rank" in err and "Traceback" not in err
 
 
 class TestSizeGuard:

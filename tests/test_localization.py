@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from torusloc import (
+    DimensionMismatch,
     EquivariantClass,
+    ModelFormatError,
     MultiPoly,
     Plan,
     PlanTerm,
@@ -103,6 +105,24 @@ class TestFlagSplit:
         spaces, _ = flag_split(point, OrientedFlag(((0, 1), (1, 0))))
         assert spaces[0].is_empty()
         assert not spaces[1].is_empty()
+
+    @pytest.mark.parametrize(
+        "stages",
+        [((1,),), ((1, 0, 0), (0, 1, 0), (0, 0, 1))],
+        ids=["flag-rank-below-model", "flag-rank-above-model"],
+    )
+    def test_flag_rank_must_match_weight_length(self, stages):
+        # Used to end in StopIteration (rank 1) or a silent zero (rank 3).
+        point = FixedPoint(id="a", moment=(Fraction(0), Fraction(0)),
+                           weights=((1, 0), (0, 1), (1, 1)))
+        with pytest.raises(DimensionMismatch, match="flag has rank"):
+            flag_split(point, OrientedFlag(stages))
+
+    def test_zero_weight_is_model_error(self):
+        # A standalone point skips TorusModel's check; the weight must not vanish.
+        point = FixedPoint(id="z", moment=(Fraction(0),), weights=((1,), (0,)))
+        with pytest.raises(ModelFormatError, match="zero tangent weight"):
+            flag_split(point, PLUS)
 
     def test_rejects_nonbasis(self):
         m = build_sphere_product(2)

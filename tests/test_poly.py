@@ -15,7 +15,15 @@ from torusloc import (
     series_invert,
 )
 
-from helpers import ref_clean, ref_mul, ref_terms
+from helpers import (
+    exact_shape,
+    mixed_coeffs,
+    mixed_polys,
+    ref_clean,
+    ref_mul,
+    ref_terms,
+    unimodular,
+)
 
 
 def P(nvars, terms):
@@ -198,40 +206,6 @@ def ref_invert(a, nvars, order):
     return ref_clean(s)
 
 
-def exact_shape(p):
-    """Every stored coefficient is an int, or a Fraction that is not integral."""
-    return all(
-        type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.terms.values()
-    )
-
-
-mixed_coeffs = st.one_of(
-    st.integers(-6, 6),
-    fractions,
-    st.integers(-6, 6).map(Fraction),  # integral, but stored as Fraction
-)
-
-
-def mixed_polys(nvars, max_exp=3, max_terms=5):
-    exponents = st.tuples(*([st.integers(0, max_exp)] * nvars))
-    return st.dictionaries(exponents, mixed_coeffs, max_size=max_terms).map(
-        lambda terms: MultiPoly._make(nvars, terms)
-    )
-
-
-@st.composite
-def unimodular(draw, d):
-    """A random integer basis of determinant +-1, built from row operations."""
-    rows = [[int(i == j) for j in range(d)] for i in range(d)]
-    for _ in range(draw(st.integers(0, 4))):
-        i, j = draw(st.permutations(range(d)))[:2]
-        k = draw(st.integers(-2, 2))
-        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
-    if draw(st.booleans()):
-        rows[0] = [-a for a in rows[0]]
-    return [tuple(row) for row in rows]
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(mixed_polys(n), mixed_polys(n))))
 def test_mul_matches_fraction_reference(pair):
@@ -265,6 +239,37 @@ def test_series_invert_matches_fraction_reference(p, c0, order):
     inverse = series_invert(p, order)
     assert inverse.body.terms == ref_invert(ref_terms(p), p.nvars, order)
     assert exact_shape(inverse.body)
+
+
+def sympy_invert(p: MultiPoly, order: int) -> dict:
+    """Truncated inverse of p by sympy's ring series: u_i -> t*u_i grades p by
+    total degree, and the inverse in t through t^order is read off at t = 1."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_series_inversion
+    from sympy.polys.rings import ring
+
+    R, t, *us = ring(",".join(["t"] + [f"u{i}" for i in range(p.nvars)]), sympy.QQ)
+    q = R.zero
+    for exp, c in p.terms.items():
+        c = Fraction(c)
+        monomial = t ** sum(exp)
+        for u, e in zip(us, exp):
+            monomial *= u**e
+        q += sympy.QQ(c.numerator, c.denominator) * monomial
+    inverse = rs_series_inversion(q, t, order + 1)
+    return {
+        exp[1:]: Fraction(int(c.numerator), int(c.denominator))
+        for exp, c in inverse.terms()
+        if exp[0] <= order  # at order 0 sympy also returns the t^1 term
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(mixed_polys), mixed_coeffs.filter(bool), st.integers(0, 5))
+def test_series_invert_matches_sympy(p, c0, order):
+    p = p - p.constant_term() + c0
+    inverse = series_invert(p, order)
+    assert ref_terms(inverse.body) == sympy_invert(p, order)
 
 
 class TestCoefficientTypes:
