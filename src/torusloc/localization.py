@@ -132,10 +132,9 @@ def flag_split(point: FixedPoint, flag: OrientedFlag) -> tuple[list[WeightedSpac
     Each weight a is rewritten in flag coordinates a'_i = <a, stage_i> and
     assigned to the first stage j with a'_j nonzero; there it is a line
     with circle weight a'_j and residual vector (a'_{j+1}, ..., a'_d).
-    Each stage's lines come back sorted, so permuted weights give equal
-    spaces.  Also returns the substitution basis for rewriting classes in
-    the same coordinates.  Stages may come back empty; an empty stage makes
-    the pair inadmissible and every evaluation through it zero.  A weight
+    Also returns the substitution basis for rewriting classes in the same
+    coordinates.  Stages may come back empty; an empty stage makes the
+    pair inadmissible and every evaluation through it zero.  A weight
     whose length is not the flag's rank raises DimensionMismatch.
     """
     flag.check_unimodular()
@@ -156,7 +155,7 @@ def flag_split(point: FixedPoint, flag: OrientedFlag) -> tuple[list[WeightedSpac
         else:
             raise ModelFormatError(f"fixed point {point.id!r}: zero tangent weight")
     spaces = [
-        WeightedSpace(tuple(sorted(lines)), residual_count=d - j - 1)
+        WeightedSpace(tuple(lines), residual_count=d - j - 1)
         for j, lines in enumerate(stage_lines)
     ]
     return spaces, stages
@@ -169,8 +168,8 @@ def _stage_fold(numerators: dict, space: WeightedSpace) -> tuple[dict, int]:
     Variable 0 of each exponent is the stage variable.  Each term
     c * x^j * rest with j >= r-1 adds c * k * s_{j-r+1} * rest, with r the
     rank of the nonempty space, k its weight gcd and s the integer
-    numerators of its weighted Segre pieces.  Returns the numerators of the
-    result (zeros may remain) and the Segre denominator, by which the
+    numerators of its weighted Segre pieces.  Returns the nonzero
+    numerators of the result and the Segre denominator, by which the
     input's denominator must be multiplied.
     """
     r = space.rank
@@ -190,7 +189,7 @@ def _stage_fold(numerators: dict, space: WeightedSpace) -> tuple[dict, int]:
         for e, v in pieces[i]:
             e = tuple(map(add, rest, e))
             out[e] = get(e, 0) + ck * v
-    return out, den
+    return {e: v for e, v in out.items() if v}, den
 
 
 def stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
@@ -236,7 +235,7 @@ def lambda_flag(
     numerators, den = _integral(linear_substitute(cls.at(fp_id), basis).terms)
     for space in spaces:
         numerators, stage_den = _stage_fold(numerators, space)
-        if not any(numerators.values()):
+        if not numerators:
             return Fraction(0)
         den *= stage_den
     return Fraction(numerators[()], den) * model.global_stabilizer_order

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from hypothesis import strategies as st
 
@@ -20,8 +20,6 @@ from torusloc import (
     class_generator,
     linear_substitute,
     volume_class,
-    weight_gcd,
-    weighted_segre,
 )
 from torusloc.model import cp_vertex_weights
 from torusloc.plans import THETA1, THETA1_MIRROR, THETA2, THETA2_MIRROR
@@ -185,14 +183,46 @@ def ref_mul(a: dict, b: dict) -> dict:
     return ref_clean(out)
 
 
+def ref_invert(a: dict, nvars: int, order: int) -> dict:
+    """Coefficients of 1/a through total degree ``order`` by the recurrence
+    a * s = 1, solved degree by degree."""
+    zero = (0,) * nvars
+    c0 = a[zero]
+    monomials = [e for e in itertools.product(range(order + 1), repeat=nvars) if sum(e) <= order]
+    s = {}
+    for e in sorted(monomials, key=sum):
+        acc = Fraction(int(e == zero))
+        for f, c in a.items():
+            g = tuple(x - y for x, y in zip(e, f))
+            if f != zero and min(g) >= 0:
+                acc -= c * s.get(g, Fraction(0))
+        s[e] = acc / c0
+    return ref_clean(s)
+
+
+def ref_segre(space: WeightedSpace, order: int) -> dict:
+    """The weighted Segre class through ``order`` as {exponent: Fraction}: the
+    full Chern product over the lines, each w + sum_i r_i u_i, inverted by
+    ref_invert.  Shares no code with the engine."""
+    n = space.residual_count
+    chern = {(0,) * n: Fraction(1)}
+    for w, residual in space.lines:
+        form = {(0,) * n: Fraction(w)}
+        for i, a in enumerate(residual):
+            if a:
+                form[tuple(int(i == j) for j in range(n))] = Fraction(a)
+        chern = ref_mul(chern, form)
+    return ref_invert(chern, n, order)
+
+
 # ----------------------------------------------------------------------
 # per-power reference for the integer stage fold: the stage map built as
-# one MultiPoly product per stage-variable power, and the fold over an
-# unsorted flag split
+# one product per stage-variable power against the Fraction Segre class
+# above, and the fold over the flag split computed afresh
 
 
 def ref_stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
-    """gcd * sum_{j >= r-1} a_j s_{j-r+1}, one MultiPoly product per power j."""
+    """gcd * sum_{j >= r-1} a_j s_{j-r+1}, one product per power j."""
     if space.is_empty():
         raise EmptyStage("stage map over an empty space")
     if p.nvars != space.residual_count + 1:
@@ -202,28 +232,25 @@ def ref_stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
     r = space.rank
     coefficients: dict[int, dict] = {}
     for exp, coeff in p.terms.items():
-        coefficients.setdefault(exp[0], {})[exp[1:]] = coeff
-    out = MultiPoly.zero(space.residual_count)
-    if not coefficients:
-        return out
-    max_index = max(coefficients) - r + 1
+        coefficients.setdefault(exp[0], {})[exp[1:]] = Fraction(coeff)
+    max_index = max(coefficients, default=-1) - r + 1
     if max_index < 0:
-        return out
-    segre = weighted_segre(space, max_index)
-    k = weight_gcd(space)
+        return MultiPoly.zero(space.residual_count)
+    segre = ref_segre(space, max_index)
+    k = gcd(*(w for w, _ in space.lines))
+    out: dict = {}
     for j, residual_terms in coefficients.items():
         if j < r - 1:
             continue
-        piece = segre.piece(j - r + 1)
-        if piece.is_zero():
-            continue
-        out = out + MultiPoly(space.residual_count, residual_terms) * piece * k
-    return out
+        piece = {e: c for e, c in segre.items() if sum(e) == j - r + 1}
+        for e, c in ref_mul(residual_terms, piece).items():
+            out[e] = out.get(e, Fraction(0)) + c * k
+    return MultiPoly(space.residual_count, ref_clean(out))
 
 
 def ref_lambda_flag(model: TorusModel, fp_id: str, flag, cls: EquivariantClass) -> Fraction:
-    """lambda_flag with the lines of each stage in weight order and ref_stage_map
-    folded on MultiPoly values."""
+    """lambda_flag with its own flag split and ref_stage_map folded on
+    MultiPoly values."""
     flag.check_unimodular()
     d = flag.rank
     stage_lines = [[] for _ in range(d)]

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,6 +19,7 @@ from helpers import (
     mixed_coeffs,
     mixed_polys,
     ref_clean,
+    ref_invert,
     ref_mul,
     ref_terms,
     unimodular,
@@ -187,23 +187,6 @@ def ref_substitute(a, basis):
         for e, v in term.items():
             out[e] = out.get(e, Fraction(0)) + v
     return ref_clean(out)
-
-
-def ref_invert(a, nvars, order):
-    """Coefficients of 1/a through total degree ``order`` by the recurrence
-    a * s = 1, solved degree by degree."""
-    zero = (0,) * nvars
-    c0 = a[zero]
-    monomials = [e for e in itertools.product(range(order + 1), repeat=nvars) if sum(e) <= order]
-    s = {}
-    for e in sorted(monomials, key=sum):
-        acc = Fraction(int(e == zero))
-        for f, c in a.items():
-            g = tuple(x - y for x, y in zip(e, f))
-            if f != zero and min(g) >= 0:
-                acc -= c * s.get(g, Fraction(0))
-        s[e] = acc / c0
-    return ref_clean(s)
 
 
 @settings(max_examples=80, deadline=None)
