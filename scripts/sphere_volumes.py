@@ -16,10 +16,10 @@ from torusloc import (
     class_generator,
     evaluate_plan,
     rank1_plan,
-    uniform_sum_density_at_zero,
     weyl_correct,
 )
 from torusloc.closedforms import sphere_torus_pairing
+from torusloc.convolution import uniform_sum_density_at_zero
 
 
 def main():

@@ -7,7 +7,6 @@ flag) pairs, through weighted Segre class substitutions.  All arithmetic
 is exact rational.
 """
 
-from .convolution import uniform_sum_density_at_zero
 from .errors import (
     ClassSyntaxError,
     DimensionMismatch,
@@ -44,7 +43,6 @@ from .model import (
     TorusModel,
     build_cp_product,
     build_sphere_product,
-    check_regular,
     class_generator,
     load_model,
 )
@@ -59,7 +57,6 @@ from .poly import (
 )
 from .weighted import (
     WeightedSpace,
-    equivariant_euler,
     fiber_integrate_power,
     parse_weighted_space,
     ring_relation,

@@ -38,7 +38,7 @@ class NotRegular(TorusLocError):
 
 
 class Unsupported(TorusLocError):
-    """Regularity testing outside the implemented cases."""
+    """A request outside the implemented cases."""
 
 
 class UnknownGenerator(TorusLocError):

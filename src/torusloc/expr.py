@@ -10,7 +10,8 @@ Grammar:
 
 Exponents are nonnegative; 'weyl' may appear at most once and only as the
 outermost factor of the whole expression (a leading rational scale is
-allowed).  Syntax errors carry 1-based line and column positions.
+allowed).  Parentheses and 'weyl(' nest at most MAX_NESTING deep.  Syntax
+errors carry 1-based line and column positions.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from typing import Union
 from .errors import ClassSyntaxError
 from .model import EquivariantClass, TorusModel, class_generator
 from .localization import weyl_correct
+
+# The parser recurses once per level of '(' or 'weyl(', so deeper input is
+# refused at the opening token instead of exhausting the interpreter stack.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -80,7 +85,6 @@ class Gen:
 class Factor:
     base: Union[Gen, "Expr", "Weyl"]
     power: int = 1
-    parenthesized: bool = False
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -128,6 +133,19 @@ class _Parser:
     def fail(self, message: str):
         token = self.peek()
         raise ClassSyntaxError(message, token.line, token.column)
+
+    def parse_nested(self, opener: Token) -> Expr:
+        """The parenthesized expression after ``opener``, '(' or 'weyl'."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ClassSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels", opener.line, opener.column
+            )
+        self.expect_op("(")
+        inner = self.parse_expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return inner
 
     # grammar rules ----------------------------------------------------
 
@@ -171,17 +189,12 @@ class _Parser:
     def parse_factor(self) -> Factor:
         token = self.peek()
         if token.kind == "op" and token.text == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return Factor(inner, self.parse_power(), parenthesized=True)
+            return Factor(self.parse_nested(token), self.parse_power())
         if token.kind != "name":
             self.fail(f"expected a generator, found {token.text or 'end of input'!r}")
         name = self.advance().text
         if name == "weyl":
-            self.expect_op("(")
-            inner = self.parse_expr()
-            self.expect_op(")")
+            inner = self.parse_nested(token)
             after = self.peek()
             if after.kind == "op" and after.text == "^":
                 raise ClassSyntaxError("weyl(...) cannot carry a power", after.line, after.column)
@@ -221,32 +234,20 @@ class _Parser:
         return 1
 
 
-def _check_weyl_placement(expr: Expr, top_level: bool):
+def _check_weyl(expr: Expr, outermost: bool):
+    """Raise at the first weyl(...) that is not the single factor of the
+    single term of the whole expression."""
     for term in expr.terms:
         for factor in term.factors:
             base = factor.base
             if isinstance(base, Weyl):
-                outermost = top_level and len(expr.terms) == 1 and len(term.factors) == 1
-                if not outermost:
+                if not (outermost and len(expr.terms) == 1 and len(term.factors) == 1):
                     raise ClassSyntaxError(
                         "weyl(...) must be the outermost factor", base.line, base.column
                     )
-                _check_weyl_free(base.inner)
+                _check_weyl(base.inner, False)
             elif isinstance(base, Expr):
-                _check_weyl_free(base)
-
-
-def _check_weyl_free(expr: Expr):
-    for term in expr.terms:
-        for factor in term.factors:
-            if isinstance(factor.base, Weyl):
-                raise ClassSyntaxError(
-                    "weyl(...) must be the outermost factor",
-                    factor.base.line,
-                    factor.base.column,
-                )
-            if isinstance(factor.base, Expr):
-                _check_weyl_free(factor.base)
+                _check_weyl(base, False)
 
 
 def parse_class_expr(text: str) -> Expr:
@@ -258,12 +259,12 @@ def parse_class_expr(text: str) -> Expr:
         raise ClassSyntaxError(
             f"unexpected trailing input {token.text!r}", token.line, token.column
         )
-    _check_weyl_placement(expr, top_level=True)
+    _check_weyl(expr, outermost=True)
     return expr
 
 
 # ----------------------------------------------------------------------
-# evaluation and printing
+# evaluation
 
 
 def evaluate_expr(expr: Expr, model: TorusModel) -> EquivariantClass:
@@ -300,37 +301,3 @@ def _evaluate_term(term: Term, model: TorusModel) -> EquivariantClass:
     if term.coefficient is not None and term.coefficient != 1:
         value = value * term.coefficient
     return value
-
-
-def format_expr(expr: Expr) -> str:
-    parts = []
-    for position, (sign, term) in enumerate(zip(expr.signs, expr.terms)):
-        text = _format_term(term)
-        if position == 0:
-            parts.append(("-" if sign < 0 else "") + text)
-        else:
-            parts.append(("- " if sign < 0 else "+ ") + text)
-    return " ".join(parts)
-
-
-def _format_term(term: Term) -> str:
-    chunks = []
-    if term.coefficient is not None:
-        chunks.append(str(term.coefficient))
-    for factor in term.factors:
-        base = factor.base
-        if isinstance(base, Gen):
-            if base.kind == "L":
-                text = "L"
-            elif base.kind == "v":
-                text = f"v{base.index}"
-            else:
-                text = "line(" + ",".join(str(a) for a in base.direction) + ")"
-        elif isinstance(base, Weyl):
-            text = f"weyl({format_expr(base.inner)})"
-        else:
-            text = f"({format_expr(base)})"
-        if factor.power != 1:
-            text += f"^{factor.power}"
-        chunks.append(text)
-    return "*".join(chunks)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import IO, Sequence, Union
 
 from .errors import (
@@ -45,8 +45,7 @@ from .model import (
 from .poly import MultiPoly, _integral, _rational, affine_product, linear_substitute
 from .weighted import (
     WeightedSpace,
-    _segre_numerators,
-    weight_gcd,
+    _stage_fold,
     weighted_segre,  # noqa: F401  re-exported; instrumentation wraps it by this name
 )
 
@@ -108,9 +107,17 @@ class OrientedFlag:
 
 @dataclass(frozen=True)
 class PlanTerm:
+    """One (fixed point, flag) pair with an ``int`` coefficient and a ``str``
+    id; anything else raises PlanFormatError."""
+
     coefficient: int
     fixed_point_id: str
     flag: OrientedFlag
+
+    def __post_init__(self):
+        strict_int(self.coefficient, "coefficient", PlanFormatError)
+        if not isinstance(self.fixed_point_id, str):
+            raise PlanFormatError(f"fixed_point must be a string, got {self.fixed_point_id!r}")
 
 
 @dataclass(frozen=True)
@@ -159,37 +166,6 @@ def flag_split(point: FixedPoint, flag: OrientedFlag) -> tuple[list[WeightedSpac
         for j, lines in enumerate(stage_lines)
     ]
     return spaces, stages
-
-
-def _stage_fold(numerators: dict, space: WeightedSpace) -> tuple[dict, int]:
-    """The stage map on integer numerators, the one kernel behind stage_map
-    and lambda_flag.
-
-    Variable 0 of each exponent is the stage variable.  Each term
-    c * x^j * rest with j >= r-1 adds c * k * s_{j-r+1} * rest, with r the
-    rank of the nonempty space, k its weight gcd and s the integer
-    numerators of its weighted Segre pieces.  Returns the nonzero
-    numerators of the result and the Segre denominator, by which the
-    input's denominator must be multiplied.
-    """
-    r = space.rank
-    top = max((e[0] for e in numerators), default=-1) - r + 1
-    if top < 0:
-        return {}, 1
-    pieces, den = _segre_numerators(space.lines, space.residual_count, top)
-    k = weight_gcd(space)
-    out: dict[tuple, int] = {}
-    get = out.get
-    for exp, c in numerators.items():
-        i = exp[0] - r + 1
-        if i < 0:
-            continue
-        rest = exp[1:]
-        ck = c * k
-        for e, v in pieces[i]:
-            e = tuple(map(add, rest, e))
-            out[e] = get(e, 0) + ck * v
-    return {e: v for e, v in out.items() if v}, den
 
 
 def stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
@@ -333,7 +309,8 @@ def dump_plan(plan: Plan, sink: Union[str, IO[str]]):
 def load_plan(source: Union[str, IO[str]]) -> Plan:
     """Load a plan from a JSON file path or open text stream.
 
-    Coefficients and flag entries must be JSON integers.
+    Coefficients and flag entries must be JSON integers and fixed point
+    ids JSON strings; PlanTerm and OrientedFlag check them.
     """
     data = read_json(source, PlanFormatError)
     if not isinstance(data, list):
@@ -342,14 +319,7 @@ def load_plan(source: Union[str, IO[str]]) -> Plan:
     for entry in data:
         try:
             terms.append(
-                PlanTerm(
-                    coefficient=strict_int(entry["coefficient"], "coefficient", PlanFormatError),
-                    fixed_point_id=str(entry["fixed_point"]),
-                    flag=OrientedFlag(tuple(
-                        strict_int_vector(stage, "flag stage", PlanFormatError)
-                        for stage in entry["flag"]
-                    )),
-                )
+                PlanTerm(entry["coefficient"], entry["fixed_point"], OrientedFlag(entry["flag"]))
             )
         except (PlanFormatError, KeyError, TypeError, ValueError) as err:
             raise PlanFormatError(f"bad plan term {entry!r}: {err}")

@@ -28,7 +28,6 @@ from .errors import (
     ModelTooLarge,
     TorusLocError,
     UnknownGenerator,
-    Unsupported,
 )
 from .poly import MultiPoly
 
@@ -44,8 +43,9 @@ MAX_FIXED_POINTS = 2**20
 class FixedPoint:
     """An isolated fixed point: identifier, moment image, tangent weights.
 
-    Each weight must be a list or tuple of ``int``; a float, string or
-    boolean entry raises ModelFormatError instead of being truncated.
+    The id must be a ``str``.  Each weight must be a list or tuple of
+    ``int``; a float, string or boolean entry raises ModelFormatError
+    instead of being truncated, and so does a float or boolean moment entry.
     """
 
     id: str
@@ -53,9 +53,16 @@ class FixedPoint:
     weights: tuple[Weight, ...]
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ModelFormatError(f"fixed point id must be a string, got {self.id!r}")
         moment = self.moment
         if type(moment) is not tuple or {*map(type, moment)} - {Fraction}:
-            object.__setattr__(self, "moment", tuple(Fraction(m) for m in moment))
+            moment = tuple(moment)
+            if any(isinstance(m, (float, bool)) for m in moment):
+                raise ModelFormatError(
+                    f"fixed point {self.id!r}: moment {moment!r} has a float or boolean entry"
+                )
+            object.__setattr__(self, "moment", tuple(map(Fraction, moment)))
         weights = tuple(self.weights)
         kinds = {*map(type, weights)}
         # One pass over all entries; only a failing point pays the per-weight
@@ -121,6 +128,8 @@ class TorusModel:
                 if not any(w):
                     raise ModelFormatError(f"fixed point {fp.id!r}: zero tangent weight")
         if self.roots is not None:
+            if not isinstance(self.roots, (list, tuple)):
+                raise ModelFormatError(f"roots must be a list, got {self.roots!r}")
             roots = tuple(strict_int_vector(r, "root") for r in self.roots)
             object.__setattr__(self, "roots", roots)
             if len(roots) % 2:
@@ -258,14 +267,6 @@ def cp_label_id(groups: Iterable[Iterable[str]]) -> str:
     return "F{" + "}|{".join(map(",".join, groups)) + "}"
 
 
-def sphere_point_id(subset: Iterable[int]) -> str:
-    return sphere_label_id(map(str, sorted(subset)))
-
-
-def cp_point_id(partition: Sequence[Iterable[int]]) -> str:
-    return cp_label_id([map(str, sorted(part)) for part in partition])
-
-
 def build_sphere_product(n: int) -> TorusModel:
     """The n-fold product of 2-spheres under the diagonal circle rotation.
 
@@ -398,28 +399,6 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
 
 
 # ----------------------------------------------------------------------
-# regularity
-
-
-def check_regular(model: TorusModel, p0: Sequence[Union[int, Fraction]]) -> bool:
-    """Whether p0 is a regular value of the moment map.
-
-    Implemented for rank-1 models (regular iff p0 avoids every fixed-point
-    moment) and for the built-in rank-2 projective-plane family at the
-    origin (regular iff n is not a multiple of 3).
-    """
-    p0 = tuple(Fraction(x) for x in p0)
-    if len(p0) != model.rank:
-        raise Unsupported(f"p0 must have length {model.rank}")
-    if model.rank == 1:
-        return all(fp.moment[0] != p0[0] for fp in model.fixed_points)
-    if model.family and model.family[0] == "cp" and model.family[1] == 3:
-        if all(x == 0 for x in p0):
-            return model.family[2] % 3 != 0
-    raise Unsupported("general-rank regularity testing is not implemented")
-
-
-# ----------------------------------------------------------------------
 # model files
 
 
@@ -427,7 +406,10 @@ def _parse_rational(value) -> Fraction:
     if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ModelFormatError(f"rational value {value!r} has a zero denominator") from None
     raise ModelFormatError(f"rational values must be integers or 'p/q' strings, got {value!r}")
 
 
@@ -459,14 +441,15 @@ def read_json(source: Union[str, IO[str]], error: type[TorusLocError]):
 def load_model(source: Union[str, IO[str]]) -> TorusModel:
     """Load a model from a JSON file path or open text stream.
 
-    Integer fields must be JSON integers.  Validation failures report the
-    first offending fixed point id.
+    Ids must be JSON strings, moments JSON lists and integer fields JSON
+    integers; FixedPoint and TorusModel check every field they hold.
+    Validation failures report the first offending fixed point id.
     """
     data = read_json(source, ModelFormatError)
     if not isinstance(data, dict):
         raise ModelFormatError("model file must contain a JSON object")
     try:
-        rank = strict_int(data["rank"], "rank")
+        rank = data["rank"]
         raw_points = data["fixed_points"]
     except KeyError as missing:
         raise ModelFormatError(f"model file is missing field {missing}")
@@ -475,27 +458,22 @@ def load_model(source: Union[str, IO[str]]) -> TorusModel:
     points = []
     for entry in raw_points:
         try:
-            fp_id = str(entry["id"])
+            fp_id = entry["id"]
         except (TypeError, KeyError):
             raise ModelFormatError("each fixed point needs an 'id' field")
         try:
-            moment = tuple(_parse_rational(x) for x in entry["moment"])
-            weights = tuple(entry["weights"])  # entries are checked by FixedPoint
+            moment = entry["moment"]
+            if not isinstance(moment, list):
+                raise ModelFormatError(f"moment must be a list, got {moment!r}")
+            moment = tuple(_parse_rational(x) for x in moment)
+            weights = tuple(entry["weights"])
         except (ModelFormatError, KeyError, TypeError, ValueError) as err:
             raise ModelFormatError(f"fixed point {fp_id!r}: {err}")
         points.append(FixedPoint(id=fp_id, moment=moment, weights=weights))
-    roots = data.get("roots")
-    if roots is not None:
-        if not isinstance(roots, list):
-            raise ModelFormatError(f"roots must be a list, got {roots!r}")
-        roots = tuple(strict_int_vector(r, "root") for r in roots)
-    weyl = data.get("weyl_order")
     return TorusModel(
         rank=rank,
         fixed_points=tuple(points),
-        roots=roots,
-        weyl_order=None if weyl is None else strict_int(weyl, "weyl_order"),
-        global_stabilizer_order=strict_int(
-            data.get("global_stabilizer_order", 1), "global_stabilizer_order"
-        ),
+        roots=data.get("roots"),
+        weyl_order=data.get("weyl_order"),
+        global_stabilizer_order=data.get("global_stabilizer_order", 1),
     )

@@ -180,10 +180,6 @@ class MultiPoly:
         """Maximal total exponent present, or -1 for the zero polynomial."""
         return max((sum(exp) for exp in self.terms), default=-1)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(exp) for exp in self.terms}
-        return len(degrees) <= 1
-
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -350,14 +346,19 @@ def affine_product(nvars: int, factors: Iterable[tuple[int, Sequence[int]]]) -> 
 def _monomial_image(exp: Exponent, forms: tuple[Exponent, ...]) -> tuple:
     """Integer (exponent, coefficient) pairs of prod_j (sum_i forms[j][i] * u_i)^exp[j].
 
-    Built one linear factor at a time from the cached image of the
-    monomial one degree lower; a tuple, so no caller can alter the cache.
+    Each power is taken by repeated squaring in a loop, so a deep monomial
+    costs no recursion; a tuple, so no caller can alter the cache.
     """
-    for j, e in enumerate(exp):
-        if e:
-            lower = _monomial_image(exp[:j] + (e - 1,) + exp[j + 1 :], forms)
-            return tuple(_int_product(dict(lower), _affine_terms(0, forms[j])).items())
-    return ((exp, 1),)
+    image = {(0,) * len(exp): 1}
+    for form, e in zip(forms, exp):
+        power = _affine_terms(0, form)
+        while e:
+            if e & 1:
+                image = _int_product(image, power)
+            e >>= 1
+            if e:
+                power = _int_product(power, power)
+    return tuple(image.items())
 
 
 def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .errors import EmptyStage
 from .poly import (
@@ -27,7 +28,6 @@ from .poly import (
     _int_invert,
     _rational,
     affine_product,
-    homogeneous_part,
     series_invert,  # noqa: F401  re-exported; instrumentation wraps it by this name
 )
 
@@ -110,48 +110,64 @@ def weight_gcd(space: WeightedSpace) -> int:
     return math.gcd(*(abs(w) for w, _ in space.lines))
 
 
+def _stage_fold(numerators: dict, space: WeightedSpace) -> tuple[dict, int]:
+    """Integrate out the stage variable on integer numerators: the one kernel
+    behind stage_map, lambda_flag and fiber_integrate_power.
+
+    Variable 0 of each exponent is the stage variable.  Each term
+    c * x^j * rest with j >= r-1 adds c * k * s_{j-r+1} * rest, with r the
+    rank of the nonempty space, k its weight gcd and s the integer
+    numerators of its weighted Segre pieces.  Returns the nonzero
+    numerators of the result and the Segre denominator, by which the
+    input's denominator must be multiplied.
+    """
+    r = space.rank
+    top = max((e[0] for e in numerators), default=-1) - r + 1
+    if top < 0:
+        return {}, 1
+    pieces, den = _segre_numerators(space.lines, space.residual_count, top)
+    k = weight_gcd(space)
+    out: dict[tuple, int] = {}
+    get = out.get
+    for exp, c in numerators.items():
+        i = exp[0] - r + 1
+        if i < 0:
+            continue
+        rest = exp[1:]
+        ck = c * k
+        for e, v in pieces[i]:
+            e = tuple(map(add, rest, e))
+            out[e] = get(e, 0) + ck * v
+    return {e: v for e, v in out.items() if v}, den
+
+
 def ring_relation(space: WeightedSpace) -> list[MultiPoly]:
     """Defining relation of the sphere-quotient cohomology ring.
 
     Returns [c0, c1, ..., cr] where the relation is
-    c0*h^r + c1*h^(r-1) + ... + cr and r is the complex rank.  With all
-    circle weights 1 and no residual action this degenerates to h^r, the
-    classical projective-space relation.
+    c0*h^r + c1*h^(r-1) + ... + cr and r is the complex rank: the graded
+    pieces of the weighted Chern class.  With all circle weights 1 and no
+    residual action this degenerates to h^r, the classical projective-space
+    relation.
     """
-    chern = weighted_chern(space)
-    return [homogeneous_part(chern, i) for i in range(space.rank + 1)]
-
-
-def equivariant_euler(space: WeightedSpace) -> MultiPoly:
-    """Euler class with the circle variable appended as the last variable.
-
-    Equals the product over lines of (weight * u_circ + residual form),
-    whose expansion in powers of u_circ has the weighted Chern classes as
-    coefficients.
-    """
-    return affine_product(
-        space.residual_count + 1,
-        ((0, residual + (weight,)) for weight, residual in space.lines),
-    )
+    pieces = _affine_pieces(space.residual_count, space.lines, space.rank)
+    return [MultiPoly._make(space.residual_count, piece) for piece in pieces]
 
 
 def fiber_integrate_power(space: WeightedSpace, i: int) -> MultiPoly:
     """Integral of h^i over the fibers of the sphere quotient bundle.
 
-    Zero below exponent rank-1; above, the gcd of the circle weights times
-    the appropriate weighted Segre piece.  An empty space has an empty
-    sphere bundle, so every integral over it vanishes.
+    The stage fold applied to the monomial h^i: zero below exponent
+    rank-1, above it the gcd of the circle weights times the weighted
+    Segre piece i-rank+1.  An empty space has an empty sphere bundle, so
+    every integral over it vanishes.
     """
     if i < 0:
         raise ValueError("power must be nonnegative")
     if space.is_empty():
         return MultiPoly.zero(space.residual_count)
-    r = space.rank
-    if i < r - 1:
-        return MultiPoly.zero(space.residual_count)
-    index = i - r + 1
-    segre = weighted_segre(space, index)
-    return segre.piece(index) * weight_gcd(space)
+    out, den = _stage_fold({(i,) + (0,) * space.residual_count: 1}, space)
+    return MultiPoly._make(space.residual_count, _rational(out, den))
 
 
 def parse_weighted_space(text: str) -> WeightedSpace:

@@ -20,7 +20,6 @@ from torusloc import (
     evaluate_plan,
     lambda_flag,
     rank1_plan,
-    uniform_sum_density_at_zero,
     weyl_correct,
 )
 from torusloc.closedforms import (
@@ -34,6 +33,7 @@ from torusloc.closedforms import (
     so3_pairing_binomial_form,
     so3_pairing_subset_form,
 )
+from torusloc.convolution import uniform_sum_density_at_zero
 from torusloc.plans import THETA1, THETA2
 from torusloc.weighted import (
     fiber_integrate_power,

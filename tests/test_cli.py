@@ -228,6 +228,7 @@ class TestStrictFiles:
             (("global_stabilizer_order",), 1.9),
             (("global_stabilizer_order",), False),
             (("fixed_points", 1, "moment", 0), True),
+            (("roots",), 5),
         ],
     )
     def test_bad_model_value_is_domain_error(self, capsys, tmp_path, path, value):
@@ -285,6 +286,62 @@ class TestFlagRank:
         assert code == 3
         assert out == ""
         assert "flag has rank" in err and "Traceback" not in err
+
+
+class TestLooseModelFields:
+    """Model ids must be strings and moments lists; each case exits 3."""
+
+    def test_moment_string_is_not_split_into_digits(self, capsys, tmp_path):
+        # "12" used to be read as the moment (1, 2)
+        model = _with(RANK2_MODEL, ("fixed_points", 0, "moment"), "12")
+        plan = [{"coefficient": 1, "fixed_point": "a", "flag": [[1, 0], [0, 1]]}]
+        code, out, err = _pair_files(capsys, tmp_path, model, plan, cls="L")
+        assert code == 3
+        assert out == ""
+        assert "moment must be a list" in err and "Traceback" not in err
+
+    def test_zero_denominator_moment_is_domain_error(self, capsys, tmp_path):
+        # used to end in a ZeroDivisionError traceback
+        model = _with(SPHERE_MODEL, ("fixed_points", 0, "moment"), ["1/0"])
+        code, out, err = _pair_files(capsys, tmp_path, model, SPHERE_PLAN)
+        assert code == 3
+        assert out == ""
+        assert "zero denominator" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [5, None])
+    def test_non_string_id_is_domain_error(self, capsys, tmp_path, bad):
+        # used to become "5" or "None", which a plan "fixed_point": 5 then matched
+        model = _with(SPHERE_MODEL, ("fixed_points", 0, "id"), bad)
+        plan = _with(SPHERE_PLAN, (0, "fixed_point"), "n" if bad is None else bad)
+        code, out, err = _pair_files(capsys, tmp_path, model, plan)
+        assert code == 3
+        assert out == ""
+        assert "id must be a string" in err and "Traceback" not in err
+
+    def test_non_string_plan_fixed_point_is_domain_error(self, capsys, tmp_path):
+        model = _with(SPHERE_MODEL, ("fixed_points", 0, "id"), "5")
+        plan = _with(SPHERE_PLAN, (0, "fixed_point"), 5)
+        code, out, err = _pair_files(capsys, tmp_path, model, plan)
+        assert code == 3
+        assert out == ""
+        assert "fixed_point must be a string" in err and "Traceback" not in err
+
+
+class TestDeepInput:
+    def test_deep_power_prints_zero(self, capsys):
+        # L^500 used to end in a RecursionError traceback
+        code, out, err = run(capsys, "pair", "--model", "spheres:3", "--class", "L^2000",
+                             "--path", "0:+")
+        assert (code, out, err) == (0, "0\n", "")
+
+    def test_deep_nesting_is_syntax_error(self, capsys):
+        # 400 nested parentheses used to end in a RecursionError traceback
+        text = "(" * 400 + "L" + ")" * 400
+        code, out, err = run(capsys, "pair", "--model", "spheres:3", "--class", text,
+                             "--path", "0:+")
+        assert code == 3
+        assert out == ""
+        assert "nesting" in err and "column 101" in err and "Traceback" not in err
 
 
 class TestSizeGuard:

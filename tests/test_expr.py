@@ -8,8 +8,9 @@ from torusloc import (
     build_cp_product,
     build_sphere_product,
     class_generator,
+    weyl_correct,
 )
-from torusloc.expr import evaluate_expr, format_expr, parse_class_expr
+from torusloc.expr import MAX_NESTING, evaluate_expr, parse_class_expr
 
 
 def evaluate(text, model):
@@ -96,20 +97,71 @@ class TestWeylPlacement:
         with pytest.raises(ClassSyntaxError):
             parse_class_expr("weyl(L)^2")
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("L*weyl(L)", 1, 3),
+        ("weyl(L) + L", 1, 1),
+        ("weyl(weyl(L))", 1, 6),
+        ("(weyl(L))", 1, 2),
+        ("2*(L + weyl(L))^2", 1, 8),
+        ("weyl(L*(L + weyl(L)))", 1, 13),
+        ("L +\n  weyl(L)", 2, 3),
+        ("weyl(L)*weyl(L)", 1, 1),
+        ("(L)*(v1 - weyl(L))", 1, 11),
+    ])
+    def test_misplaced_weyl_is_reported_at_its_position(self, text, line, column):
+        with pytest.raises(ClassSyntaxError, match="outermost") as err:
+            parse_class_expr(text)
+        assert (err.value.line, err.value.column) == (line, column)
 
-class TestRoundTrip:
-    CANONICAL = [
-        "L^2",
-        "1/2*v1^2*v2",
-        "v1 + v2",
-        "L - v3",
-        "-2*L",
-        "3*(v1 + v2)^2*L",
-        "weyl(L^2 + v1*v2)",
-        "line(1,-2)^3",
-        "5*L*(v1 - v2)",
-    ]
+    @pytest.mark.parametrize("text", ["1/2*weyl(L^2)", "weyl((L + v1)^2)", "-weyl(L)"])
+    def test_outermost_forms_accepted(self, text):
+        parse_class_expr(text)
 
-    @pytest.mark.parametrize("text", CANONICAL)
-    def test_print_after_parse_is_identity(self, text):
-        assert format_expr(parse_class_expr(text)) == text
+
+class TestNestingLimit:
+    def test_depth_at_the_limit_parses(self):
+        m = build_sphere_product(3)
+        text = "(" * MAX_NESTING + "L" + ")" * MAX_NESTING
+        assert evaluate(text, m) == class_generator(m, "prequantum")
+        inner = MAX_NESTING - 1
+        assert evaluate("weyl(" + "(" * inner + "L" + ")" * inner + ")", m) == evaluate("weyl(L)", m)
+
+    def test_sibling_groups_do_not_add_up(self):
+        m = build_sphere_product(3)
+        text = " + ".join(["((L))"] * (MAX_NESTING + 1))
+        assert evaluate(text, m) == class_generator(m, "prequantum") * (MAX_NESTING + 1)
+
+    def test_parenthesis_past_the_limit_fails_at_its_position(self):
+        depth = MAX_NESTING + 1
+        with pytest.raises(ClassSyntaxError, match="nesting") as err:
+            parse_class_expr("(" * depth + "L" + ")" * depth)
+        assert (err.value.line, err.value.column) == (1, depth)
+
+    def test_weyl_past_the_limit_fails_at_its_position(self):
+        outer = MAX_NESTING
+        with pytest.raises(ClassSyntaxError, match="nesting") as err:
+            parse_class_expr("L*\n" + "(" * outer + "weyl(L)" + ")" * outer)
+        assert (err.value.line, err.value.column) == (2, outer + 1)
+
+
+class TestCanonicalInputs:
+    """Each input evaluates to the class built directly from the generators."""
+
+    EXPECTED = {
+        "L^2": lambda L, v, m: L**2,
+        "1/2*v1^2*v2": lambda L, v, m: v(1) ** 2 * v(2) * Fraction(1, 2),
+        "v1 + v2": lambda L, v, m: v(1) + v(2),
+        "L - v3": lambda L, v, m: L - v(3),
+        "-2*L": lambda L, v, m: L * -2,
+        "3*(v1 + v2)^2*L": lambda L, v, m: (v(1) + v(2)) ** 2 * L * 3,
+        "weyl(L^2 + v1*v2)": lambda L, v, m: weyl_correct(m, L**2 + v(1) * v(2)),
+        "line(1,-2)^3": lambda L, v, m: class_generator(m, "line", direction=(1, -2)) ** 3,
+        "5*L*(v1 - v2)": lambda L, v, m: L * (v(1) - v(2)) * 5,
+    }
+
+    @pytest.mark.parametrize("text", list(EXPECTED))
+    def test_parses_and_evaluates(self, text):
+        m = build_cp_product(3, 2) if text.startswith("line") else build_sphere_product(3)
+        L = class_generator(m, "prequantum")
+        v = lambda i: class_generator(m, "v", index=i)
+        assert evaluate(text, m) == self.EXPECTED[text](L, v, m)

@@ -32,10 +32,10 @@ from torusloc import (
     volume_class,
     weyl_correct,
 )
-from torusloc.model import FixedPoint, cp_point_id
+from torusloc.model import FixedPoint
 from torusloc.plans import THETA1, rank1_plan
 
-from helpers import monomial_class
+from helpers import monomial_class, ref_cp_point_id
 
 PLUS = OrientedFlag(((1,),))
 MINUS = OrientedFlag(((-1,),))
@@ -87,7 +87,7 @@ class TestFlagSplit:
 
     def test_cp_two_stage_split(self):
         m = build_cp_product(3, 4)
-        point = m.fixed_point(cp_point_id(({1, 2}, {3}, {4})))
+        point = m.fixed_point(ref_cp_point_id(({1, 2}, {3}, {4})))
         spaces, _ = flag_split(point, THETA1)
         assert sorted(spaces[0].lines) == [
             (-1, (-1,)),
@@ -165,7 +165,7 @@ class TestLambdaFlag:
 
     def test_cp_monomial(self):
         m = build_cp_product(3, 4)
-        fid = cp_point_id(({1, 2}, {3}, {4}))
+        fid = ref_cp_point_id(({1, 2}, {3}, {4}))
         assert lambda_flag(m, fid, THETA1, monomial_class(m, 2, 4)) == -1
 
     def test_below_degree_zero(self):
@@ -175,7 +175,7 @@ class TestLambdaFlag:
     def test_degree_bookkeeping(self):
         # nonzero only in the single degree weights-minus-rank
         m = build_cp_product(3, 2)
-        fid = cp_point_id(({1}, {2}, frozenset()))
+        fid = ref_cp_point_id(({1}, {2}, frozenset()))
         for j1 in range(5):
             for j2 in range(5):
                 value = lambda_flag(m, fid, THETA1, monomial_class(m, j1, j2))
@@ -359,6 +359,19 @@ class TestStrictFlag:
 
     def test_lists_and_tuples_are_accepted(self):
         assert OrientedFlag(([1, 0], (0, -1))).stages == ((1, 0), (0, -1))
+
+
+class TestStrictPlanTerm:
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1", True, Fraction(1)])
+    def test_non_int_coefficient_is_rejected(self, bad):
+        # PlanTerm(0.5, ...) used to make evaluate_plan return the float 1.0
+        with pytest.raises(PlanFormatError, match="coefficient must be an integer"):
+            PlanTerm(bad, "f{}", PLUS)
+
+    @pytest.mark.parametrize("bad", [5, None, ("f{}",)])
+    def test_non_str_id_is_rejected(self, bad):
+        with pytest.raises(PlanFormatError, match="fixed_point must be a string"):
+            PlanTerm(1, bad, PLUS)
 
 
 class TestReturnTypes:

@@ -12,25 +12,30 @@ from torusloc import (
     ModelFormatError,
     ModelTooLarge,
     MultiPoly,
+    NotRegular,
     TorusModel,
     UnknownGenerator,
     Unsupported,
     build_cp_product,
     build_sphere_product,
-    check_regular,
     class_generator,
+    cp2_plan,
     load_model,
+    rank1_plan,
 )
 from torusloc.model import (
     MAX_FIXED_POINTS,
     FixedPoint,
     check_family_size,
-    cp_point_id,
-    sphere_point_id,
     strict_int_vector,
 )
 
-from helpers import ref_build_cp_product, ref_build_sphere_product
+from helpers import (
+    ref_build_cp_product,
+    ref_build_sphere_product,
+    ref_cp_point_id,
+    ref_sphere_point_id,
+)
 
 
 def model_record(model: TorusModel):
@@ -59,10 +64,10 @@ class TestBuildersMatchPartitionReference:
 
     def test_point_id_helpers_match_the_built_ids(self):
         cp = build_cp_product(3, 4)
-        assert cp.fixed_points[5].id == cp_point_id((frozenset({2, 1}), {3}, [4]))
-        assert cp.fixed_points[0].id == cp_point_id(({4, 3, 2, 1}, (), ()))
+        assert cp.fixed_points[5].id == ref_cp_point_id((frozenset({2, 1}), {3}, [4]))
+        assert cp.fixed_points[0].id == ref_cp_point_id(({4, 3, 2, 1}, (), ()))
         sphere = build_sphere_product(4)
-        assert sphere.fixed_points[5].id == sphere_point_id({4, 2})
+        assert sphere.fixed_points[5].id == ref_sphere_point_id({4, 2})
 
 
 class TestSphereProduct:
@@ -91,7 +96,7 @@ class TestSphereProduct:
         for fp in m.fixed_points:
             subset = {int(i) for i in fp.id[2:-1].split(",") if i}
             complement = set(range(1, 5)) - subset
-            assert fp.moment[0] == -m.fixed_point(sphere_point_id(complement)).moment[0]
+            assert fp.moment[0] == -m.fixed_point(ref_sphere_point_id(complement)).moment[0]
 
 
 class TestCpProduct:
@@ -109,7 +114,7 @@ class TestCpProduct:
 
     def test_moment_formula(self):
         m = build_cp_product(3, 4)
-        fp = m.fixed_point(cp_point_id(({1, 2}, {3}, {4})))
+        fp = m.fixed_point(ref_cp_point_id(({1, 2}, {3}, {4})))
         # sizes (2, 1, 1): (-2*2+1+1, 2-2*1+1) = (-2, 1)
         assert fp.moment == (Fraction(-2), Fraction(1))
 
@@ -187,22 +192,30 @@ class TestEquivariantClassOps:
 
 
 class TestCheckRegular:
+    """Regularity of a base point is checked where a plan is made: rank1_plan
+    refuses a fixed-point moment, cp2_plan an origin on a wall."""
+
     def test_sphere_even_origin(self):
-        assert check_regular(build_sphere_product(4), (0,)) is False
+        for direction in (1, -1):
+            with pytest.raises(NotRegular):
+                rank1_plan(build_sphere_product(4), 0, direction)
 
     def test_sphere_odd_origin(self):
-        assert check_regular(build_sphere_product(5), (0,)) is True
+        assert len(rank1_plan(build_sphere_product(5), 0, 1)) == 16
 
     def test_sphere_wall_value(self):
-        assert check_regular(build_sphere_product(3), (1,)) is False
+        with pytest.raises(NotRegular):
+            rank1_plan(build_sphere_product(3), 1, -1)
 
     def test_cp_multiple_of_three(self):
-        assert check_regular(build_cp_product(3, 6), (0, 0)) is False
-        assert check_regular(build_cp_product(3, 4), (0, 0)) is True
+        with pytest.raises(NotRegular):
+            cp2_plan(6)
+        assert len(cp2_plan(4)) > 0
 
     def test_cp_off_origin_unsupported(self):
+        # the only rank-2 plans are the cp2 recipe at the origin
         with pytest.raises(Unsupported):
-            check_regular(build_cp_product(3, 4), (1, 0))
+            rank1_plan(build_cp_product(3, 4), 1, 1)
 
 
 class TestModelFile:
@@ -284,6 +297,17 @@ class TestStrictFixedPoint:
         got = FixedPoint("a", moment, ((1,),)).moment
         assert type(got) is tuple and {type(m) for m in got} == {Fraction}
         assert got == tuple(Fraction(m) for m in moment)
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
+    def test_float_or_bool_moment_entry_is_rejected(self, bad):
+        # 0.1 used to be stored as its binary expansion, True as the moment 1
+        with pytest.raises(ModelFormatError, match="float or boolean"):
+            FixedPoint("a", (Fraction(0), bad), ((1, 0),))
+
+    @pytest.mark.parametrize("bad", [5, None, ("a",)])
+    def test_non_string_id_is_rejected(self, bad):
+        with pytest.raises(ModelFormatError, match="id must be a string"):
+            FixedPoint(bad, (0,), ((1,),))
 
     def test_non_integer_root_is_rejected(self):
         point = FixedPoint("a", (0,), ((1,),))

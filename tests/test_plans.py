@@ -16,7 +16,6 @@ from torusloc import (
     cp2_plan,
     evaluate_plan,
     rank1_plan,
-    uniform_sum_density_at_zero,
     wall_list,
 )
 from torusloc.closedforms import (
@@ -26,6 +25,7 @@ from torusloc.closedforms import (
     cp2_volume_monomials,
     cp2_volume_printed_double_sum,
 )
+from torusloc.convolution import uniform_sum_density_at_zero
 from torusloc.plans import THETA1, THETA2
 
 from helpers import all_v_monomials, cp2_volume_class, ref_cp2_plan, sizes_of, v_monomial

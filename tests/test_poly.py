@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +213,18 @@ def test_linear_substitute_matches_fraction_reference(case):
     p, basis = case
     image = linear_substitute(p, basis)
     assert image.terms == ref_substitute(ref_terms(p), basis)
+    assert exact_shape(image)
+
+
+def test_linear_substitute_of_a_deep_monomial():
+    # u1 -> u1', u2 -> 2u1' - u2', so (3/7) u1^a u2^b expands binomially;
+    # the image used to be built by one recursive call per degree
+    a, b = 700, 800
+    image = linear_substitute(P(2, {(a, b): Fraction(3, 7)}), [(1, 2), (0, -1)])
+    reference = {
+        (a + j, b - j): Fraction(3, 7) * comb(b, j) * 2**j * (-1) ** (b - j) for j in range(b + 1)
+    }
+    assert image.terms == reference
     assert exact_shape(image)
 
 

@@ -1,8 +1,8 @@
 """The integer stage fold against the per-power MultiPoly reference.
 
-``stage_map`` and ``lambda_flag`` both run the integer kernel
-``localization._stage_fold`` over the integer Segre numerators; the
-references in ``helpers`` fold one product per stage-variable power, as
+``stage_map``, ``lambda_flag`` and ``fiber_integrate_power`` all run the
+integer kernel ``weighted._stage_fold`` over the integer Segre numerators.
+The references in ``helpers`` fold one product per stage-variable power, as
 the engine did before the kernel, against a Segre class formed from the
 full Chern product and inverted in Fractions, so they share no Segre code
 with the engine.
@@ -21,8 +21,10 @@ from torusloc import (
     OrientedFlag,
     TorusModel,
     WeightedSpace,
+    fiber_integrate_power,
     lambda_flag,
     stage_map,
+    weight_gcd,
     weighted_segre,
 )
 from torusloc.model import FixedPoint
@@ -106,6 +108,18 @@ def test_weighted_segre_matches_fraction_reference(space, order):
     assert weighted_segre(space, order).body.terms == ref_segre(space, order)
 
 
+@settings(max_examples=100, deadline=None)
+@given(spaces(), st.integers(0, 8))
+def test_fiber_integral_is_the_gcd_scaled_segre_piece(space, i):
+    value = fiber_integrate_power(space, i)
+    index = i - space.rank + 1
+    segre = ref_segre(space, index) if index >= 0 else {}
+    piece = {e: c * weight_gcd(space) for e, c in segre.items() if sum(e) == index}
+    assert value == MultiPoly(space.residual_count, piece)
+    assert value.nvars == space.residual_count
+    assert exact_shape(value)
+
+
 def test_segre_pieces_are_integer_numerators_over_one_denominator():
     from torusloc.weighted import _segre_numerators
 
@@ -117,7 +131,7 @@ def test_segre_pieces_are_integer_numerators_over_one_denominator():
 
 
 def test_stage_fold_drops_cancelled_terms():
-    from torusloc.localization import _stage_fold
+    from torusloc.weighted import _stage_fold
 
     # 1/(1 + u) = 1 - u + ..., so u * s_0 + x * s_1 = u - u = 0
     assert _stage_fold({(0, 1): 1, (1, 0): 1}, WeightedSpace(((1, (1,)),), 1)) == ({}, 1)

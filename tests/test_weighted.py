@@ -9,7 +9,6 @@ from torusloc import (
     EmptyStage,
     MultiPoly,
     WeightedSpace,
-    equivariant_euler,
     fiber_integrate_power,
     homogeneous_part,
     parse_weighted_space,
@@ -104,32 +103,6 @@ class TestRingRelation:
         assert all(c.is_zero() for c in coeffs[1:])
 
 
-class TestEquivariantEuler:
-    def test_opposite_weights(self):
-        v = space((1, ()), (-1, ()))
-        assert equivariant_euler(v) == MultiPoly(1, {(2,): -1})
-
-    def test_single_weight_one(self):
-        assert equivariant_euler(space((1, ()))) == MultiPoly(1, {(1,): 1})
-
-    def test_weight_two_with_residual(self):
-        # circle variable is appended after the residual variables
-        v = space((2, (1,)), residuals=1)
-        assert equivariant_euler(v) == MultiPoly(2, {(0, 1): 2, (1, 0): 1})
-
-    def test_coefficients_are_chern_pieces(self):
-        v = space((2, (1, 0)), (-1, (3, -2)), (1, (0, 1)), residuals=2)
-        euler = equivariant_euler(v)
-        chern = weighted_chern(v)
-        r = v.rank
-        for i in range(r + 1):
-            # coefficient of u_circ^(r-i) must be the degree-i chern piece
-            coeff_terms = {
-                exp[:-1]: c for exp, c in euler.terms.items() if exp[-1] == r - i
-            }
-            assert MultiPoly(2, coeff_terms) == homogeneous_part(chern, i)
-
-
 class TestFiberIntegration:
     def test_classical_top_power(self):
         for r in (1, 2, 3, 4):
@@ -214,6 +187,15 @@ def random_space(rng, max_lines=5, max_residuals=3):
         weight = rng.choice([w for w in range(-4, 5) if w])
         lines.append((weight, tuple(rng.randrange(-3, 4) for _ in range(residuals))))
     return WeightedSpace(tuple(lines), residuals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2).flatmap(spaces))
+def test_ring_relation_is_the_graded_chern_class(v):
+    chern = weighted_chern(v)
+    relation = ring_relation(v)
+    assert relation == [homogeneous_part(chern, i) for i in range(v.rank + 1)]
+    assert all(type(c) is int for piece in relation for c in piece.terms.values())
 
 
 def test_segre_chern_identity_on_many_random_spaces():
