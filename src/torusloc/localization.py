@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import IO, Sequence, Union
 
@@ -42,7 +43,8 @@ from .model import (
     strict_int,
     strict_int_vector,
 )
-from .poly import MultiPoly, _integral, _rational, affine_product, linear_substitute
+from .poly import MultiPoly, _int_substitute, _integral, _rational, affine_product
+from .poly import linear_substitute  # noqa: F401  re-exported; instrumentation wraps it by this name
 from .weighted import (
     WeightedSpace,
     _stage_fold,
@@ -97,8 +99,12 @@ class OrientedFlag:
     def rank(self) -> int:
         return len(self.stages)
 
-    def determinant(self) -> int:
+    @cached_property
+    def _determinant(self) -> int:  # once per flag object; load_plan interns equal flags
         return _int_det(self.stages)
+
+    def determinant(self) -> int:
+        return self._determinant
 
     def check_unimodular(self):
         if abs(self.determinant()) != 1:
@@ -133,19 +139,16 @@ class Plan:
         return len(self.terms)
 
 
-def flag_split(point: FixedPoint, flag: OrientedFlag) -> tuple[list[WeightedSpace], tuple]:
-    """Group the tangent weights of a fixed point by flag stage.
+def _stage_lines(point: FixedPoint, stages: tuple[tuple[int, ...], ...]) -> list[tuple]:
+    """Group the tangent weights of a fixed point by flag stage, as plain
+    (circle weight, residual vector) line tuples.
 
     Each weight a is rewritten in flag coordinates a'_i = <a, stage_i> and
     assigned to the first stage j with a'_j nonzero; there it is a line
     with circle weight a'_j and residual vector (a'_{j+1}, ..., a'_d).
-    Also returns the substitution basis for rewriting classes in the same
-    coordinates.  Stages may come back empty; an empty stage makes the
-    pair inadmissible and every evaluation through it zero.  A weight
-    whose length is not the flag's rank raises DimensionMismatch.
+    A weight whose length is not the flag's rank raises DimensionMismatch,
+    a zero weight ModelFormatError.
     """
-    flag.check_unimodular()
-    stages = flag.stages
     d = len(stages)
     stage_lines: list[list] = [[] for _ in range(d)]
     for weight in point.weights:
@@ -161,11 +164,19 @@ def flag_split(point: FixedPoint, flag: OrientedFlag) -> tuple[list[WeightedSpac
                 break
         else:
             raise ModelFormatError(f"fixed point {point.id!r}: zero tangent weight")
+    return [tuple(lines) for lines in stage_lines]
+
+
+def flag_split(point: FixedPoint, flag: OrientedFlag) -> tuple[list[WeightedSpace], tuple]:
+    """The stages of ``_stage_lines`` as validated WeightedSpaces, and the
+    substitution basis for rewriting classes in the same coordinates.  An
+    empty stage makes the pair inadmissible and every evaluation zero."""
+    flag.check_unimodular()
     spaces = [
-        WeightedSpace(tuple(lines), residual_count=d - j - 1)
-        for j, lines in enumerate(stage_lines)
+        WeightedSpace(lines, residual_count=flag.rank - j - 1)
+        for j, lines in enumerate(_stage_lines(point, flag.stages))
     ]
-    return spaces, stages
+    return spaces, flag.stages
 
 
 def stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
@@ -184,7 +195,7 @@ def stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
             f"polynomial has {p.nvars} variables, expected {space.residual_count + 1}"
         )
     numerators, den = _integral(p.terms)
-    out, stage_den = _stage_fold(numerators, space)
+    out, stage_den = _stage_fold(numerators, space.lines, space.residual_count)
     return MultiPoly._make(space.residual_count, _rational(out, den * stage_den))
 
 
@@ -196,21 +207,23 @@ def lambda_flag(
 ) -> Fraction:
     """Evaluate the localization of a class at one (fixed point, flag) pair.
 
-    The class restriction is rewritten once in flag coordinates and the
-    stage maps are folded in order on integer numerators over one growing
-    denominator; only the final constant becomes a Fraction.  Inadmissible
-    pairs (an empty stage) evaluate to zero; the final constant is scaled
-    by the model's global stabilizer order.
+    The path runs on ints: the restriction's denominator is cleared once,
+    ``_int_substitute`` rewrites its numerators in flag coordinates, and
+    ``_stage_fold`` folds the line tuples of ``_stage_lines`` stage by
+    stage, each Segre denominator joining the one denominator.  Only the
+    final constant becomes a Fraction, scaled by the model's global
+    stabilizer order.  Inadmissible pairs (an empty stage) evaluate to 0.
     """
     if not model.has_fixed_point(fp_id):
         raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
-    point = model.fixed_point(fp_id)
-    spaces, basis = flag_split(point, flag)
-    if any(space.is_empty() for space in spaces):
+    flag.check_unimodular()
+    stages = _stage_lines(model.fixed_point(fp_id), flag.stages)
+    if not all(stages):
         return Fraction(0)
-    numerators, den = _integral(linear_substitute(cls.at(fp_id), basis).terms)
-    for space in spaces:
-        numerators, stage_den = _stage_fold(numerators, space)
+    numerators, den = _integral(cls.at(fp_id).terms)
+    numerators = _int_substitute(numerators, flag.stages)
+    for j, lines in enumerate(stages):
+        numerators, stage_den = _stage_fold(numerators, lines, flag.rank - j - 1)
         if not numerators:
             return Fraction(0)
         den *= stage_den
@@ -310,17 +323,20 @@ def load_plan(source: Union[str, IO[str]]) -> Plan:
     """Load a plan from a JSON file path or open text stream.
 
     Coefficients and flag entries must be JSON integers and fixed point
-    ids JSON strings; PlanTerm and OrientedFlag check them.
+    ids JSON strings; PlanTerm and OrientedFlag check them.  Equal flags
+    are interned to one object, so each distinct flag checks its
+    determinant once.
     """
     data = read_json(source, PlanFormatError)
     if not isinstance(data, list):
         raise PlanFormatError("plan file must contain a JSON list")
+    flags: dict[OrientedFlag, OrientedFlag] = {}
     terms = []
     for entry in data:
         try:
-            terms.append(
-                PlanTerm(entry["coefficient"], entry["fixed_point"], OrientedFlag(entry["flag"]))
-            )
+            flag = OrientedFlag(entry["flag"])
+            flag = flags.setdefault(flag, flag)
+            terms.append(PlanTerm(entry["coefficient"], entry["fixed_point"], flag))
         except (PlanFormatError, KeyError, TypeError, ValueError) as err:
             raise PlanFormatError(f"bad plan term {entry!r}: {err}")
     return Plan(tuple(terms))

@@ -45,7 +45,8 @@ class FixedPoint:
 
     The id must be a ``str``.  Each weight must be a list or tuple of
     ``int``; a float, string or boolean entry raises ModelFormatError
-    instead of being truncated, and so does a float or boolean moment entry.
+    instead of being truncated.  Moment entries go through _parse_rational:
+    a float or boolean, a "p/0" string or any other type raises too.
     """
 
     id: str
@@ -62,7 +63,11 @@ class FixedPoint:
                 raise ModelFormatError(
                     f"fixed point {self.id!r}: moment {moment!r} has a float or boolean entry"
                 )
-            object.__setattr__(self, "moment", tuple(map(Fraction, moment)))
+            try:
+                moment = tuple(map(_parse_rational, moment))
+            except ModelFormatError as err:
+                raise ModelFormatError(f"fixed point {self.id!r}: {err}") from None
+            object.__setattr__(self, "moment", moment)
         weights = tuple(self.weights)
         kinds = {*map(type, weights)}
         # One pass over all entries; only a failing point pays the per-weight
@@ -403,9 +408,9 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
 
 
 def _parse_rational(value) -> Fraction:
-    if type(value) is int:
-        return Fraction(value)
-    if isinstance(value, str):
+    """An int, Fraction or "p/q" string as a Fraction; "p/0" and any other
+    type raise ModelFormatError."""
+    if type(value) is int or isinstance(value, (str, Fraction)):
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import DimensionMismatch, ZeroConstantTerm
+from .errors import DimensionMismatch, PlanFormatError, ZeroConstantTerm
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -93,6 +93,28 @@ def _affine_terms(constant: Scalar, coeffs: Sequence[Scalar]) -> dict:
         if c:
             terms[(0,) * i + (1,) + (0,) * (n - i - 1)] = c
     return terms
+
+
+def _linear_power(form: dict, m: int) -> dict:
+    """Integer terms of (sum_i a_i u_i)^m for a nonzero integer linear form
+    {unit exponent: a_i} and m >= 1, by the multinomial theorem: prod_i u_i^j_i
+    has coefficient m!/prod_i j_i! * prod_i a_i^j_i, built as binomials
+    C(rest, j_i) over the variables in turn; the last variable takes the rest.
+    """
+    (*first, last) = form.items()
+    partial = [((0,) * len(last[0]), 1, m)]
+    for unit, a in first:
+        i = unit.index(1)
+        grown = []
+        for exp, c, rest in partial:
+            power = 1
+            for j in range(rest + 1):
+                grown.append((exp[:i] + (j,) + exp[i + 1 :], c * comb(rest, j) * power, rest - j))
+                power *= a
+        partial = grown
+    unit, a = last
+    i = unit.index(1)
+    return {exp[:i] + (rest,) + exp[i + 1 :]: c * a**rest for exp, c, rest in partial}
 
 
 class MultiPoly:
@@ -233,10 +255,15 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
+        """The n-th power on integer numerators over den^n: a homogeneous
+        linear form by the multinomial theorem (``_linear_power``), any
+        other polynomial by repeated squaring."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         base, den = _integral(self.terms)
         den **= n
+        if n and base and all(sum(e) == 1 for e in base):
+            return MultiPoly._make(self.nvars, _rational(_linear_power(base, n), den))
         result = {(0,) * self.nvars: 1}
         while n:
             if n & 1:
@@ -346,19 +373,27 @@ def affine_product(nvars: int, factors: Iterable[tuple[int, Sequence[int]]]) -> 
 def _monomial_image(exp: Exponent, forms: tuple[Exponent, ...]) -> tuple:
     """Integer (exponent, coefficient) pairs of prod_j (sum_i forms[j][i] * u_i)^exp[j].
 
-    Each power is taken by repeated squaring in a loop, so a deep monomial
-    costs no recursion; a tuple, so no caller can alter the cache.
+    Each power is a multinomial expansion, so a deep monomial costs no
+    recursion and no squaring; a tuple, so no caller can alter the cache.
     """
     image = {(0,) * len(exp): 1}
     for form, e in zip(forms, exp):
-        power = _affine_terms(0, form)
-        while e:
-            if e & 1:
-                image = _int_product(image, power)
-            e >>= 1
-            if e:
-                power = _int_product(power, power)
+        if e:
+            terms = _affine_terms(0, form)
+            image = _int_product(image, _linear_power(terms, e) if terms else {})
     return tuple(image.items())
+
+
+def _int_substitute(numerators: dict, basis: Sequence[Sequence[int]]) -> dict:
+    """Integer core of ``linear_substitute``: the nonzero integer terms of
+    the image of integer terms under u_j -> sum_i basis[i][j] * u'_i."""
+    forms = tuple(zip(*basis))
+    out: dict[Exponent, int] = {}
+    get = out.get
+    for exp, coeff in numerators.items():
+        for e, v in _monomial_image(exp, forms):
+            out[e] = get(e, 0) + coeff * v
+    return {e: v for e, v in out.items() if v}
 
 
 def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly:
@@ -366,19 +401,17 @@ def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly
 
     This is the ring homomorphism induced by rewriting the torus in the
     basis of circle directions ``basis``; it distributes over sums and
-    products by construction.
+    products by construction.  ``_int_substitute`` forms the image on the
+    integer numerators.  A basis entry that is not an ``int`` (a float,
+    string or boolean) raises PlanFormatError instead of being truncated.
     """
     d = p.nvars
     if len(basis) != d or any(len(xi) != d for xi in basis):
         raise DimensionMismatch(f"basis must consist of {d} vectors of length {d}")
-    forms = tuple(tuple(int(basis[i][j]) for i in range(d)) for j in range(d))
+    if any(type(a) is not int for xi in basis for a in xi):
+        raise PlanFormatError(f"basis entries must be integers, got {basis!r}")
     numerators, den = _integral(p.terms)
-    out: dict[Exponent, int] = {}
-    get = out.get
-    for exp, coeff in numerators.items():
-        for e, v in _monomial_image(exp, forms):
-            out[e] = get(e, 0) + coeff * v
-    return MultiPoly._make(d, _rational(out, den))
+    return MultiPoly._make(d, _rational(_int_substitute(numerators, basis), den))
 
 
 @dataclass(frozen=True)

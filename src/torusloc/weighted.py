@@ -110,23 +110,24 @@ def weight_gcd(space: WeightedSpace) -> int:
     return math.gcd(*(abs(w) for w, _ in space.lines))
 
 
-def _stage_fold(numerators: dict, space: WeightedSpace) -> tuple[dict, int]:
+def _stage_fold(numerators: dict, lines: tuple[Line, ...], residual_count: int) -> tuple[dict, int]:
     """Integrate out the stage variable on integer numerators: the one kernel
     behind stage_map, lambda_flag and fiber_integrate_power.
 
-    Variable 0 of each exponent is the stage variable.  Each term
-    c * x^j * rest with j >= r-1 adds c * k * s_{j-r+1} * rest, with r the
-    rank of the nonempty space, k its weight gcd and s the integer
-    numerators of its weighted Segre pieces.  Returns the nonzero
-    numerators of the result and the Segre denominator, by which the
-    input's denominator must be multiplied.
+    ``lines`` are the nonempty stage's (circle weight, residual vector)
+    pairs, as in WeightedSpace.  Variable 0 of each exponent is the stage
+    variable.  Each term c * x^j * rest with j >= r-1 adds
+    c * k * s_{j-r+1} * rest, with r the number of lines, k the gcd of
+    their circle weights and s the integer numerators of their weighted
+    Segre pieces.  Returns the nonzero numerators of the result and the
+    Segre denominator, by which the input's denominator must be multiplied.
     """
-    r = space.rank
+    r = len(lines)
     top = max((e[0] for e in numerators), default=-1) - r + 1
     if top < 0:
         return {}, 1
-    pieces, den = _segre_numerators(space.lines, space.residual_count, top)
-    k = weight_gcd(space)
+    pieces, den = _segre_numerators(lines, residual_count, top)
+    k = math.gcd(*(w for w, _ in lines))
     out: dict[tuple, int] = {}
     get = out.get
     for exp, c in numerators.items():
@@ -164,10 +165,11 @@ def fiber_integrate_power(space: WeightedSpace, i: int) -> MultiPoly:
     """
     if i < 0:
         raise ValueError("power must be nonnegative")
+    n = space.residual_count
     if space.is_empty():
-        return MultiPoly.zero(space.residual_count)
-    out, den = _stage_fold({(i,) + (0,) * space.residual_count: 1}, space)
-    return MultiPoly._make(space.residual_count, _rational(out, den))
+        return MultiPoly.zero(n)
+    out, den = _stage_fold({(i,) + (0,) * n: 1}, space.lines, n)
+    return MultiPoly._make(n, _rational(out, den))
 
 
 def parse_weighted_space(text: str) -> WeightedSpace:

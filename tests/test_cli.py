@@ -334,6 +334,12 @@ class TestDeepInput:
                              "--path", "0:+")
         assert (code, out, err) == (0, "0\n", "")
 
+    def test_deep_linear_form_power_prints_zero(self, capsys):
+        # L^700 on cp2:4 took about 6 s in repeated squaring of the moment form
+        code, out, err = run(capsys, "pair", "--model", "cp2:4", "--class", "L^700",
+                             "--cp2-variant", "swapped")
+        assert (code, out, err) == (0, "0\n", "")
+
     def test_deep_nesting_is_syntax_error(self, capsys):
         # 400 nested parentheses used to end in a RecursionError traceback
         text = "(" * 400 + "L" + ")" * 400

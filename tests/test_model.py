@@ -304,6 +304,11 @@ class TestStrictFixedPoint:
         with pytest.raises(ModelFormatError, match="float or boolean"):
             FixedPoint("a", (Fraction(0), bad), ((1, 0),))
 
+    def test_zero_denominator_moment_is_model_error(self):
+        # used to be a bare ZeroDivisionError; only load_model mapped it
+        with pytest.raises(ModelFormatError, match="fixed point 'a': .*zero denominator"):
+            FixedPoint("a", ("1/0",), ((1,),))
+
     @pytest.mark.parametrize("bad", [5, None, ("a",)])
     def test_non_string_id_is_rejected(self, bad):
         with pytest.raises(ModelFormatError, match="id must be a string"):

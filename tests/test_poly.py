@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from torusloc import (
     DimensionMismatch,
     MultiPoly,
+    PlanFormatError,
     ZeroConstantTerm,
     homogeneous_part,
     linear_substitute,
@@ -91,6 +92,12 @@ class TestLinearSubstitute:
     def test_wrong_basis_size(self):
         with pytest.raises(DimensionMismatch):
             linear_substitute(MultiPoly.variable(2, 0), [(1, 0)])
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1", Fraction(1)])
+    def test_non_integer_basis_entry_is_rejected(self, bad):
+        # int(1.7) used to turn u1 + 2*u2 into itself under [[1.7, 0], [0, 1]]
+        with pytest.raises(PlanFormatError, match="basis entries must be integers"):
+            linear_substitute(MultiPoly.linear_form([1, 2]), [[bad, 0], [0, 1]])
 
 
 class TestHomogeneousPart:
@@ -205,6 +212,25 @@ def test_pow_matches_fraction_reference(p, n):
     power = p**n
     assert power.terms == ref_pow(ref_terms(p), n, p.nvars)
     assert exact_shape(power)
+
+
+@st.composite
+def linear_forms(draw):
+    """sum_i a_i u_i in 1-3 variables; coefficients may be zero, and so may
+    the whole form."""
+    coeffs = st.one_of(st.just(0), mixed_coeffs)
+    return MultiPoly.linear_form(draw(st.lists(coeffs, min_size=1, max_size=3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_forms(), st.integers(0, 12))
+def test_linear_form_power_is_the_repeated_product(form, m):
+    # powers of a linear form expand by the multinomial theorem, not by squaring
+    product = MultiPoly.const(form.nvars, 1)
+    for _ in range(m):
+        product = product * form
+    power = form**m
+    assert power == product and exact_shape(power)
 
 
 @settings(max_examples=60, deadline=None)

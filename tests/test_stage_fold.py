@@ -8,6 +8,8 @@ full Chern product and inverted in Fractions, so they share no Segre code
 with the engine.
 """
 
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,11 +20,14 @@ from torusloc import (
     EmptyStage,
     EquivariantClass,
     MultiPoly,
+    NotUnimodular,
     OrientedFlag,
     TorusModel,
     WeightedSpace,
+    evaluate_plan,
     fiber_integrate_power,
     lambda_flag,
+    load_plan,
     stage_map,
     weight_gcd,
     weighted_segre,
@@ -31,6 +36,7 @@ from torusloc.model import FixedPoint
 
 from helpers import (
     exact_shape,
+    mixed_coeffs,
     mixed_polys,
     ref_lambda_flag,
     ref_segre,
@@ -57,20 +63,57 @@ def space_and_poly(draw):
     return space, draw(mixed_polys(space.residual_count + 1, max_exp=5, max_terms=6))
 
 
+def inverse(rows):
+    """Inverse of an integer matrix of determinant +-1, by Gauss-Jordan in Fractions."""
+    d = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+           for i, row in enumerate(rows)]
+    for c in range(d):
+        p = next(r for r in range(c, d) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(d):
+            if r != c:
+                aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+    return [[int(x) for x in row[d:]] for row in aug]
+
+
 @st.composite
 def flag_terms(draw):
-    """A one-point model of rank 1 or 2, a flag, and a class restricting to a
-    random polynomial of mixed degree."""
-    d = draw(st.integers(1, 2))
-    weight = st.tuples(*([st.integers(-3, 3)] * d)).filter(any)
-    weights = tuple(draw(st.lists(weight, min_size=d, max_size=6)))
+    """A one-point model of rank 1 to 3, a flag, and a class restricting to a
+    random polynomial of mixed degree whose coefficients may have
+    denominators.  Half of the points get random weights, which often leave
+    a stage empty; the other half get weights drawn in flag coordinates
+    with every stage hit, mapped back through the inverse flag."""
+    d = draw(st.integers(1, 3))
+    stages = tuple(draw(unimodular(d)))
+    small = st.integers(-3, 3)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.tuples(*([small] * d)).filter(any), min_size=d, max_size=6))
+    else:
+        hit = list(range(d)) + draw(st.lists(st.integers(0, d - 1), max_size=6 - d))
+        back = inverse(stages)
+        weights = []
+        for j in hit:
+            tail = draw(st.lists(small, min_size=d - j - 1, max_size=d - j - 1))
+            coords = [0] * j + [draw(small.filter(bool))] + tail
+            weights.append(tuple(sum(g * c for g, c in zip(row, coords)) for row in back))
     model = TorusModel(
         rank=d,
-        fixed_points=(FixedPoint("p", (Fraction(0),) * d, weights),),
+        fixed_points=(FixedPoint("p", (Fraction(0),) * d, tuple(weights)),),
         global_stabilizer_order=draw(st.integers(1, 3)),
     )
-    cls = EquivariantClass({"p": draw(mixed_polys(d, max_exp=6, max_terms=8))})
-    return model, OrientedFlag(tuple(draw(unimodular(d)))), cls
+    # terms of the one degree a full fold keeps, len(weights) - d, so that
+    # admissible pairs mostly give nonzero values
+    top = {}
+    for _ in range(draw(st.integers(0, 3))):
+        exp, rest = [], len(weights) - d
+        for _ in range(d - 1):
+            exp.append(draw(st.integers(0, rest)))
+            rest -= exp[-1]
+        top[tuple(exp) + (rest,)] = draw(mixed_coeffs)
+    restriction = draw(mixed_polys(d, max_exp=6, max_terms=8)) + MultiPoly(d, top)
+    return model, OrientedFlag(stages), EquivariantClass({"p": restriction})
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,7 +177,31 @@ def test_stage_fold_drops_cancelled_terms():
     from torusloc.weighted import _stage_fold
 
     # 1/(1 + u) = 1 - u + ..., so u * s_0 + x * s_1 = u - u = 0
-    assert _stage_fold({(0, 1): 1, (1, 0): 1}, WeightedSpace(((1, (1,)),), 1)) == ({}, 1)
+    assert _stage_fold({(0, 1): 1, (1, 0): 1}, ((1, (1,)),), 1) == ({}, 1)
+
+
+def test_load_plan_shares_equal_flags_and_checks_each_evaluation():
+    good, bad = [[0, 1], [-1, 0]], [[2, 0], [0, 1]]
+    entries = [
+        {"coefficient": 1, "fixed_point": f"p{i}", "flag": flag}
+        for i, flag in enumerate([good, bad, good, bad])
+    ]
+    plan = load_plan(io.StringIO(json.dumps(entries)))
+    flags = [term.flag for term in plan.terms]
+    assert flags[0] is flags[2] and flags[1] is flags[3] and flags[0] != flags[1]
+    weights = ((1, 0), (0, 1), (1, 1))
+    model = TorusModel(
+        rank=2,
+        fixed_points=tuple(FixedPoint(f"p{i}", (i, 1), weights) for i in range(4)),
+    )
+    cls = EquivariantClass({fp.id: MultiPoly(2, {(1, 0): 1}) for fp in model.fixed_points})
+    assert lambda_flag(model, "p0", flags[0], cls) == lambda_flag(model, "p2", flags[2], cls)
+    # the determinant is kept on the shared flag, the check runs every time
+    for fp_id in ("p1", "p3", "p1"):
+        with pytest.raises(NotUnimodular):
+            lambda_flag(model, fp_id, flags[1], cls)
+    with pytest.raises(NotUnimodular):
+        evaluate_plan(model, plan, cls)
 
 
 def test_stage_map_keeps_empty_stage_and_arity_checks():
