@@ -43,7 +43,7 @@ from .model import (
     strict_int,
     strict_int_vector,
 )
-from .poly import MultiPoly, _int_substitute, _integral, _rational, affine_product
+from .poly import MultiPoly, _int_substitute, affine_product
 from .poly import linear_substitute  # noqa: F401  re-exported; instrumentation wraps it by this name
 from .weighted import (
     WeightedSpace,
@@ -194,9 +194,8 @@ def stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
         raise ValueError(
             f"polynomial has {p.nvars} variables, expected {space.residual_count + 1}"
         )
-    numerators, den = _integral(p.terms)
-    out, stage_den = _stage_fold(numerators, space.lines, space.residual_count)
-    return MultiPoly._make(space.residual_count, _rational(out, den * stage_den))
+    out, stage_den = _stage_fold(p.numerators, space.lines, space.residual_count)
+    return MultiPoly._make(space.residual_count, out, p.den * stage_den)
 
 
 def lambda_flag(
@@ -207,8 +206,8 @@ def lambda_flag(
 ) -> Fraction:
     """Evaluate the localization of a class at one (fixed point, flag) pair.
 
-    The path runs on ints: the restriction's denominator is cleared once,
-    ``_int_substitute`` rewrites its numerators in flag coordinates, and
+    The path runs on ints: ``_int_substitute`` rewrites the restriction's
+    numerators in flag coordinates over its one denominator, and
     ``_stage_fold`` folds the line tuples of ``_stage_lines`` stage by
     stage, each Segre denominator joining the one denominator.  Only the
     final constant becomes a Fraction, scaled by the model's global
@@ -220,8 +219,8 @@ def lambda_flag(
     stages = _stage_lines(model.fixed_point(fp_id), flag.stages)
     if not all(stages):
         return Fraction(0)
-    numerators, den = _integral(cls.at(fp_id).terms)
-    numerators = _int_substitute(numerators, flag.stages)
+    p = cls.at(fp_id)
+    numerators, den = _int_substitute(p.numerators, flag.stages), p.den
     for j, lines in enumerate(stages):
         numerators, stage_den = _stage_fold(numerators, lines, flag.rank - j - 1)
         if not numerators:

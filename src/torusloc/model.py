@@ -46,7 +46,8 @@ class FixedPoint:
     The id must be a ``str``.  Each weight must be a list or tuple of
     ``int``; a float, string or boolean entry raises ModelFormatError
     instead of being truncated.  Moment entries go through _parse_rational:
-    a float or boolean, a "p/0" string or any other type raises too.
+    a float or boolean, a "p/0" or other non-rational string or any other
+    type raises too.
     """
 
     id: str
@@ -408,13 +409,15 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
 
 
 def _parse_rational(value) -> Fraction:
-    """An int, Fraction or "p/q" string as a Fraction; "p/0" and any other
-    type raise ModelFormatError."""
+    """An int, Fraction or "p/q" string as a Fraction; "p/0", a string that
+    is not a rational and any other type raise ModelFormatError."""
     if type(value) is int or isinstance(value, (str, Fraction)):
         try:
             return Fraction(value)
         except ZeroDivisionError:
             raise ModelFormatError(f"rational value {value!r} has a zero denominator") from None
+        except ValueError as err:
+            raise ModelFormatError(str(err)) from None
     raise ModelFormatError(f"rational values must be integers or 'p/q' strings, got {value!r}")
 
 

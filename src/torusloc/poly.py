@@ -1,22 +1,23 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial in d variables is stored as a dictionary mapping exponent
-tuples (one nonnegative integer per variable) to nonzero coefficients,
-each an ``int`` or a ``Fraction``:
+A polynomial in d variables is stored as integer numerators over one
+denominator: a dictionary mapping exponent tuples (one nonnegative integer
+per variable) to nonzero ``int`` numerators, and an ``int`` ``den >= 1``
+with gcd(den, *numerators) == 1:
 
-    u1^2 * u2 + 3/2   ->   {(2, 1): 1, (0, 0): Fraction(3, 2)}
+    u1^2 * u2 + 3/2   ->   numerators {(2, 1): 2, (0, 0): 3}, den 2
 
-Coefficients compare and hash by value (``2 == Fraction(2)`` and their
-hashes agree), so the storage type never changes equality.  Products,
-powers and substitutions clear denominators once and run their inner
-loops on Python ints; a coefficient comes back as an ``int`` whenever it
-is integral.  The public accessors ``constant_term`` and ``as_constant``
-always return a ``Fraction``.
+The storage is canonical, so equal polynomials have equal numerators and
+denominators, and equality and hashing look at ints only.  Exact
+coefficients enter through the public constructor (and ``const``,
+``linear_form`` and scalar ``*``) and leave through ``terms``, which
+reads numerators[e] / den with integral values as ``int``.  Every kernel
+runs on the numerators directly.  The public accessors ``constant_term``
+and ``as_constant`` always return a ``Fraction``.
 
-Zero coefficients are never stored; the zero polynomial has an empty term
-dictionary.  One exponent unit corresponds to cohomological degree 2 (each
-variable u_i has degree 2), so every degree computation below is in
-exponent units.
+The zero polynomial has no numerators and den 1.  One exponent unit
+corresponds to cohomological degree 2 (each variable u_i has degree 2),
+so every degree computation below is in exponent units.
 
 Values are immutable after construction and all operations are pure, so
 they can be shared freely across threads or worker processes.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -35,43 +36,6 @@ from .errors import DimensionMismatch, PlanFormatError, ZeroConstantTerm
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
-
-_ZERO = 0
-
-
-def _exact(value) -> Scalar:
-    """An exact coefficient: ``int`` when integral, else ``Fraction``."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _integral(terms: dict) -> tuple[dict, int]:
-    """Integer numerators over one positive common denominator D, so that
-    terms[e] == numerators[e] / D.  Integer terms come back unchanged."""
-    den, integral = 1, True
-    for c in terms.values():
-        if type(c) is not int:
-            integral = False
-            den = lcm(den, c.denominator)
-    if integral:
-        return terms, 1
-    return {
-        e: c * den if type(c) is int else c.numerator * (den // c.denominator)
-        for e, c in terms.items()
-    }, den
-
-
-def _rational(numerators: dict, den: int) -> dict:
-    """The terms numerators[e] / den, integral ones as ``int``."""
-    if den == 1:
-        return numerators
-    out = {}
-    for e, v in numerators.items():
-        q, r = divmod(v, den)
-        out[e] = Fraction(v, den) if r else q
-    return out
 
 
 def _int_product(left: dict, right: dict) -> dict:
@@ -120,12 +84,14 @@ def _linear_power(form: dict, m: int) -> dict:
 class MultiPoly:
     """A sparse polynomial in ``nvars`` variables with exact coefficients.
 
-    Each stored coefficient is an ``int`` or a ``Fraction`` and compares
-    and hashes by value, so two polynomials are equal exactly when their
-    values are.  ``constant_term`` and ``as_constant`` return ``Fraction``.
+    Stored as ``numerators`` (nonzero ``int`` values by exponent) over one
+    ``int`` ``den >= 1``, reduced so that gcd(den, *numerators) == 1; two
+    polynomials are equal exactly when their values are.  ``terms`` reads
+    the coefficients back, and ``constant_term`` and ``as_constant``
+    return ``Fraction``.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "numerators", "den", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] | None = None):
         clean: dict[Exponent, Scalar] = {}
@@ -138,25 +104,36 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
-                c = _exact(coeff)
-                if c:
-                    clean[exp] = clean.get(exp, _ZERO) + c
-                    if not clean[exp]:
-                        del clean[exp]
+                c = coeff if type(coeff) in (int, Fraction) else Fraction(coeff)
+                clean[exp] = clean[exp] + c if exp in clean else c
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._store(nvars, {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
+
+    def _store(self, nvars: int, numerators: dict, den: int):
+        """Set the canonical storage of numerators / den (den != 0): zeros
+        dropped, den made positive and divided with the numerators by their
+        common gcd."""
+        numerators = {e: v for e, v in numerators.items() if v}
+        if den != 1:
+            g = gcd(den, *numerators.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                den //= g
+                numerators = {e: v // g for e, v in numerators.items()}
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
-    def _make(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """Internal constructor for terms already in canonical shape
-        (tuple keys of the right length, int or Fraction values); only
-        drops zeros."""
+    def _make(cls, nvars: int, numerators: dict, den: int = 1) -> "MultiPoly":
+        """Internal constructor for integer numerators over a nonzero integer
+        den, keyed by tuples of length nvars; zeros may be present."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "nvars", nvars)
-        object.__setattr__(obj, "terms", {e: c for e, c in terms.items() if c})
+        obj._store(nvars, numerators, den)
         return obj
 
     # ------------------------------------------------------------------
@@ -168,7 +145,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, nvars: int, value: Scalar) -> "MultiPoly":
-        return cls._make(nvars, {(0,) * nvars: _exact(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -181,26 +158,38 @@ class MultiPoly:
     @classmethod
     def linear_form(cls, coeffs: Sequence[Scalar]) -> "MultiPoly":
         """The polynomial sum_i coeffs[i] * u_i."""
-        return cls._make(len(coeffs), _affine_terms(0, [_exact(c) for c in coeffs]))
+        return cls(len(coeffs), _affine_terms(0, coeffs))
 
     # ------------------------------------------------------------------
     # queries
 
+    @property
+    def terms(self) -> dict[Exponent, Scalar]:
+        """The coefficients numerators[e] / den, integral ones as ``int``."""
+        den = self.den
+        if den == 1:
+            return dict(self.numerators)
+        out = {}
+        for e, v in self.numerators.items():
+            q, r = divmod(v, den)
+            out[e] = Fraction(v, den) if r else q
+        return out
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.terms.get((0,) * self.nvars, 0))
+        return Fraction(self.numerators.get((0,) * self.nvars, 0), self.den)
 
     def as_constant(self) -> Fraction:
         """The value of a constant polynomial; raises if nonconstant terms exist."""
-        if any(sum(exp) for exp in self.terms):
+        if any(sum(exp) for exp in self.numerators):
             raise ValueError(f"polynomial is not constant: {self}")
         return self.constant_term()
 
     def total_degree(self) -> int:
         """Maximal total exponent present, or -1 for the zero polynomial."""
-        return max((sum(exp) for exp in self.terms), default=-1)
+        return max((sum(exp) for exp in self.numerators), default=-1)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -220,15 +209,18 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, _ZERO) + c
-        return MultiPoly._make(self.nvars, out)
+        den = lcm(self.den, other.den)
+        scale, other_scale = den // self.den, den // other.den
+        out = {e: v * scale for e, v in self.numerators.items()}
+        get = out.get
+        for e, v in other.numerators.items():
+            out[e] = get(e, 0) + v * other_scale
+        return MultiPoly._make(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._make(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.nvars, {e: -v for e, v in self.numerators.items()}, self.den)
 
     def __sub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
@@ -241,15 +233,17 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = _exact(other)
-            return MultiPoly._make(self.nvars, {e: v * c for e, v in self.terms.items()})
+            c = Fraction(other)
+            return MultiPoly._make(
+                self.nvars,
+                {e: v * c.numerator for e, v in self.numerators.items()},
+                self.den * c.denominator,
+            )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        left, den_left = _integral(self.terms)
-        right, den_right = _integral(other.terms)
         return MultiPoly._make(
-            self.nvars, _rational(_int_product(left, right), den_left * den_right)
+            self.nvars, _int_product(self.numerators, other.numerators), self.den * other.den
         )
 
     __rmul__ = __mul__
@@ -260,10 +254,9 @@ class MultiPoly:
         other polynomial by repeated squaring."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        base, den = _integral(self.terms)
-        den **= n
+        base, den = self.numerators, self.den**n
         if n and base and all(sum(e) == 1 for e in base):
-            return MultiPoly._make(self.nvars, _rational(_linear_power(base, n), den))
+            return MultiPoly._make(self.nvars, _linear_power(base, n), den)
         result = {(0,) * self.nvars: 1}
         while n:
             if n & 1:
@@ -271,29 +264,31 @@ class MultiPoly:
             if n > 1:
                 base = _int_product(base, base)
             n >>= 1
-        return MultiPoly._make(self.nvars, _rational(result, den))
+        return MultiPoly._make(self.nvars, result, den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (
+            self.nvars == other.nvars
+            and self.den == other.den
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self):
         # Computed on first use and kept: grouping by restriction hashes the
-        # same shared polynomial once per fixed point.  hash(2) equals
-        # hash(Fraction(2)), so the storage type of a coefficient never
-        # splits equal polynomials.
+        # same shared polynomial once per fixed point.
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.nvars, frozenset(self.terms.items())))
+            h = hash((self.nvars, self.den, frozenset(self.numerators.items())))
             object.__setattr__(self, "_hash", h)
             return h
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.numerators)
 
     # ------------------------------------------------------------------
     # structure
@@ -301,7 +296,7 @@ class MultiPoly:
     def truncate(self, order: int) -> "MultiPoly":
         """Drop all terms of total exponent greater than ``order``."""
         return MultiPoly._make(
-            self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= order}
+            self.nvars, {e: v for e, v in self.numerators.items() if sum(e) <= order}, self.den
         )
 
     def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
@@ -320,7 +315,9 @@ class MultiPoly:
 
 def homogeneous_part(p: MultiPoly, e: int) -> MultiPoly:
     """The sum of terms of ``p`` with total exponent exactly ``e``."""
-    return MultiPoly._make(p.nvars, {exp: c for exp, c in p.terms.items() if sum(exp) == e})
+    return MultiPoly._make(
+        p.nvars, {exp: v for exp, v in p.numerators.items() if sum(exp) == e}, p.den
+    )
 
 
 def _graded(numerators: dict, order: int) -> list[dict]:
@@ -402,16 +399,16 @@ def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly
     This is the ring homomorphism induced by rewriting the torus in the
     basis of circle directions ``basis``; it distributes over sums and
     products by construction.  ``_int_substitute`` forms the image on the
-    integer numerators.  A basis entry that is not an ``int`` (a float,
-    string or boolean) raises PlanFormatError instead of being truncated.
+    integer numerators.  A basis row that is not a list or tuple, or an
+    entry that is not an ``int`` (a float, string or boolean), raises
+    PlanFormatError instead of being truncated.
     """
     d = p.nvars
+    if any(not isinstance(xi, (list, tuple)) or any(type(a) is not int for a in xi) for xi in basis):
+        raise PlanFormatError(f"basis entries must be integers in list or tuple rows, got {basis!r}")
     if len(basis) != d or any(len(xi) != d for xi in basis):
         raise DimensionMismatch(f"basis must consist of {d} vectors of length {d}")
-    if any(type(a) is not int for xi in basis for a in xi):
-        raise PlanFormatError(f"basis entries must be integers, got {basis!r}")
-    numerators, den = _integral(p.terms)
-    return MultiPoly._make(d, _rational(_int_substitute(numerators, basis), den))
+    return MultiPoly._make(d, _int_substitute(p.numerators, basis), p.den)
 
 
 @dataclass(frozen=True)
@@ -474,10 +471,9 @@ def series_invert(p: MultiPoly, order: int) -> TruncSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    numerators, den = _integral(p.terms)
-    pieces, inverse_den = _int_invert(_graded(numerators, order), p.nvars, order)
-    body = _rational({e: v * den for piece in pieces for e, v in piece.items()}, inverse_den)
-    return TruncSeries(MultiPoly._make(p.nvars, body), order)
+    pieces, inverse_den = _int_invert(_graded(p.numerators, order), p.nvars, order)
+    body = {e: v * p.den for piece in pieces for e, v in piece.items()}
+    return TruncSeries(MultiPoly._make(p.nvars, body, inverse_den), order)
 
 
 def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:

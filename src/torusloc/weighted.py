@@ -26,7 +26,6 @@ from .poly import (
     TruncSeries,
     _affine_pieces,
     _int_invert,
-    _rational,
     affine_product,
     series_invert,  # noqa: F401  re-exported; instrumentation wraps it by this name
 )
@@ -99,8 +98,8 @@ def _segre_numerators(lines: tuple[Line, ...], residual_count: int, order: int) 
 def weighted_segre(space: WeightedSpace, order: int) -> TruncSeries:
     """Multiplicative inverse of the weighted Chern class through ``order``."""
     pieces, den = _segre_numerators(space.lines, space.residual_count, order)
-    body = _rational({e: v for piece in pieces for e, v in piece}, den)
-    return TruncSeries(MultiPoly._make(space.residual_count, body), order)
+    body = {e: v for piece in pieces for e, v in piece}
+    return TruncSeries(MultiPoly._make(space.residual_count, body, den), order)
 
 
 def weight_gcd(space: WeightedSpace) -> int:
@@ -169,7 +168,7 @@ def fiber_integrate_power(space: WeightedSpace, i: int) -> MultiPoly:
     if space.is_empty():
         return MultiPoly.zero(n)
     out, den = _stage_fold({(i,) + (0,) * n: 1}, space.lines, n)
-    return MultiPoly._make(n, _rational(out, den))
+    return MultiPoly._make(n, out, den)
 
 
 def parse_weighted_space(text: str) -> WeightedSpace:

@@ -271,7 +271,7 @@ def ref_lambda_flag(model: TorusModel, fp_id: str, flag, cls: EquivariantClass) 
 
 
 def exact_shape(p: MultiPoly) -> bool:
-    """Every stored coefficient is an int, or a Fraction that is not integral."""
+    """Every coefficient `terms` reads is an int, or a Fraction that is not integral."""
     return all(
         type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.terms.values()
     )
@@ -287,7 +287,7 @@ mixed_coeffs = st.one_of(
 def mixed_polys(nvars, max_exp=3, max_terms=5):
     exponents = st.tuples(*([st.integers(0, max_exp)] * nvars))
     return st.dictionaries(exponents, mixed_coeffs, max_size=max_terms).map(
-        lambda terms: MultiPoly._make(nvars, terms)
+        lambda terms: MultiPoly(nvars, terms)
     )
 
 

@@ -305,9 +305,11 @@ class TestStrictFixedPoint:
             FixedPoint("a", (Fraction(0), bad), ((1, 0),))
 
     def test_zero_denominator_moment_is_model_error(self):
-        # used to be a bare ZeroDivisionError; only load_model mapped it
-        with pytest.raises(ModelFormatError, match="fixed point 'a': .*zero denominator"):
-            FixedPoint("a", ("1/0",), ((1,),))
+        # used to be a bare ZeroDivisionError ("1/0") or ValueError ("x",
+        # "1/x"); only load_model mapped them
+        for bad, reason in (("1/0", "zero denominator"), ("x", "Invalid literal"), ("1/x", "Invalid literal")):
+            with pytest.raises(ModelFormatError, match=f"fixed point 'a': .*{reason}"):
+                FixedPoint("a", (bad,), ((1,),))
 
     @pytest.mark.parametrize("bad", [5, None, ("a",)])
     def test_non_string_id_is_rejected(self, bad):

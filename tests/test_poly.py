@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -93,11 +93,13 @@ class TestLinearSubstitute:
         with pytest.raises(DimensionMismatch):
             linear_substitute(MultiPoly.variable(2, 0), [(1, 0)])
 
-    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1", Fraction(1)])
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1", Fraction(1), [1, 2], [(1, 0), 5]])
     def test_non_integer_basis_entry_is_rejected(self, bad):
-        # int(1.7) used to turn u1 + 2*u2 into itself under [[1.7, 0], [0, 1]]
+        # int(1.7) used to turn u1 + 2*u2 into itself under [[1.7, 0], [0, 1]];
+        # a list is a whole basis whose rows are not sequences (len() used to fail)
+        basis = bad if isinstance(bad, list) else [[bad, 0], [0, 1]]
         with pytest.raises(PlanFormatError, match="basis entries must be integers"):
-            linear_substitute(MultiPoly.linear_form([1, 2]), [[bad, 0], [0, 1]])
+            linear_substitute(MultiPoly.linear_form([1, 2]), basis)
 
 
 class TestHomogeneousPart:
@@ -167,9 +169,9 @@ def test_poly_str_canonical_order():
 #
 # The reference (here and in helpers.py) works on {exponent: Fraction}
 # dictionaries with the schoolbook loops the kernels replace.  Inputs mix int, Fraction and
-# integral Fraction (such as Fraction(2)) coefficients, the last stored
-# as is through MultiPoly._make, so every storage shape reaches the
-# kernels.
+# integral Fraction (such as Fraction(2)) coefficients; the constructor
+# brings all of them to the one storage, numerators over a reduced
+# denominator, that the kernels read.
 
 
 def ref_pow(a, n, nvars):
@@ -294,6 +296,47 @@ def test_series_invert_matches_sympy(p, c0, order):
     assert ref_terms(inverse.body) == sympy_invert(p, order)
 
 
+def is_canonical(p: MultiPoly) -> bool:
+    """Integer numerators, none zero, over an int den >= 1 sharing no factor with them."""
+    values = p.numerators.values()
+    return (
+        type(p.den) is int
+        and p.den >= 1
+        and all(type(v) is int and v for v in values)
+        and gcd(p.den, *values) == 1
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(mixed_polys(d, 2, 4), mixed_polys(d, 2, 4), unimodular(d))
+    ),
+    mixed_coeffs.filter(bool),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_every_result_is_canonical(case, c, n, order):
+    p, q, basis = case
+    results = [
+        p + q,
+        p - q,
+        p * q,
+        p * Fraction(c),
+        p**n,
+        linear_substitute(p, basis),
+        series_invert(p - p.constant_term() + c, order).body,
+    ]
+    for r in results:
+        assert is_canonical(r)
+        # equal terms, built afresh, give equal storage and equal hashes
+        twin = MultiPoly(r.nvars, {e: Fraction(v) for e, v in r.terms.items()})
+        assert (twin.numerators, twin.den) == (r.numerators, r.den)
+        assert hash(twin) == hash(r)
+        if r.den > 1:  # the same numerators over another denominator hash apart
+            assert hash(r) != hash(r * r.den)
+
+
 class TestCoefficientTypes:
     def test_integer_constructors_store_int(self):
         assert type(MultiPoly.const(2, 3).terms[(0, 0)]) is int
@@ -316,8 +359,8 @@ class TestCoefficientTypes:
         assert type(3 / MultiPoly.const(0, 2).constant_term()) is Fraction
 
     def test_equal_values_hash_alike_across_storage(self):
-        as_int = MultiPoly._make(2, {(1, 0): 2, (0, 0): -1})
-        as_fraction = MultiPoly._make(2, {(1, 0): Fraction(2), (0, 0): Fraction(-1)})
+        as_int = MultiPoly(2, {(1, 0): 2, (0, 0): -1})
+        as_fraction = MultiPoly(2, {(1, 0): Fraction(2), (0, 0): Fraction(-1)})
         assert as_int == as_fraction
         assert hash(as_int) == hash(as_fraction)
         assert len({as_int, as_fraction}) == 1

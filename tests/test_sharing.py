@@ -184,16 +184,16 @@ def test_prequantum_class_builds_one_form_per_distinct_moment(monkeypatch, build
 
 
 def test_int_and_fraction_restrictions_share_one_key(monkeypatch):
-    # Equal in value, stored once with int and once with Fraction
-    # coefficients: hash(2) == hash(Fraction(2)), so they group together.
+    # Equal in value, given once with int and once with Fraction
+    # coefficients: both are stored alike, so they group together.
     weights = ((1,), (2,), (-1,))
     model = TorusModel(
         rank=1,
         fixed_points=(FixedPoint("a", (0,), weights), FixedPoint("b", (0,), weights[::-1])),
     )
     cls = EquivariantClass({
-        "a": MultiPoly._make(1, {(2,): 2, (0,): -1}),
-        "b": MultiPoly._make(1, {(2,): Fraction(2), (0,): Fraction(-1)}),
+        "a": MultiPoly(1, {(2,): 2, (0,): -1}),
+        "b": MultiPoly(1, {(2,): Fraction(2), (0,): Fraction(-1)}),
     })
     flag = OrientedFlag(((1,),))
     plan = Plan((PlanTerm(1, "a", flag), PlanTerm(3, "b", flag)))
