@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import IO, Sequence, Union
 
@@ -82,18 +82,24 @@ class OrientedFlag:
 
     Reversing the orientation of a stage circle is exactly negating its
     vector, which negates both the stage weights and the stage variable.
-    Stage entries must be ``int``; a float, string or boolean raises
+    Stages must be a list or tuple of stage vectors with ``int`` entries,
+    as many entries per stage as there are stages; anything else (a float,
+    string or boolean entry, ragged stages, a non-sequence) raises
     PlanFormatError.
     """
 
     stages: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not isinstance(self.stages, (list, tuple)):
+            raise PlanFormatError(f"flag must be a list of stage vectors, got {self.stages!r}")
         stages = tuple(strict_int_vector(s, "flag stage", PlanFormatError) for s in self.stages)
         object.__setattr__(self, "stages", stages)
         d = len(stages)
         if any(len(s) != d for s in stages):
-            raise ValueError("flag stage vectors must all have length equal to the rank")
+            raise PlanFormatError(
+                f"flag stage vectors must all have length equal to the rank, got {stages!r}"
+            )
 
     @property
     def rank(self) -> int:
@@ -139,15 +145,28 @@ class Plan:
         return len(self.terms)
 
 
+@lru_cache(maxsize=4096)
+def _flag_line(weight: tuple[int, ...], stages: tuple[tuple[int, ...], ...]) -> tuple | None:
+    """The stage index and line of one weight in flag coordinates, or None
+    for a zero weight.
+
+    The weight a is rewritten as a'_i = <a, stage_i> and goes to the first
+    stage j with a'_j nonzero, as the line (a'_j, (a'_{j+1}, ..., a'_d)).
+    Cached, so each (weight, flag) pair is rewritten once.
+    """
+    coords = [sum(map(mul, weight, stage)) for stage in stages]
+    for j, c in enumerate(coords):
+        if c:
+            return j, (c, tuple(coords[j + 1 :]))
+    return None
+
+
 def _stage_lines(point: FixedPoint, stages: tuple[tuple[int, ...], ...]) -> list[tuple]:
     """Group the tangent weights of a fixed point by flag stage, as plain
-    (circle weight, residual vector) line tuples.
+    (circle weight, residual vector) line tuples placed by ``_flag_line``.
 
-    Each weight a is rewritten in flag coordinates a'_i = <a, stage_i> and
-    assigned to the first stage j with a'_j nonzero; there it is a line
-    with circle weight a'_j and residual vector (a'_{j+1}, ..., a'_d).
     A weight whose length is not the flag's rank raises DimensionMismatch,
-    a zero weight ModelFormatError.
+    a zero weight ModelFormatError, on every call.
     """
     d = len(stages)
     stage_lines: list[list] = [[] for _ in range(d)]
@@ -157,13 +176,10 @@ def _stage_lines(point: FixedPoint, stages: tuple[tuple[int, ...], ...]) -> list
                 f"weight {weight} of fixed point {point.id!r} has length {len(weight)},"
                 f" but the flag has rank {d}"
             )
-        transformed = [sum(map(mul, weight, stage)) for stage in stages]
-        for j, c in enumerate(transformed):
-            if c:
-                stage_lines[j].append((c, tuple(transformed[j + 1 :])))
-                break
-        else:
+        placed = _flag_line(weight, stages)
+        if placed is None:
             raise ModelFormatError(f"fixed point {point.id!r}: zero tangent weight")
+        stage_lines[placed[0]].append(placed[1])
     return [tuple(lines) for lines in stage_lines]
 
 
@@ -210,8 +226,8 @@ def lambda_flag(
     numerators in flag coordinates over its one denominator, and
     ``_stage_fold`` folds the line tuples of ``_stage_lines`` stage by
     stage, each Segre denominator joining the one denominator.  Only the
-    final constant becomes a Fraction, scaled by the model's global
-    stabilizer order.  Inadmissible pairs (an empty stage) evaluate to 0.
+    final constant, scaled by the model's global stabilizer order, becomes
+    a Fraction.  Inadmissible pairs (an empty stage) evaluate to 0.
     """
     if not model.has_fixed_point(fp_id):
         raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
@@ -226,7 +242,7 @@ def lambda_flag(
         if not numerators:
             return Fraction(0)
         den *= stage_den
-    return Fraction(numerators[()], den) * model.global_stabilizer_order
+    return Fraction(numerators[()] * model.global_stabilizer_order, den)
 
 
 def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fraction:
@@ -336,6 +352,6 @@ def load_plan(source: Union[str, IO[str]]) -> Plan:
             flag = OrientedFlag(entry["flag"])
             flag = flags.setdefault(flag, flag)
             terms.append(PlanTerm(entry["coefficient"], entry["fixed_point"], flag))
-        except (PlanFormatError, KeyError, TypeError, ValueError) as err:
+        except (PlanFormatError, KeyError, TypeError) as err:
             raise PlanFormatError(f"bad plan term {entry!r}: {err}")
     return Plan(tuple(terms))

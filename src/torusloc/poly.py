@@ -399,12 +399,14 @@ def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly
     This is the ring homomorphism induced by rewriting the torus in the
     basis of circle directions ``basis``; it distributes over sums and
     products by construction.  ``_int_substitute`` forms the image on the
-    integer numerators.  A basis row that is not a list or tuple, or an
-    entry that is not an ``int`` (a float, string or boolean), raises
+    integer numerators.  A basis or basis row that is not a list or tuple,
+    or an entry that is not an ``int`` (a float, string or boolean), raises
     PlanFormatError instead of being truncated.
     """
     d = p.nvars
-    if any(not isinstance(xi, (list, tuple)) or any(type(a) is not int for a in xi) for xi in basis):
+    if not isinstance(basis, (list, tuple)) or any(
+        not isinstance(xi, (list, tuple)) or any(type(a) is not int for a in xi) for xi in basis
+    ):
         raise PlanFormatError(f"basis entries must be integers in list or tuple rows, got {basis!r}")
     if len(basis) != d or any(len(xi) != d for xi in basis):
         raise DimensionMismatch(f"basis must consist of {d} vectors of length {d}")

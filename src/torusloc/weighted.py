@@ -25,7 +25,6 @@ from .poly import (
     MultiPoly,
     TruncSeries,
     _affine_pieces,
-    _int_invert,
     affine_product,
     series_invert,  # noqa: F401  re-exported; instrumentation wraps it by this name
 )
@@ -86,13 +85,36 @@ def _segre_numerators(lines: tuple[Line, ...], residual_count: int, order: int) 
 
     Returns (pieces, den): pieces[i] holds the (exponent, numerator) pairs
     of total exponent i, and the Segre piece s_i is their sum over den =
-    c0^(order+1), with c0 the product of the circle weights.  The Chern
-    class is formed only through ``order``.  Tuples, so no caller can
-    alter the cache.
+    c0^(order+1), with c0 the product of the circle weights.  Tuples, so
+    no caller can alter the cache.
+
+    The class is the product of one geometric series per line, built with
+    no Chern class and no inversion.  If P_n / c^(n+1) are the pieces for
+    the lines so far, c the product of their circle weights, one more line
+    (a, b) gives pieces N_n / (c a)^(n+1) with
+    N_n = a^n P_n - c <b,u> N_(n-1), from (a + <b,u>) S_new = S_old.
+    At the end N_n times c0^(order-n) puts every piece over den.
     """
-    chern = _affine_pieces(residual_count, lines, order)
-    pieces, den = _int_invert(chern, residual_count, order)
-    return tuple(tuple(piece.items()) for piece in pieces), den
+    pieces: list[dict] = [{(0,) * residual_count: 1}] + [{} for _ in range(order)]
+    c = 1
+    for a, residual in lines:
+        shifts = [(i, c * b) for i, b in enumerate(residual) if b]
+        scale = 1
+        for n in range(1, order + 1):  # upwards, so piece n-1 is already N_(n-1)
+            scale *= a
+            out = {e: v * scale for e, v in pieces[n].items()}
+            if shifts:
+                get = out.get
+                for e, v in pieces[n - 1].items():
+                    for i, cb in shifts:
+                        e_up = e[:i] + (e[i] + 1,) + e[i + 1 :]
+                        out[e_up] = get(e_up, 0) - cb * v
+            pieces[n] = out
+        c *= a
+    rescale = [c ** (order - n) for n in range(order + 1)]
+    return tuple(
+        tuple((e, v * r) for e, v in piece.items() if v) for piece, r in zip(pieces, rescale)
+    ), c ** (order + 1)
 
 
 def weighted_segre(space: WeightedSpace, order: int) -> TruncSeries:

@@ -287,6 +287,15 @@ class TestFlagRank:
         assert out == ""
         assert "flag has rank" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", [5, [[1, 0], [0]]], ids=["non-sequence", "ragged"])
+    def test_malformed_flag_is_domain_error(self, capsys, tmp_path, flag):
+        # OrientedFlag raises PlanFormatError for both; load_plan keeps exit 3
+        plan = [{"coefficient": 1, "fixed_point": "a", "flag": flag}]
+        code, out, err = _pair_files(capsys, tmp_path, RANK2_MODEL, plan, cls="L")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestLooseModelFields:
     """Model ids must be strings and moments lists; each case exits 3."""

@@ -1,6 +1,7 @@
 import io
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -359,6 +360,44 @@ class TestStrictFlag:
 
     def test_lists_and_tuples_are_accepted(self):
         assert OrientedFlag(([1, 0], (0, -1))).stages == ((1, 0), (0, -1))
+
+    def test_ragged_stages_are_rejected(self):
+        # used to end in a bare ValueError
+        with pytest.raises(PlanFormatError, match="length equal to the rank"):
+            OrientedFlag(((1, 0), (0,)))
+
+    @pytest.mark.parametrize("bad", [5, None, "10"])
+    def test_non_sequence_flag_is_rejected(self, bad):
+        # OrientedFlag(5) used to end in a bare TypeError
+        with pytest.raises(PlanFormatError, match="list of stage vectors"):
+            OrientedFlag(bad)
+
+
+class TestStageLinesCheckEveryCall:
+    """Flag coordinates are cached per (weight, flag); the checks are not."""
+
+    def test_zero_and_wrong_length_weights_raise_on_every_call(self):
+        origin = (Fraction(0), Fraction(0))
+        points = {
+            "a": FixedPoint("a", origin, ((1, 0), (0, 1), (1, 1))),
+            "z": FixedPoint("z", origin, ((1, 0), (0, 0), (0, 1))),
+            "s": FixedPoint("s", origin, ((1, 0), (1,), (0, 1))),
+        }
+        # the parts of a TorusModel that lambda_flag reads, without its weight checks
+        model = SimpleNamespace(
+            has_fixed_point=points.__contains__,
+            fixed_point=points.__getitem__,
+            global_stabilizer_order=1,
+        )
+        flag = OrientedFlag(((0, 1), (1, 0)))
+        cls = EquivariantClass({i: MultiPoly(2, {(1, 0): 1}) for i in points})
+        for _ in range(3):
+            # the good point fills the cache for (1, 0) and (0, 1) under this flag
+            lambda_flag(model, "a", flag, cls)
+            with pytest.raises(ModelFormatError, match="zero tangent weight"):
+                lambda_flag(model, "z", flag, cls)
+            with pytest.raises(DimensionMismatch, match="flag has rank"):
+                lambda_flag(model, "s", flag, cls)
 
 
 class TestStrictPlanTerm:

@@ -101,6 +101,12 @@ class TestLinearSubstitute:
         with pytest.raises(PlanFormatError, match="basis entries must be integers"):
             linear_substitute(MultiPoly.linear_form([1, 2]), basis)
 
+    @pytest.mark.parametrize("bad", [5, None, 1.5])
+    def test_non_sequence_basis_is_rejected(self, bad):
+        # used to end in a bare TypeError ("'int' object is not iterable")
+        with pytest.raises(PlanFormatError, match="basis entries must be integers"):
+            linear_substitute(MultiPoly.linear_form([1, 2]), bad)
+
 
 class TestHomogeneousPart:
     def test_binomial_cube(self):

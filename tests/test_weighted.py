@@ -13,6 +13,7 @@ from torusloc import (
     homogeneous_part,
     parse_weighted_space,
     ring_relation,
+    series_invert,
     weight_gcd,
     weighted_chern,
     weighted_segre,
@@ -248,3 +249,31 @@ def test_gcd_over_constant_term_is_a_fraction():
     v = space((2, ()), (-4, ()), (6, ()))
     ratio = weight_gcd(v) / weighted_chern(v).constant_term()
     assert type(ratio) is Fraction and ratio == Fraction(-1, 24)
+
+
+# ----------------------------------------------------------------------
+# geometric-series Segre kernel
+
+
+def test_segre_numerators_with_repeated_and_negative_weights():
+    from torusloc.weighted import _segre_numerators
+
+    # 1/((-1 + u)^2 (2 - u)) = (1 + 2u + 3u^2)(1/2 + u/4 + u^2/8) + ...
+    #                        = 1/2 + 5u/4 + 17u^2/8, over c0^3 = 2^3
+    pieces, den = _segre_numerators(((-1, (1,)), (2, (-1,)), (-1, (1,))), 1, 2)
+    assert den == 8
+    assert [dict(piece) for piece in pieces] == [{(0,): 4}, {(1,): 10}, {(2,): 17}]
+    # 1/((-2 + u1)^2 (1 - u2)) = (1/4 + u1/4 + 3u1^2/16)(1 + u2 + u2^2) + ...
+    pieces, den = _segre_numerators(((-2, (1, 0)), (1, (0, -1)), (-2, (1, 0))), 2, 2)
+    assert den == 64
+    assert [dict(piece) for piece in pieces] == [
+        {(0, 0): 16},
+        {(1, 0): 16, (0, 1): 16},
+        {(2, 0): 12, (1, 1): 16, (0, 2): 16},
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3).flatmap(spaces), st.integers(0, 6))
+def test_weighted_segre_is_the_inverted_chern_class(v, order):
+    assert weighted_segre(v, order) == series_invert(weighted_chern(v), order)
