@@ -81,6 +81,16 @@ class FixedPoint:
             weights = tuple(strict_int_vector(w, what) for w in weights)
         object.__setattr__(self, "weights", weights)
 
+    @classmethod
+    def _make(cls, id: str, moment: Moment, weights: tuple[Weight, ...]) -> "FixedPoint":
+        """Internal constructor for checked parts; fields are set in order so
+        the instance dicts share their keys."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "id", id)
+        object.__setattr__(obj, "moment", moment)
+        object.__setattr__(obj, "weights", weights)
+        return obj
+
     @cached_property
     def sorted_weights(self) -> tuple[Weight, ...]:
         """The weights as a canonical multiset; flag evaluations depend only on it."""
@@ -110,6 +120,33 @@ class TorusModel:
             raise ModelFormatError("global_stabilizer_order must be positive")
         if self.weyl_order is not None and self.weyl_order < 1:
             raise ModelFormatError("weyl_order must be positive")
+        # Point checks depend only on values: run them on distinct values and
+        # scan the points in order, to name the first bad one, only on failure.
+        points = self.fixed_points
+        weights = [*map(operator.attrgetter("weights"), points)]
+        distinct_weights = {*itertools.chain.from_iterable(weights)}
+        if (
+            len({*map(operator.attrgetter("id"), points)}) != len(points)
+            or {*map(len, map(operator.attrgetter("moment"), points))} - {self.rank}
+            or len({*map(len, weights)}) > 1
+            or any(len(w) != self.rank or not any(w) for w in distinct_weights)
+        ):
+            self._scan_points()
+        if self.roots is not None:
+            if not isinstance(self.roots, (list, tuple)):
+                raise ModelFormatError(f"roots must be a list, got {self.roots!r}")
+            roots = tuple(strict_int_vector(r, "root") for r in self.roots)
+            object.__setattr__(self, "roots", roots)
+            if len(roots) % 2:
+                raise ModelFormatError("root list must have even length")
+            for r in roots:
+                if len(r) != self.rank:
+                    raise ModelFormatError(f"root {r} has length {len(r)}, expected {self.rank}")
+                if tuple(-a for a in r) not in roots:
+                    raise ModelFormatError(f"root list is not closed under negation: {r}")
+
+    def _scan_points(self):
+        """Raise ModelFormatError naming the first fixed point that fails a check."""
         seen = set()
         n_weights = None
         for fp in self.fixed_points:
@@ -133,18 +170,6 @@ class TorusModel:
                     )
                 if not any(w):
                     raise ModelFormatError(f"fixed point {fp.id!r}: zero tangent weight")
-        if self.roots is not None:
-            if not isinstance(self.roots, (list, tuple)):
-                raise ModelFormatError(f"roots must be a list, got {self.roots!r}")
-            roots = tuple(strict_int_vector(r, "root") for r in self.roots)
-            object.__setattr__(self, "roots", roots)
-            if len(roots) % 2:
-                raise ModelFormatError("root list must have even length")
-            for r in roots:
-                if len(r) != self.rank:
-                    raise ModelFormatError(f"root {r} has length {len(r)}, expected {self.rank}")
-                if tuple(-a for a in r) not in roots:
-                    raise ModelFormatError(f"root list is not closed under negation: {r}")
 
     @cached_property
     def _by_id(self) -> dict[str, FixedPoint]:
@@ -285,9 +310,9 @@ def build_sphere_product(n: int) -> TorusModel:
         raise ValueError("n must be a positive integer")
     check_family_size("spheres", 2, n)
     moments = [(Fraction(n - 2 * size),) for size in range(n + 1)]
-    signs = ((1,), (-1,))
+    signs = tuple(strict_int_vector(w, "weight") for w in ((1,), (-1,)))
     points = [
-        FixedPoint(sphere_label_id(south), moments[len(south)], tuple(map(signs.__getitem__, word)))
+        FixedPoint._make(sphere_label_id(south), moments[len(south)], tuple(map(signs.__getitem__, word)))
         for word, (_, south) in assignments(n, 2)
     ]
     return TorusModel(
@@ -335,7 +360,7 @@ def build_cp_product(k: int, n: int) -> TorusModel:
     if n < 1:
         raise ValueError("n must be a positive integer")
     check_family_size(f"cp{k - 1}", k, n)
-    vertex_weights = cp_vertex_weights(k)
+    vertex_weights = [tuple(strict_int_vector(w, "weight") for w in ws) for ws in cp_vertex_weights(k)]
     moments: dict[tuple[int, ...], Moment] = {}
     points = []
     for word, groups in assignments(n, k):
@@ -344,7 +369,7 @@ def build_cp_product(k: int, n: int) -> TorusModel:
         if moment is None:
             moment = moments[sizes] = tuple(Fraction(n - k * size) for size in sizes[:-1])
         weights = tuple(itertools.chain.from_iterable(map(vertex_weights.__getitem__, word)))
-        points.append(FixedPoint(cp_label_id(groups), moment, weights))
+        points.append(FixedPoint._make(cp_label_id(groups), moment, weights))
     roots = None
     weyl = None
     if k == 3:
@@ -463,6 +488,16 @@ def load_model(source: Union[str, IO[str]]) -> TorusModel:
         raise ModelFormatError(f"model file is missing field {missing}")
     if not isinstance(raw_points, list):
         raise ModelFormatError("fixed_points must be a list")
+    parsed: dict[str, Fraction] = {}  # str keys only: True == 1 must not reuse an entry
+
+    def rational(x) -> Fraction:
+        if type(x) is not str:
+            return _parse_rational(x)
+        value = parsed.get(x)
+        if value is None:
+            value = parsed[x] = _parse_rational(x)
+        return value
+
     points = []
     for entry in raw_points:
         try:
@@ -473,7 +508,7 @@ def load_model(source: Union[str, IO[str]]) -> TorusModel:
             moment = entry["moment"]
             if not isinstance(moment, list):
                 raise ModelFormatError(f"moment must be a list, got {moment!r}")
-            moment = tuple(_parse_rational(x) for x in moment)
+            moment = tuple(map(rational, moment))
             weights = tuple(entry["weights"])
         except (ModelFormatError, KeyError, TypeError, ValueError) as err:
             raise ModelFormatError(f"fixed point {fp_id!r}: {err}")

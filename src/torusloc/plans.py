@@ -48,10 +48,11 @@ def wall_list(model: TorusModel, xi: Sequence[int]) -> WallList:
     """Group the fixed points by the value of their moment against xi."""
     if len(xi) != model.rank:
         raise Unsupported(f"direction must have length {model.rank}")
+    moments = {fp.moment for fp in model.fixed_points}
+    values = {m: sum((c * x for c, x in zip(xi, m)), Fraction(0)) for m in moments}
     groups: dict[Fraction, list[str]] = {}
     for fp in model.fixed_points:
-        value = sum((c * m for c, m in zip(xi, fp.moment)), Fraction(0))
-        groups.setdefault(value, []).append(fp.id)
+        groups.setdefault(values[fp.moment], []).append(fp.id)
     entries = tuple((value, tuple(groups[value])) for value in sorted(groups))
     return WallList(entries)
 
@@ -61,22 +62,21 @@ def rank1_plan(model: TorusModel, p0: Union[int, Fraction], direction: int) -> P
     image through increasing (+1) or decreasing (-1) values.
 
     Every fixed point strictly on the exit side contributes one term with
-    coefficient +1 and the single-stage flag oriented along the path.
+    coefficient +1 and the single-stage flag oriented along the path, in
+    point order; walls and sides are tested once per distinct moment value.
     """
     if model.rank != 1:
         raise Unsupported("rank1_plan requires a rank-1 model")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     p0 = Fraction(p0)
-    if any(fp.moment[0] == p0 for fp in model.fixed_points):
-        raise NotRegular(f"{p0} is a wall value")
+    exits: dict[Fraction, bool] = {}
+    for value in {fp.moment[0] for fp in model.fixed_points}:
+        if value == p0:
+            raise NotRegular(f"{p0} is a wall value")
+        exits[value] = (value - p0) * direction > 0
     flag = OrientedFlag(((direction,),))
-    terms = tuple(
-        PlanTerm(1, fp.id, flag)
-        for fp in model.fixed_points
-        if (fp.moment[0] - p0) * direction > 0
-    )
-    return Plan(terms)
+    return Plan(tuple(PlanTerm(1, fp.id, flag) for fp in model.fixed_points if exits[fp.moment[0]]))
 
 
 def _cp2_predicates(n: int, variant: str):

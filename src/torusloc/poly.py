@@ -1,9 +1,9 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in d variables is stored as integer numerators over one
-denominator: a dictionary mapping exponent tuples (one nonnegative integer
-per variable) to nonzero ``int`` numerators, and an ``int`` ``den >= 1``
-with gcd(den, *numerators) == 1:
+denominator: a read-only mapping from exponent tuples (one nonnegative
+integer per variable) to nonzero ``int`` numerators, and an ``int``
+``den >= 1`` with gcd(den, *numerators) == 1:
 
     u1^2 * u2 + 3/2   ->   numerators {(2, 1): 2, (0, 0): 3}, den 2
 
@@ -20,7 +20,8 @@ corresponds to cohomological degree 2 (each variable u_i has degree 2),
 so every degree computation below is in exponent units.
 
 Values are immutable after construction and all operations are pure, so
-they can be shared freely across threads or worker processes.
+they can be shared freely across threads or worker processes; they pickle
+and copy through the internal constructor.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, PlanFormatError, ZeroConstantTerm
@@ -84,11 +86,11 @@ def _linear_power(form: dict, m: int) -> dict:
 class MultiPoly:
     """A sparse polynomial in ``nvars`` variables with exact coefficients.
 
-    Stored as ``numerators`` (nonzero ``int`` values by exponent) over one
-    ``int`` ``den >= 1``, reduced so that gcd(den, *numerators) == 1; two
-    polynomials are equal exactly when their values are.  ``terms`` reads
-    the coefficients back, and ``constant_term`` and ``as_constant``
-    return ``Fraction``.
+    Stored as ``numerators`` (a read-only mapping of nonzero ``int`` values
+    by exponent) over one ``int`` ``den >= 1``, reduced so that
+    gcd(den, *numerators) == 1; two polynomials are equal exactly when
+    their values are.  ``terms`` reads the coefficients back, and
+    ``constant_term`` and ``as_constant`` return ``Fraction``.
     """
 
     __slots__ = ("nvars", "numerators", "den", "_hash")
@@ -112,7 +114,7 @@ class MultiPoly:
     def _store(self, nvars: int, numerators: dict, den: int):
         """Set the canonical storage of numerators / den (den != 0): zeros
         dropped, den made positive and divided with the numerators by their
-        common gcd."""
+        common gcd, and the numerators held behind a read-only view."""
         numerators = {e: v for e, v in numerators.items() if v}
         if den != 1:
             g = gcd(den, *numerators.values())
@@ -122,7 +124,7 @@ class MultiPoly:
                 den //= g
                 numerators = {e: v // g for e, v in numerators.items()}
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "numerators", MappingProxyType(numerators))
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
@@ -135,6 +137,9 @@ class MultiPoly:
         obj = object.__new__(cls)
         obj._store(nvars, numerators, den)
         return obj
+
+    def __reduce__(self):
+        return (MultiPoly._make, (self.nvars, dict(self.numerators), self.den))
 
     # ------------------------------------------------------------------
     # constructors

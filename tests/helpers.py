@@ -13,6 +13,8 @@ from torusloc import (
     EquivariantClass,
     FixedPoint,
     MultiPoly,
+    NotRegular,
+    OrientedFlag,
     Plan,
     PlanTerm,
     TorusModel,
@@ -158,6 +160,28 @@ def ref_cp2_plan(n: int, variant: str) -> Plan:
                 terms.append(PlanTerm(1, ref_cp_point_id(partition), flag))
                 break
     return Plan(tuple(terms))
+
+
+def ref_rank1_plan(model: TorusModel, p0, direction: int) -> Plan:
+    """The rank-1 path plan with the wall check and side test run on every point."""
+    p0 = Fraction(p0)
+    if any(fp.moment[0] == p0 for fp in model.fixed_points):
+        raise NotRegular(f"{p0} is a wall value")
+    flag = OrientedFlag(((direction,),))
+    return Plan(tuple(
+        PlanTerm(1, fp.id, flag)
+        for fp in model.fixed_points
+        if (fp.moment[0] - p0) * direction > 0
+    ))
+
+
+def ref_wall_entries(model: TorusModel, xi) -> tuple:
+    """Wall values against xi, summed afresh at every point, with their point ids."""
+    groups: dict[Fraction, list[str]] = {}
+    for fp in model.fixed_points:
+        value = sum((c * m for c, m in zip(xi, fp.moment)), Fraction(0))
+        groups.setdefault(value, []).append(fp.id)
+    return tuple((value, tuple(groups[value])) for value in sorted(groups))
 
 
 # ----------------------------------------------------------------------

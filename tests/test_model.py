@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,63 @@ class TestBuildersMatchPartitionReference:
         assert cp.fixed_points[0].id == ref_cp_point_id(({4, 3, 2, 1}, (), ()))
         sphere = build_sphere_product(4)
         assert sphere.fixed_points[5].id == ref_sphere_point_id({4, 2})
+
+
+class TestBuilderPointsMatchPublicConstructor:
+    """Builder points skip the per-point checks; the checked public
+    constructor must give back equal points."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [build_cp_product(3, n) for n in range(1, 6)] + [build_sphere_product(n) for n in range(1, 8)],
+    )
+    def test_points_equal_checked_points(self, model):
+        for fp in model.fixed_points:
+            checked = FixedPoint(fp.id, fp.moment, fp.weights)
+            assert list(vars(fp)) == list(vars(checked)) == ["id", "moment", "weights"]
+            assert fp == checked
+            assert fp.sorted_weights == checked.sorted_weights
+
+
+PAIR = ((1, 0), (0, 1))
+
+
+def five_points(third: FixedPoint, fifth: FixedPoint) -> list[FixedPoint]:
+    """Five rank-2 points with ids p0..p4; the third and fifth are given."""
+    good = [FixedPoint(f"p{i}", (i, 0), PAIR) for i in range(5)]
+    return [good[0], good[1], third, good[3], fifth]
+
+
+class TestModelChecksNameTheFirstBadPoint:
+    """TorusModel checks distinct values first; a failure still names the
+    first offending point even when a later point repeats its fault."""
+
+    @pytest.mark.parametrize(
+        "third, fifth, message",
+        [
+            (FixedPoint("p1", (2, 0), PAIR), FixedPoint("p1", (4, 0), PAIR),
+             "duplicate fixed point id 'p1'"),
+            (FixedPoint("p2", (2,), PAIR), FixedPoint("p4", (4,), PAIR),
+             "fixed point 'p2': moment has length 1, expected 2"),
+            (FixedPoint("p2", (2, 0), PAIR + ((1, 1),)), FixedPoint("p4", (4, 0), PAIR + ((1, 1),)),
+             "fixed point 'p2': 3 weights, expected 2"),
+            (FixedPoint("p2", (2, 0), ((1, 0), (0, 1, 1))), FixedPoint("p4", (4, 0), ((1, 0), (0, 1, 1))),
+             "fixed point 'p2': weight (0, 1, 1) has length 3, expected 2"),
+            (FixedPoint("p2", (2, 0), ((1, 0), (0, 0))), FixedPoint("p4", (4, 0), ((1, 0), (0, 0))),
+             "fixed point 'p2': zero tangent weight"),
+        ],
+    )
+    def test_third_point_is_named(self, third, fifth, message):
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+            TorusModel(rank=2, fixed_points=five_points(third, fifth))
+        # the same holds when the fifth point carries a different fault
+        other = FixedPoint("p0", (4,), ((0, 0),))
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+            TorusModel(rank=2, fixed_points=five_points(third, other))
+
+    def test_good_points_pass(self):
+        points = five_points(FixedPoint("p2", (2, 0), PAIR), FixedPoint("p4", (4, 0), PAIR))
+        assert TorusModel(rank=2, fixed_points=points).fixed_points == tuple(points)
 
 
 class TestSphereProduct:
@@ -258,6 +316,33 @@ class TestModelFile:
         bad["fixed_points"][1]["weights"] = [[-1], [-1]]
         with pytest.raises(ModelFormatError, match="south"):
             load_model(io.StringIO(json.dumps(bad)))
+
+    def test_repeated_bad_moment_string_names_its_first_point(self):
+        points = [
+            {"id": fp_id, "moment": [moment], "weights": [[1]]}
+            for fp_id, moment in zip("abcde", ["1", "1/0", "2", "1/0", "3"])
+        ]
+        with pytest.raises(ModelFormatError, match="^fixed point 'b': .*zero denominator"):
+            load_model(io.StringIO(json.dumps({"rank": 1, "fixed_points": points})))
+
+    def test_boolean_moment_is_rejected_after_equal_values_parsed(self):
+        # True == 1, so a memo keyed by value would let it through
+        points = [
+            {"id": fp_id, "moment": [moment], "weights": [[1]]}
+            for fp_id, moment in zip("abc", [1, "1", True])
+        ]
+        with pytest.raises(ModelFormatError, match="^fixed point 'c': .*got True"):
+            load_model(io.StringIO(json.dumps({"rank": 1, "fixed_points": points})))
+
+    def test_repeated_moment_strings_parse_to_equal_fractions(self):
+        points = [
+            {"id": fp_id, "moment": [moment, "-1/3"], "weights": [[1, 0]]}
+            for fp_id, moment in zip("abcd", ["1/2", "2/4", "1/2", 7])
+        ]
+        m = load_model(io.StringIO(json.dumps({"rank": 2, "fixed_points": points})))
+        assert [fp.moment for fp in m.fixed_points] == [
+            (Fraction(1, 2), Fraction(-1, 3))] * 3 + [(Fraction(7), Fraction(-1, 3))]
+        assert {type(x) for fp in m.fixed_points for x in fp.moment} == {Fraction}
 
     def test_roots_not_negation_closed(self):
         bad = json.loads(json.dumps(self.GOOD))

@@ -1,20 +1,27 @@
+import io
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusloc import (
+    FixedPoint,
     ModelTooLarge,
     NotRegular,
     OrientedFlag,
+    TorusModel,
     Unsupported,
     build_cp_product,
     build_sphere_product,
     class_generator,
     cp2_plan,
     evaluate_plan,
+    load_model,
     rank1_plan,
     wall_list,
 )
@@ -28,7 +35,15 @@ from torusloc.closedforms import (
 from torusloc.convolution import uniform_sum_density_at_zero
 from torusloc.plans import THETA1, THETA2
 
-from helpers import all_v_monomials, cp2_volume_class, ref_cp2_plan, sizes_of, v_monomial
+from helpers import (
+    all_v_monomials,
+    cp2_volume_class,
+    ref_cp2_plan,
+    ref_rank1_plan,
+    ref_wall_entries,
+    sizes_of,
+    v_monomial,
+)
 
 
 class TestWallList:
@@ -43,6 +58,37 @@ class TestWallList:
         m = build_cp_product(3, 2)
         walls = wall_list(m, (1, 0))
         assert walls.values() == [Fraction(v) for v in (-4, -1, 2)]
+
+
+# A rank-2 model file whose moment strings repeat across points, some
+# written differently for the same value.
+REPEATED_MOMENTS = {
+    "rank": 2,
+    "fixed_points": [
+        {"id": f"q{i}", "moment": moment, "weights": [[1, 0], [0, 1]]}
+        for i, moment in enumerate(
+            [["1/2", "0"], ["-1", "3/4"], ["1/2", "0"], ["2/4", 0], ["-1", "3/4"], [1, "-3/2"], ["1/2", "0"]]
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "model, xi",
+    [
+        (build_sphere_product(6), (1,)),
+        (build_sphere_product(6), (-3,)),
+        (build_cp_product(3, 4), (1, 0)),
+        (build_cp_product(3, 4), (2, -1)),
+        (build_cp_product(3, 4), (1, 1)),
+        (load_model(io.StringIO(json.dumps(REPEATED_MOMENTS))), (1, 0)),
+        (load_model(io.StringIO(json.dumps(REPEATED_MOMENTS))), (2, -4)),
+    ],
+)
+def test_wall_list_matches_per_point_sums(model, xi):
+    entries = wall_list(model, xi).entries
+    assert entries == ref_wall_entries(model, xi)
+    assert all(type(value) is Fraction for value, _ in entries)
 
 
 class TestRank1Plan:
@@ -90,6 +136,31 @@ class TestRank1Plan:
                 part = v_monomial(m, exponents) * coefficient
                 cls = part if cls is None else cls + part
             assert evaluate_plan(m, forward, cls) == evaluate_plan(m, backward, cls)
+
+
+# Moment values from a small range so that points repeat them; each point
+# gets its own Fraction object, and p0 is sometimes one of the values.
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(RATIONALS, min_size=1, max_size=12),
+    st.one_of(RATIONALS, st.integers(-4, 4)),
+    st.sampled_from((1, -1)),
+)
+def test_rank1_plan_matches_per_point_reference(values, p0, direction):
+    model = TorusModel(
+        rank=1,
+        fixed_points=[FixedPoint(f"p{i}", (v,), ((1,), (-1,))) for i, v in enumerate(values)],
+    )
+    try:
+        expected = ref_rank1_plan(model, p0, direction)
+    except NotRegular as err:
+        with pytest.raises(NotRegular, match=str(err)):
+            rank1_plan(model, p0, direction)
+    else:
+        assert rank1_plan(model, p0, direction).terms == expected.terms
 
 
 class TestUniformSumDensity:

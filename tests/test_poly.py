@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import comb, gcd
 
@@ -341,6 +343,31 @@ def test_every_result_is_canonical(case, c, n, order):
         assert hash(twin) == hash(r)
         if r.den > 1:  # the same numerators over another denominator hash apart
             assert hash(r) != hash(r * r.den)
+
+
+class TestReadOnlyStorage:
+    """A polynomial's storage cannot change under its cached hash, and it
+    still crosses pickle and copy, as worker processes need."""
+
+    POLYS = [
+        MultiPoly.zero(2),
+        MultiPoly.const(1, Fraction(-3, 4)),
+        MultiPoly(2, {(1, 0): Fraction(1, 6), (0, 2): 3, (0, 0): -1}),
+    ]
+
+    @pytest.mark.parametrize("p", POLYS)
+    def test_numerators_reject_assignment(self, p):
+        hash(p)
+        with pytest.raises(TypeError):
+            p.numerators[(0,) * p.nvars] = 5
+        with pytest.raises(AttributeError):
+            p.numerators = {}
+
+    @pytest.mark.parametrize("p", POLYS)
+    def test_pickle_and_copy_round_trip(self, p):
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert twin == p and hash(twin) == hash(p)
+            assert is_canonical(twin) and twin.numerators == p.numerators
 
 
 class TestCoefficientTypes:
