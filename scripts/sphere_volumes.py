@@ -8,16 +8,9 @@ piecewise-polynomial convolution oracle.
 """
 
 import argparse
-from fractions import Fraction
 from math import factorial
 
-from torusloc import (
-    build_sphere_product,
-    class_generator,
-    evaluate_plan,
-    rank1_plan,
-    weyl_correct,
-)
+from torusloc import build_sphere_product, evaluate_plan, rank1_plan, volume_class
 from torusloc.closedforms import sphere_torus_pairing
 from torusloc.convolution import uniform_sum_density_at_zero
 
@@ -33,13 +26,13 @@ def main():
     for n in range(3, args.max_n + 1, 2):
         model = build_sphere_product(n)
         plan = rank1_plan(model, 0, 1)
-        L = class_generator(model, "prequantum")
-        pairing = evaluate_plan(model, plan, L ** (n - 1))
+        torus_cls, m = volume_class(model, "torus")
+        pairing = evaluate_plan(model, plan, torus_cls)
         binomial = sphere_torus_pairing(n)
         oracle = 2**n * factorial(n - 1) * uniform_sum_density_at_zero(n)
-        torus_vol = pairing / factorial(n - 1)
-        rot = evaluate_plan(model, plan, weyl_correct(model, L ** (n - 3)))
-        rot_vol = rot / factorial(n - 3)
+        torus_vol = pairing / factorial(m)
+        rot_cls, m_rot = volume_class(model, "weyl")
+        rot_vol = evaluate_plan(model, plan, rot_cls) / factorial(m_rot)
         status = "" if pairing == binomial == oracle else "  MISMATCH"
         print(
             f"{n:>3} {str(pairing):>16} {str(binomial):>16} {str(oracle):>16}"

@@ -87,8 +87,9 @@ def cmd_pair(args) -> int:
 
 def cmd_volume(args) -> int:
     model = resolve_model(args.model)
-    cls, m = volume_class(model, args.group)
     plan = plan_for(args, model)
+    base = (parse_path(args.path)[0],) if args.path is not None else ()
+    cls, m = volume_class(model, args.group, base)
     coefficient = evaluate_plan(model, plan, cls) / factorial(m)
     text = f"{coefficient} * (2pi)^{m}"
     if args.float:
@@ -181,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--float", action="store_true")
     pair.set_defaults(func=cmd_pair)
 
-    volume = sub.add_parser("volume", help="symplectic volume")
+    volume = sub.add_parser("volume", help="symplectic volume", description=(
+        "Symplectic volume at the --path base point, or at the origin for --plan and"
+        " --cp2-variant.  --group weyl is supported at the origin only."))
     volume.add_argument("--model", required=True)
     volume.add_argument("--group", choices=("torus", "weyl"), required=True)
     _add_plan_source(volume)

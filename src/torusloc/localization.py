@@ -19,14 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 from typing import IO, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
     EmptyStage,
-    ModelFormatError,
     NoRootData,
     NotUnimodular,
     PlanFormatError,
@@ -52,10 +51,12 @@ from .weighted import (
 )
 
 
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
+@lru_cache(maxsize=256)
+def _int_det(rows: tuple[tuple[int, ...], ...]) -> int:
     """Determinant of an integer matrix by Bareiss fraction-free elimination.
 
     Every division is exact, so all intermediate entries stay integers.
+    Cached, since a plan file repeats a few flags over many terms.
     """
     mat = [list(row) for row in rows]
     n = len(mat)
@@ -85,7 +86,8 @@ class OrientedFlag:
     Stages must be a list or tuple of stage vectors with ``int`` entries,
     as many entries per stage as there are stages; anything else (a float,
     string or boolean entry, ragged stages, a non-sequence) raises
-    PlanFormatError.
+    PlanFormatError.  A square matrix whose determinant is not +1 or -1
+    raises NotUnimodular, so every flag that exists is a lattice basis.
     """
 
     stages: tuple[tuple[int, ...], ...]
@@ -100,21 +102,13 @@ class OrientedFlag:
             raise PlanFormatError(
                 f"flag stage vectors must all have length equal to the rank, got {stages!r}"
             )
+        det = _int_det(stages)
+        if abs(det) != 1:
+            raise NotUnimodular(f"flag {stages} has determinant {det}")
 
     @property
     def rank(self) -> int:
         return len(self.stages)
-
-    @cached_property
-    def _determinant(self) -> int:  # once per flag object; load_plan interns equal flags
-        return _int_det(self.stages)
-
-    def determinant(self) -> int:
-        return self._determinant
-
-    def check_unimodular(self):
-        if abs(self.determinant()) != 1:
-            raise NotUnimodular(f"flag {self.stages} has determinant {self.determinant()}")
 
 
 @dataclass(frozen=True)
@@ -146,27 +140,26 @@ class Plan:
 
 
 @lru_cache(maxsize=4096)
-def _flag_line(weight: tuple[int, ...], stages: tuple[tuple[int, ...], ...]) -> tuple | None:
-    """The stage index and line of one weight in flag coordinates, or None
-    for a zero weight.
+def _flag_line(weight: tuple[int, ...], stages: tuple[tuple[int, ...], ...]) -> tuple:
+    """The stage index and line of one weight in flag coordinates.
 
     The weight a is rewritten as a'_i = <a, stage_i> and goes to the first
     stage j with a'_j nonzero, as the line (a'_j, (a'_{j+1}, ..., a'_d)).
-    Cached, so each (weight, flag) pair is rewritten once.
+    The flag is a lattice basis and the weight is nonzero, so such a j
+    exists.  Cached, so each (weight, flag) pair is rewritten once.
     """
     coords = [sum(map(mul, weight, stage)) for stage in stages]
-    for j, c in enumerate(coords):
-        if c:
-            return j, (c, tuple(coords[j + 1 :]))
-    return None
+    j = next(j for j, c in enumerate(coords) if c)
+    return j, (coords[j], tuple(coords[j + 1 :]))
 
 
 def _stage_lines(point: FixedPoint, stages: tuple[tuple[int, ...], ...]) -> list[tuple]:
     """Group the tangent weights of a fixed point by flag stage, as plain
     (circle weight, residual vector) line tuples placed by ``_flag_line``.
 
-    A weight whose length is not the flag's rank raises DimensionMismatch,
-    a zero weight ModelFormatError, on every call.
+    A weight whose length is not the flag's rank raises DimensionMismatch
+    on every call.  It is the one check of a plan's flag against the
+    model, which is why ``evaluate_plan`` evaluates every distinct key.
     """
     d = len(stages)
     stage_lines: list[list] = [[] for _ in range(d)]
@@ -176,10 +169,8 @@ def _stage_lines(point: FixedPoint, stages: tuple[tuple[int, ...], ...]) -> list
                 f"weight {weight} of fixed point {point.id!r} has length {len(weight)},"
                 f" but the flag has rank {d}"
             )
-        placed = _flag_line(weight, stages)
-        if placed is None:
-            raise ModelFormatError(f"fixed point {point.id!r}: zero tangent weight")
-        stage_lines[placed[0]].append(placed[1])
+        j, line = _flag_line(weight, stages)
+        stage_lines[j].append(line)
     return [tuple(lines) for lines in stage_lines]
 
 
@@ -187,7 +178,6 @@ def flag_split(point: FixedPoint, flag: OrientedFlag) -> tuple[list[WeightedSpac
     """The stages of ``_stage_lines`` as validated WeightedSpaces, and the
     substitution basis for rewriting classes in the same coordinates.  An
     empty stage makes the pair inadmissible and every evaluation zero."""
-    flag.check_unimodular()
     spaces = [
         WeightedSpace(lines, residual_count=flag.rank - j - 1)
         for j, lines in enumerate(_stage_lines(point, flag.stages))
@@ -231,7 +221,6 @@ def lambda_flag(
     """
     if not model.has_fixed_point(fp_id):
         raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
-    flag.check_unimodular()
     stages = _stage_lines(model.fixed_point(fp_id), flag.stages)
     if not all(stages):
         return Fraction(0)
@@ -251,7 +240,8 @@ def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fract
     A term's value depends only on the point's restriction, its weight
     multiset and the flag.  Terms are grouped by that key, their
     coefficients summed, and lambda_flag runs once per distinct key, also
-    when the summed coefficient is zero, so a bad flag still raises.
+    when the summed coefficient is zero, so a flag whose rank is not the
+    model's still raises.
     """
     groups: dict[tuple, list] = {}
     for term in plan.terms:
@@ -283,13 +273,15 @@ def weyl_correct(model: TorusModel, cls: EquivariantClass) -> EquivariantClass:
     return cls.pointwise(lambda p: p * root_product * scale)
 
 
-def volume_class(model: TorusModel, group: str) -> tuple[EquivariantClass, int]:
-    """The volume class L^m of the quotient by the torus or the full group, and m.
+def volume_class(model: TorusModel, group: str, base: Sequence = ()) -> tuple[EquivariantClass, int]:
+    """The volume class (L - <p0, u>)^m at the base point p0 (default the
+    origin) of the quotient by the torus or the full group, and m.
 
     m is the quotient's complex dimension: weights per point minus the rank,
     minus the number of roots for group "weyl", where the class is also
-    Weyl-corrected.  Pairing it and dividing by m! gives the coefficient of
-    (2pi)^m in the symplectic volume.
+    Weyl-corrected; that group is supported at the origin only.  Pairing
+    the class over a plan for p0 and dividing by m! gives the coefficient
+    of (2pi)^m in the symplectic volume at p0.
     """
     if group not in ("torus", "weyl"):
         raise ValueError(f"group must be 'torus' or 'weyl', got {group!r}")
@@ -302,10 +294,15 @@ def volume_class(model: TorusModel, group: str) -> tuple[EquivariantClass, int]:
         m -= len(model.roots)
     if m < 0:
         raise Unsupported("negative volume degree: quotient dimension is negative")
-    cls = class_generator(model, "prequantum") ** m
-    if group == "weyl":
-        cls = weyl_correct(model, cls)
-    return cls, m
+    cls = class_generator(model, "prequantum")
+    if any(base):
+        if group == "weyl":
+            raise Unsupported("the full-group volume is defined at the origin only")
+        if len(base) != model.rank:
+            raise DimensionMismatch(f"base point {base} has length {len(base)}, expected {model.rank}")
+        cls = cls - MultiPoly.linear_form(base)
+    cls = cls**m
+    return (weyl_correct(model, cls) if group == "weyl" else cls), m
 
 
 # ----------------------------------------------------------------------
@@ -338,9 +335,9 @@ def load_plan(source: Union[str, IO[str]]) -> Plan:
     """Load a plan from a JSON file path or open text stream.
 
     Coefficients and flag entries must be JSON integers and fixed point
-    ids JSON strings; PlanTerm and OrientedFlag check them.  Equal flags
-    are interned to one object, so each distinct flag checks its
-    determinant once.
+    ids JSON strings; PlanTerm and OrientedFlag check them, so a flag that
+    is not a lattice basis raises NotUnimodular here.  Equal flags are
+    interned to one object to save memory.
     """
     data = read_json(source, PlanFormatError)
     if not isinstance(data, list):

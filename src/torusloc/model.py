@@ -45,8 +45,9 @@ class FixedPoint:
 
     The id must be a ``str``.  Each weight must be a list or tuple of
     ``int``; a float, string or boolean entry raises ModelFormatError
-    instead of being truncated.  Moment entries go through _parse_rational:
-    a float or boolean, a "p/0" or other non-rational string or any other
+    instead of being truncated, and so does a zero weight, since the point
+    would not be isolated.  Moment entries go through _parse_rational: a
+    float or boolean, a "p/0" or other non-rational string or any other
     type raises too.
     """
 
@@ -79,6 +80,8 @@ class FixedPoint:
         else:
             what = f"fixed point {self.id!r}: weight"
             weights = tuple(strict_int_vector(w, what) for w in weights)
+        if not all(map(any, weights)):
+            raise ModelFormatError(f"fixed point {self.id!r}: zero tangent weight")
         object.__setattr__(self, "weights", weights)
 
     @classmethod
@@ -129,7 +132,7 @@ class TorusModel:
             len({*map(operator.attrgetter("id"), points)}) != len(points)
             or {*map(len, map(operator.attrgetter("moment"), points))} - {self.rank}
             or len({*map(len, weights)}) > 1
-            or any(len(w) != self.rank or not any(w) for w in distinct_weights)
+            or {*map(len, distinct_weights)} - {self.rank}
         ):
             self._scan_points()
         if self.roots is not None:
@@ -168,8 +171,6 @@ class TorusModel:
                     raise ModelFormatError(
                         f"fixed point {fp.id!r}: weight {w} has length {len(w)}, expected {self.rank}"
                     )
-                if not any(w):
-                    raise ModelFormatError(f"fixed point {fp.id!r}: zero tangent weight")
 
     @cached_property
     def _by_id(self) -> dict[str, FixedPoint]:

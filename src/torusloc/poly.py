@@ -483,13 +483,10 @@ def series_invert(p: MultiPoly, order: int) -> TruncSeries:
     return TruncSeries(MultiPoly._make(p.nvars, body, inverse_den), order)
 
 
-def poly_str(p: MultiPoly, names: Sequence[str] | None = None) -> str:
-    """Render a polynomial in canonical monomial order.
-
-    Variables default to u1..ud (plain ``u`` when there is one variable).
-    """
-    if names is None:
-        names = ["u"] if p.nvars == 1 else [f"u{i + 1}" for i in range(p.nvars)]
+def poly_str(p: MultiPoly) -> str:
+    """Render a polynomial in canonical monomial order, in the variables
+    u1..ud (plain ``u`` when there is one variable)."""
+    names = ["u"] if p.nvars == 1 else [f"u{i + 1}" for i in range(p.nvars)]
     if p.is_zero():
         return "0"
     parts = []

@@ -275,7 +275,6 @@ def ref_stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
 def ref_lambda_flag(model: TorusModel, fp_id: str, flag, cls: EquivariantClass) -> Fraction:
     """lambda_flag with its own flag split and ref_stage_map folded on
     MultiPoly values."""
-    flag.check_unimodular()
     d = flag.rank
     stage_lines = [[] for _ in range(d)]
     for weight in model.fixed_point(fp_id).weights:

@@ -80,6 +80,21 @@ class TestVolume:
         assert code == 0
         assert out == "1 * (2pi)^0\n"
 
+    @pytest.mark.parametrize("direction", ["+", "-"])
+    def test_sphere_torus_at_a_base_point(self, capsys, direction):
+        # the volume at 1/2, not the chamber polynomial continued to 0 (3 * (2pi)^2)
+        code, out, _ = run(capsys, "volume", "--model", "spheres:3", "--group", "torus",
+                           "--path", f"1/2:{direction}")
+        assert code == 0
+        assert out == "11/4 * (2pi)^2\n"
+
+    def test_weyl_away_from_the_origin_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "volume", "--model", "spheres:5", "--group", "weyl",
+                             "--path", "1/2:+")
+        assert code == 3
+        assert out == ""
+        assert "origin only" in err and "Traceback" not in err
+
 
 class TestWalls:
     def test_sphere_walls(self, capsys):
@@ -286,6 +301,14 @@ class TestFlagRank:
         assert code == 3
         assert out == ""
         assert "flag has rank" in err and "Traceback" not in err
+
+    def test_non_basis_flag_is_domain_error(self, capsys, tmp_path):
+        # OrientedFlag raises NotUnimodular when load_plan makes it
+        plan = [{"coefficient": 1, "fixed_point": "n", "flag": [[2]]}]
+        code, out, err = _pair_files(capsys, tmp_path, SPHERE_MODEL, plan)
+        assert code == 3
+        assert out == ""
+        assert "determinant 2" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", [5, [[1, 0], [0]]], ids=["non-sequence", "ragged"])
     def test_malformed_flag_is_domain_error(self, capsys, tmp_path, flag):

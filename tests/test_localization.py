@@ -1,9 +1,12 @@
 import io
 import random
 from fractions import Fraction
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torusloc import (
     DimensionMismatch,
@@ -33,10 +36,12 @@ from torusloc import (
     volume_class,
     weyl_correct,
 )
+from torusloc.convolution import uniform_sum_density
+from torusloc.localization import _int_det
 from torusloc.model import FixedPoint
 from torusloc.plans import THETA1, rank1_plan
 
-from helpers import monomial_class, ref_cp_point_id
+from helpers import monomial_class, ref_cp_point_id, unimodular
 
 PLUS = OrientedFlag(((1,),))
 MINUS = OrientedFlag(((-1,),))
@@ -44,16 +49,16 @@ MINUS = OrientedFlag(((-1,),))
 
 class TestOrientedFlag:
     def test_unimodular_ok(self):
-        THETA1.check_unimodular()
-        OrientedFlag(((1, 1), (0, 1))).check_unimodular()
+        assert THETA1.rank == 2
+        assert OrientedFlag(((1, 1), (0, 1))).stages == ((1, 1), (0, 1))
 
     def test_not_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            OrientedFlag(((2, 0), (0, 1))).check_unimodular()
+        with pytest.raises(NotUnimodular, match="has determinant 2"):
+            OrientedFlag(((2, 0), (0, 1)))
 
     def test_singular(self):
-        with pytest.raises(NotUnimodular):
-            OrientedFlag(((1, 1), (1, 1))).check_unimodular()
+        with pytest.raises(NotUnimodular, match="has determinant 0"):
+            OrientedFlag(((1, 1), (1, 1)))
 
     @pytest.mark.parametrize(
         "stages, det",
@@ -66,16 +71,28 @@ class TestOrientedFlag:
         ],
     )
     def test_determinant(self, stages, det):
-        value = OrientedFlag(stages).determinant()
+        value = _int_det(stages)
         assert type(value) is int
         assert value == det
 
     def test_determinant_three_by_three(self):
         # A zero leading entry forces a row swap during elimination.
-        flag = OrientedFlag(((0, 1, 0), (1, 0, 2), (0, 3, 1)))
-        assert flag.determinant() == -1
-        flag.check_unimodular()
-        assert OrientedFlag(((2, 1, 0), (1, 1, 4), (0, 0, 3))).determinant() == 3
+        stages = ((0, 1, 0), (1, 0, 2), (0, 3, 1))
+        assert _int_det(stages) == -1
+        assert OrientedFlag(stages).stages == stages
+        assert _int_det(((2, 1, 0), (1, 1, 4), (0, 0, 3))) == 3
+        with pytest.raises(NotUnimodular, match="has determinant 3"):
+            OrientedFlag(((2, 1, 0), (1, 1, 4), (0, 0, 3)))
+
+    @given(st.integers(1, 4).flatmap(unimodular), st.data())
+    def test_bases_construct_and_scaled_rows_raise(self, basis, data):
+        assert OrientedFlag(basis).stages == tuple(basis)
+        row = data.draw(st.integers(0, len(basis) - 1))
+        factor = data.draw(st.sampled_from([2, 3, -2]))
+        scaled = list(basis)
+        scaled[row] = tuple(factor * a for a in basis[row])
+        with pytest.raises(NotUnimodular):
+            OrientedFlag(scaled)
 
 
 class TestFlagSplit:
@@ -120,15 +137,16 @@ class TestFlagSplit:
             flag_split(point, OrientedFlag(stages))
 
     def test_zero_weight_is_model_error(self):
-        # A standalone point skips TorusModel's check; the weight must not vanish.
-        point = FixedPoint(id="z", moment=(Fraction(0),), weights=((1,), (0,)))
-        with pytest.raises(ModelFormatError, match="zero tangent weight"):
-            flag_split(point, PLUS)
+        # A standalone point with a zero weight cannot be made, so no split sees one.
+        for moment, weights in [((0,), ((0,),)), ((0,), ((1,), (0,))), ((0, 0), [[1, 0], (0, 0)]),
+                                ((0,), ((1,), ()))]:
+            with pytest.raises(ModelFormatError, match="^fixed point 'z': zero tangent weight$"):
+                FixedPoint(id="z", moment=moment, weights=weights)
 
     def test_rejects_nonbasis(self):
-        m = build_sphere_product(2)
+        # A flag that is not a lattice basis cannot be made, so no split sees one.
         with pytest.raises(NotUnimodular):
-            flag_split(m.fixed_point("f{}"), OrientedFlag(((2,),)))
+            OrientedFlag(((2,),))
 
 
 class TestStageMap:
@@ -257,11 +275,11 @@ class TestEvaluatePlan:
 
     def test_cancelling_terms_still_check_their_flag(self):
         # The two terms share a key and their coefficients sum to zero; the
-        # flag is still evaluated, so its determinant is still checked.
+        # flag is still evaluated, so its rank is still checked against the model.
         m = build_sphere_product(2)
-        bad = OrientedFlag(((2,),))
-        plan = Plan((PlanTerm(1, "f{}", bad), PlanTerm(-1, "f{}", bad)))
-        with pytest.raises(NotUnimodular):
+        wrong_rank = OrientedFlag(((0, 1), (1, 0)))
+        plan = Plan((PlanTerm(1, "f{}", wrong_rank), PlanTerm(-1, "f{}", wrong_rank)))
+        with pytest.raises(DimensionMismatch, match="flag has rank 2"):
             evaluate_plan(m, plan, class_generator(m, "prequantum"))
 
     def test_term_order_irrelevant(self):
@@ -315,6 +333,33 @@ class TestVolumeClass:
         assert degree == 2 * 5 - 8
         assert cls == weyl_correct(m, class_generator(m, "prequantum") ** degree)
 
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_torus_volume_at_a_base_point_is_the_density_there(self, n):
+        m = build_sphere_product(n)
+        density = uniform_sum_density(n)
+        for p0 in (Fraction(1, 2), Fraction(3, 2), Fraction(-5, 2), Fraction(1, 3), Fraction(-7, 3)):
+            cls, degree = volume_class(m, "torus", (p0,))
+            assert degree == n - 1
+            expected = 2**n * factorial(n - 1) * density.value(p0)
+            for direction in (1, -1):
+                assert evaluate_plan(m, rank1_plan(m, p0, direction), cls) == expected
+
+    def test_base_point_shifts_the_prequantum_class(self):
+        m = build_cp_product(3, 2)
+        base = (Fraction(1, 3), -1)
+        cls, degree = volume_class(m, "torus", base)
+        shift = class_generator(m, "line", direction=base)
+        assert cls == (class_generator(m, "prequantum") - shift) ** degree
+        # the origin, given or not, is the unshifted class
+        assert volume_class(m, "torus", (0, 0)) == volume_class(m, "torus")
+
+    def test_base_point_errors(self):
+        with pytest.raises(Unsupported, match="origin only"):
+            volume_class(build_sphere_product(5), "weyl", (Fraction(1, 2),))
+        assert volume_class(build_sphere_product(5), "weyl", (0,))[1] == 2
+        with pytest.raises(DimensionMismatch, match="base point"):
+            volume_class(build_cp_product(3, 2), "torus", (Fraction(1, 2),))
+
     def test_errors(self):
         with pytest.raises(Unsupported, match="without fixed points"):
             volume_class(TorusModel(1, ()), "torus")
@@ -345,10 +390,8 @@ class TestPlanFiles:
             load_plan(io.StringIO('[{"coefficient": 1}]'))
 
     def test_plan_terms_validate_flag(self):
-        with pytest.raises(NotUnimodular):
-            load_plan(
-                io.StringIO('[{"coefficient": 1, "fixed_point": "f{}", "flag": [[2]]}]')
-            ).terms[0].flag.check_unimodular()
+        with pytest.raises(NotUnimodular, match="has determinant 2"):
+            load_plan(io.StringIO('[{"coefficient": 1, "fixed_point": "f{}", "flag": [[2]]}]'))
 
 
 class TestStrictFlag:
@@ -374,15 +417,17 @@ class TestStrictFlag:
 
 
 class TestStageLinesCheckEveryCall:
-    """Flag coordinates are cached per (weight, flag); the checks are not."""
+    """Flag coordinates are cached per (weight, flag); the length check is not."""
 
     def test_zero_and_wrong_length_weights_raise_on_every_call(self):
         origin = (Fraction(0), Fraction(0))
         points = {
             "a": FixedPoint("a", origin, ((1, 0), (0, 1), (1, 1))),
-            "z": FixedPoint("z", origin, ((1, 0), (0, 0), (0, 1))),
             "s": FixedPoint("s", origin, ((1, 0), (1,), (0, 1))),
         }
+        # a zero weight is refused when the point is made
+        with pytest.raises(ModelFormatError, match="^fixed point 'z': zero tangent weight$"):
+            FixedPoint("z", origin, ((1, 0), (0, 0), (0, 1)))
         # the parts of a TorusModel that lambda_flag reads, without its weight checks
         model = SimpleNamespace(
             has_fixed_point=points.__contains__,
@@ -394,8 +439,6 @@ class TestStageLinesCheckEveryCall:
         for _ in range(3):
             # the good point fills the cache for (1, 0) and (0, 1) under this flag
             lambda_flag(model, "a", flag, cls)
-            with pytest.raises(ModelFormatError, match="zero tangent weight"):
-                lambda_flag(model, "z", flag, cls)
             with pytest.raises(DimensionMismatch, match="flag has rank"):
                 lambda_flag(model, "s", flag, cls)
 

@@ -90,28 +90,31 @@ class TestBuilderPointsMatchPublicConstructor:
 PAIR = ((1, 0), (0, 1))
 
 
-def five_points(third: FixedPoint, fifth: FixedPoint) -> list[FixedPoint]:
-    """Five rank-2 points with ids p0..p4; the third and fifth are given."""
-    good = [FixedPoint(f"p{i}", (i, 0), PAIR) for i in range(5)]
-    return [good[0], good[1], third, good[3], fifth]
+def five_points(third: tuple, fifth: tuple) -> list[FixedPoint]:
+    """Five rank-2 points with ids p0..p4; the third and fifth are given as
+    FixedPoint arguments and made in order, as load_model makes them."""
+    good = [(f"p{i}", (i, 0), PAIR) for i in range(5)]
+    return [FixedPoint(*args) for args in (good[0], good[1], third, good[3], fifth)]
 
 
 class TestModelChecksNameTheFirstBadPoint:
     """TorusModel checks distinct values first; a failure still names the
-    first offending point even when a later point repeats its fault."""
+    first offending point even when a later point repeats its fault.  A
+    zero weight is refused by FixedPoint itself, so the third point is
+    named as it is made."""
 
     @pytest.mark.parametrize(
         "third, fifth, message",
         [
-            (FixedPoint("p1", (2, 0), PAIR), FixedPoint("p1", (4, 0), PAIR),
+            (("p1", (2, 0), PAIR), ("p1", (4, 0), PAIR),
              "duplicate fixed point id 'p1'"),
-            (FixedPoint("p2", (2,), PAIR), FixedPoint("p4", (4,), PAIR),
+            (("p2", (2,), PAIR), ("p4", (4,), PAIR),
              "fixed point 'p2': moment has length 1, expected 2"),
-            (FixedPoint("p2", (2, 0), PAIR + ((1, 1),)), FixedPoint("p4", (4, 0), PAIR + ((1, 1),)),
+            (("p2", (2, 0), PAIR + ((1, 1),)), ("p4", (4, 0), PAIR + ((1, 1),)),
              "fixed point 'p2': 3 weights, expected 2"),
-            (FixedPoint("p2", (2, 0), ((1, 0), (0, 1, 1))), FixedPoint("p4", (4, 0), ((1, 0), (0, 1, 1))),
+            (("p2", (2, 0), ((1, 0), (0, 1, 1))), ("p4", (4, 0), ((1, 0), (0, 1, 1))),
              "fixed point 'p2': weight (0, 1, 1) has length 3, expected 2"),
-            (FixedPoint("p2", (2, 0), ((1, 0), (0, 0))), FixedPoint("p4", (4, 0), ((1, 0), (0, 0))),
+            (("p2", (2, 0), ((1, 0), (0, 0))), ("p4", (4, 0), ((1, 0), (0, 0))),
              "fixed point 'p2': zero tangent weight"),
         ],
     )
@@ -119,13 +122,21 @@ class TestModelChecksNameTheFirstBadPoint:
         with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
             TorusModel(rank=2, fixed_points=five_points(third, fifth))
         # the same holds when the fifth point carries a different fault
-        other = FixedPoint("p0", (4,), ((0, 0),))
+        other = ("p0", (4,), ((0, 1, 1),))
         with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
             TorusModel(rank=2, fixed_points=five_points(third, other))
 
     def test_good_points_pass(self):
-        points = five_points(FixedPoint("p2", (2, 0), PAIR), FixedPoint("p4", (4, 0), PAIR))
+        points = five_points(("p2", (2, 0), PAIR), ("p4", (4, 0), PAIR))
         assert TorusModel(rank=2, fixed_points=points).fixed_points == tuple(points)
+
+    def test_load_model_names_the_first_zero_weight_point(self):
+        points = [
+            {"id": f"p{i}", "moment": [i], "weights": [[0]] if i in (2, 4) else [[1]]}
+            for i in range(5)
+        ]
+        with pytest.raises(ModelFormatError, match="^fixed point 'p2': zero tangent weight$"):
+            load_model(io.StringIO(json.dumps({"rank": 1, "fixed_points": points})))
 
 
 class TestSphereProduct:
@@ -433,11 +444,15 @@ WEIGHTS = st.lists(
 
 
 def per_weight_outcome(weights):
-    """Result or error text of checking each weight through strict_int_vector."""
+    """Result or error text of checking each weight through strict_int_vector,
+    then checking that none is zero."""
     try:
-        return tuple(strict_int_vector(w, "fixed point 'p': weight") for w in weights)
+        checked = tuple(strict_int_vector(w, "fixed point 'p': weight") for w in weights)
     except ModelFormatError as err:
         return str(err)
+    if any(not any(w) for w in checked):
+        return "fixed point 'p': zero tangent weight"
+    return checked
 
 
 def fixed_point_outcome(weights):

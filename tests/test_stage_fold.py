@@ -17,11 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusloc import (
+    DimensionMismatch,
     EmptyStage,
     EquivariantClass,
     MultiPoly,
     NotUnimodular,
     OrientedFlag,
+    Plan,
+    PlanTerm,
     TorusModel,
     WeightedSpace,
     evaluate_plan,
@@ -181,10 +184,10 @@ def test_stage_fold_drops_cancelled_terms():
 
 
 def test_load_plan_shares_equal_flags_and_checks_each_evaluation():
-    good, bad = [[0, 1], [-1, 0]], [[2, 0], [0, 1]]
+    good, other = [[0, 1], [-1, 0]], [[1, 0], [0, 1]]
     entries = [
         {"coefficient": 1, "fixed_point": f"p{i}", "flag": flag}
-        for i, flag in enumerate([good, bad, good, bad])
+        for i, flag in enumerate([good, other, good, other])
     ]
     plan = load_plan(io.StringIO(json.dumps(entries)))
     flags = [term.flag for term in plan.terms]
@@ -196,12 +199,19 @@ def test_load_plan_shares_equal_flags_and_checks_each_evaluation():
     )
     cls = EquivariantClass({fp.id: MultiPoly(2, {(1, 0): 1}) for fp in model.fixed_points})
     assert lambda_flag(model, "p0", flags[0], cls) == lambda_flag(model, "p2", flags[2], cls)
-    # the determinant is kept on the shared flag, the check runs every time
-    for fp_id in ("p1", "p3", "p1"):
-        with pytest.raises(NotUnimodular):
-            lambda_flag(model, fp_id, flags[1], cls)
+    # a flag that is not a basis fails at load, before any evaluation
+    bad = entries + [{"coefficient": 1, "fixed_point": "p0", "flag": [[2, 0], [0, 1]]}]
     with pytest.raises(NotUnimodular):
-        evaluate_plan(model, plan, cls)
+        load_plan(io.StringIO(json.dumps(bad)))
+    # a shared flag of the wrong rank for the model raises on every evaluation
+    flat = TorusModel(rank=1, fixed_points=(FixedPoint("p0", (0,), ((1,), (-1,))),))
+    flat_cls = EquivariantClass({"p0": MultiPoly(1, {(1,): 1})})
+    for _ in range(3):
+        with pytest.raises(DimensionMismatch, match="flag has rank 2"):
+            lambda_flag(flat, "p0", flags[1], flat_cls)
+    cancelling = Plan((PlanTerm(1, "p0", flags[1]), PlanTerm(-1, "p0", flags[3])))
+    with pytest.raises(DimensionMismatch):
+        evaluate_plan(flat, cancelling, flat_cls)
 
 
 def test_stage_map_keeps_empty_stage_and_arity_checks():
