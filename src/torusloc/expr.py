@@ -19,11 +19,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable
 
 from .errors import ClassSyntaxError
 from .model import EquivariantClass, TorusModel, class_generator
 from .localization import weyl_correct
+
+# What each grammar rule returns: the function from a model to the class
+# the parsed text names there.
+Evaluator = Callable[[TorusModel], EquivariantClass]
 
 # The parser recurses once per level of '(' or 'weyl(', so deeper input is
 # refused at the opening token instead of exhausting the interpreter stack.
@@ -70,47 +74,13 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# ----------------------------------------------------------------------
-# syntax tree
-
-
-@dataclass(frozen=True)
-class Gen:
-    kind: str  # "L", "v", "line"
-    index: int | None = None
-    direction: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class Factor:
-    base: Union[Gen, "Expr", "Weyl"]
-    power: int = 1
-
-
-@dataclass(frozen=True)
-class Weyl:
-    inner: "Expr"
-    line: int = 1
-    column: int = 1
-
-
-@dataclass(frozen=True)
-class Term:
-    coefficient: Fraction | None
-    factors: tuple[Factor, ...]
-
-
-@dataclass(frozen=True)
-class Expr:
-    signs: tuple[int, ...]
-    terms: tuple[Term, ...]
-
-
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.top_factors = 0  # factors outside every '(' and 'weyl('
+        self.weyls: list[tuple[Token, int]] = []  # each 'weyl' token and its depth
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -134,7 +104,7 @@ class _Parser:
         token = self.peek()
         raise ClassSyntaxError(message, token.line, token.column)
 
-    def parse_nested(self, opener: Token) -> Expr:
+    def parse_nested(self, opener: Token) -> Evaluator:
         """The parenthesized expression after ``opener``, '(' or 'weyl'."""
         self.depth += 1
         if self.depth > MAX_NESTING:
@@ -147,31 +117,49 @@ class _Parser:
         self.depth -= 1
         return inner
 
-    # grammar rules ----------------------------------------------------
+    # grammar rules: each returns the evaluator of what it parsed ------
 
-    def parse_expr(self) -> Expr:
-        signs = []
-        terms = []
+    def parse_expr(self) -> Evaluator:
         sign = 1
         if self.peek().kind == "op" and self.peek().text in "+-":
             sign = -1 if self.advance().text == "-" else 1
-        signs.append(sign)
-        terms.append(self.parse_term())
+        terms = [(sign, self.parse_term())]
         while self.peek().kind == "op" and self.peek().text in "+-":
-            signs.append(-1 if self.advance().text == "-" else 1)
-            terms.append(self.parse_term())
-        return Expr(tuple(signs), tuple(terms))
+            sign = -1 if self.advance().text == "-" else 1
+            terms.append((sign, self.parse_term()))
 
-    def parse_term(self) -> Term:
-        coefficient = None
+        def evaluate(model: TorusModel) -> EquivariantClass:
+            total = None
+            for sign, term in terms:
+                value = term(model)
+                if sign != 1:
+                    value = value * sign
+                total = value if total is None else total + value
+            return total
+
+        return evaluate
+
+    def parse_term(self) -> Evaluator:
+        # Start from the first factor rather than the unit class, and scale
+        # only by a written coefficient other than 1: each skipped step is a
+        # pass over every restriction.
+        scale = None
         if self.peek().kind == "int":
-            coefficient = self.parse_rational()
+            scale = self.parse_rational()
             self.expect_op("*")
         factors = [self.parse_factor()]
         while self.peek().kind == "op" and self.peek().text == "*":
             self.advance()
             factors.append(self.parse_factor())
-        return Term(coefficient, tuple(factors))
+        first, rest = factors[0], factors[1:]
+
+        def evaluate(model: TorusModel) -> EquivariantClass:
+            value = first(model)
+            for factor in rest:
+                value = value * factor(model)
+            return value if scale is None or scale == 1 else value * scale
+
+        return evaluate
 
     def parse_rational(self) -> Fraction:
         num = int(self.advance().text)
@@ -186,21 +174,24 @@ class _Parser:
             return Fraction(num, den)
         return Fraction(num)
 
-    def parse_factor(self) -> Factor:
+    def parse_factor(self) -> Evaluator:
         token = self.peek()
+        if self.depth == 0:
+            self.top_factors += 1
         if token.kind == "op" and token.text == "(":
-            return Factor(self.parse_nested(token), self.parse_power())
+            return self.with_power(self.parse_nested(token))
         if token.kind != "name":
             self.fail(f"expected a generator, found {token.text or 'end of input'!r}")
         name = self.advance().text
         if name == "weyl":
+            self.weyls.append((token, self.depth))
             inner = self.parse_nested(token)
             after = self.peek()
             if after.kind == "op" and after.text == "^":
                 raise ClassSyntaxError("weyl(...) cannot carry a power", after.line, after.column)
-            return Factor(Weyl(inner, token.line, token.column))
+            return lambda model: weyl_correct(model, inner(model))
         if name == "L":
-            return Factor(Gen("L"), self.parse_power())
+            return self.with_power(lambda model: class_generator(model, "prequantum"))
         if name == "line":
             self.expect_op("(")
             direction = [self.parse_int()]
@@ -208,10 +199,12 @@ class _Parser:
                 self.advance()
                 direction.append(self.parse_int())
             self.expect_op(")")
-            return Factor(Gen("line", direction=tuple(direction)), self.parse_power())
+            direction = tuple(direction)
+            return self.with_power(lambda model: class_generator(model, "line", direction=direction))
         match = re.fullmatch(r"v(\d+)", name)
         if match:
-            return Factor(Gen("v", index=int(match.group(1))), self.parse_power())
+            index = int(match.group(1))
+            return self.with_power(lambda model: class_generator(model, "v", index=index))
         raise ClassSyntaxError(f"unknown generator {name!r}", token.line, token.column)
 
     def parse_int(self) -> int:
@@ -224,80 +217,41 @@ class _Parser:
             self.fail("expected an integer")
         return sign * int(self.advance().text)
 
-    def parse_power(self) -> int:
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            token = self.peek()
-            if token.kind != "int":
-                self.fail("exponents must be nonnegative integers")
-            return int(self.advance().text)
-        return 1
+    def with_power(self, base: Evaluator) -> Evaluator:
+        """``base``, raised to the exponent that follows it, if one does."""
+        if not (self.peek().kind == "op" and self.peek().text == "^"):
+            return base
+        self.advance()
+        token = self.peek()
+        if token.kind != "int":
+            self.fail("exponents must be nonnegative integers")
+        power = int(self.advance().text)
+        return base if power == 1 else lambda model: base(model) ** power
 
 
-def _check_weyl(expr: Expr, outermost: bool):
-    """Raise at the first weyl(...) that is not the single factor of the
-    single term of the whole expression."""
-    for term in expr.terms:
-        for factor in term.factors:
-            base = factor.base
-            if isinstance(base, Weyl):
-                if not (outermost and len(expr.terms) == 1 and len(term.factors) == 1):
-                    raise ClassSyntaxError(
-                        "weyl(...) must be the outermost factor", base.line, base.column
-                    )
-                _check_weyl(base.inner, False)
-            elif isinstance(base, Expr):
-                _check_weyl(base, False)
+def parse_class_expr(text: str) -> Evaluator:
+    """Parse the expression language into its evaluator; raises
+    ClassSyntaxError with position.
 
-
-def parse_class_expr(text: str) -> Expr:
-    """Parse the expression language; raises ClassSyntaxError with position."""
+    A weyl(...) that is not the single factor of the single top-level
+    term is reported, at the first such one in source order, only once the
+    whole text has parsed, so any other syntax error wins.
+    """
     parser = _Parser(text)
-    expr = parser.parse_expr()
+    evaluate = parser.parse_expr()
     token = parser.peek()
     if token.kind != "end":
         raise ClassSyntaxError(
             f"unexpected trailing input {token.text!r}", token.line, token.column
         )
-    _check_weyl(expr, outermost=True)
-    return expr
+    for token, depth in parser.weyls:
+        if depth or parser.top_factors > 1:
+            raise ClassSyntaxError(
+                "weyl(...) must be the outermost factor", token.line, token.column
+            )
+    return evaluate
 
 
-# ----------------------------------------------------------------------
-# evaluation
-
-
-def evaluate_expr(expr: Expr, model: TorusModel) -> EquivariantClass:
-    total = None
-    for sign, term in zip(expr.signs, expr.terms):
-        value = _evaluate_term(term, model)
-        if sign != 1:
-            value = value * sign
-        total = value if total is None else total + value
-    return total
-
-
-def _evaluate_term(term: Term, model: TorusModel) -> EquivariantClass:
-    # Start from the first factor rather than the unit class, and scale
-    # only by a written coefficient other than 1: each skipped step is a
-    # pass over every restriction.
-    value = None
-    for factor in term.factors:
-        base = factor.base
-        if isinstance(base, Gen):
-            if base.kind == "L":
-                part = class_generator(model, "prequantum")
-            elif base.kind == "v":
-                part = class_generator(model, "v", index=base.index)
-            else:
-                part = class_generator(model, "line", direction=base.direction)
-        elif isinstance(base, Weyl):
-            part = weyl_correct(model, evaluate_expr(base.inner, model))
-        else:
-            part = evaluate_expr(base, model)
-        if factor.power != 1:
-            part = part**factor.power
-        value = part if value is None else value * part
-    if term.coefficient is not None and term.coefficient != 1:
-        value = value * term.coefficient
-    return value
+def evaluate_expr(expr: Evaluator, model: TorusModel) -> EquivariantClass:
+    """The class a parsed expression names on ``model``."""
+    return expr(model)

@@ -41,6 +41,7 @@ from .model import (
     read_json,
     strict_int,
     strict_int_vector,
+    strict_rational,
 )
 from .poly import MultiPoly, _int_substitute, affine_product
 from .poly import linear_substitute  # noqa: F401  re-exported; instrumentation wraps it by this name
@@ -51,12 +52,10 @@ from .weighted import (
 )
 
 
-@lru_cache(maxsize=256)
 def _int_det(rows: tuple[tuple[int, ...], ...]) -> int:
     """Determinant of an integer matrix by Bareiss fraction-free elimination.
 
     Every division is exact, so all intermediate entries stay integers.
-    Cached, since a plan file repeats a few flags over many terms.
     """
     mat = [list(row) for row in rows]
     n = len(mat)
@@ -275,7 +274,8 @@ def weyl_correct(model: TorusModel, cls: EquivariantClass) -> EquivariantClass:
 
 def volume_class(model: TorusModel, group: str, base: Sequence = ()) -> tuple[EquivariantClass, int]:
     """The volume class (L - <p0, u>)^m at the base point p0 (default the
-    origin) of the quotient by the torus or the full group, and m.
+    origin) of the quotient by the torus or the full group, and m.  The
+    entries of p0 must be ``int`` or ``Fraction``.
 
     m is the quotient's complex dimension: weights per point minus the rank,
     minus the number of roots for group "weyl", where the class is also
@@ -294,6 +294,7 @@ def volume_class(model: TorusModel, group: str, base: Sequence = ()) -> tuple[Eq
         m -= len(model.roots)
     if m < 0:
         raise Unsupported("negative volume degree: quotient dimension is negative")
+    base = tuple(strict_rational(b, "base point entry", DimensionMismatch) for b in base)
     cls = class_generator(model, "prequantum")
     if any(base):
         if group == "weyl":
@@ -336,18 +337,20 @@ def load_plan(source: Union[str, IO[str]]) -> Plan:
 
     Coefficients and flag entries must be JSON integers and fixed point
     ids JSON strings; PlanTerm and OrientedFlag check them, so a flag that
-    is not a lattice basis raises NotUnimodular here.  Equal flags are
-    interned to one object to save memory.
+    is not a lattice basis raises NotUnimodular here.  Each distinct flag
+    is built and checked once, and its terms share the one object.
     """
     data = read_json(source, PlanFormatError)
     if not isinstance(data, list):
         raise PlanFormatError("plan file must contain a JSON list")
-    flags: dict[OrientedFlag, OrientedFlag] = {}
+    flags: dict[str, OrientedFlag] = {}  # by repr: true and 1.0 must not reuse 1
     terms = []
     for entry in data:
         try:
-            flag = OrientedFlag(entry["flag"])
-            flag = flags.setdefault(flag, flag)
+            raw = entry["flag"]
+            flag = flags.get(repr(raw))
+            if flag is None:
+                flag = flags[repr(raw)] = OrientedFlag(raw)
             terms.append(PlanTerm(entry["coefficient"], entry["fixed_point"], flag))
         except (PlanFormatError, KeyError, TypeError) as err:
             raise PlanFormatError(f"bad plan term {entry!r}: {err}")

@@ -123,18 +123,7 @@ class TorusModel:
             raise ModelFormatError("global_stabilizer_order must be positive")
         if self.weyl_order is not None and self.weyl_order < 1:
             raise ModelFormatError("weyl_order must be positive")
-        # Point checks depend only on values: run them on distinct values and
-        # scan the points in order, to name the first bad one, only on failure.
-        points = self.fixed_points
-        weights = [*map(operator.attrgetter("weights"), points)]
-        distinct_weights = {*itertools.chain.from_iterable(weights)}
-        if (
-            len({*map(operator.attrgetter("id"), points)}) != len(points)
-            or {*map(len, map(operator.attrgetter("moment"), points))} - {self.rank}
-            or len({*map(len, weights)}) > 1
-            or {*map(len, distinct_weights)} - {self.rank}
-        ):
-            self._scan_points()
+        self._scan_points()
         if self.roots is not None:
             if not isinstance(self.roots, (list, tuple)):
                 raise ModelFormatError(f"roots must be a list, got {self.roots!r}")
@@ -396,7 +385,8 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
     kind "prequantum": restriction <moment(F), u> at each F.
     kind "v": sphere products only; the i-th factor class restricting to
         +u off the subset and -u on it.
-    kind "line": the constant linear form <direction, u> at every point.
+    kind "line": the constant linear form <direction, u> at every point;
+        direction entries must be ``int`` or ``Fraction``.
     """
     if kind == "prequantum":
         # Points holding the same moment tuple share one form; the built-in
@@ -413,7 +403,9 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
     if kind == "line":
         if direction is None or len(direction) != model.rank:
             raise IndexOutOfRange(f"line class needs a direction of length {model.rank}")
-        form = MultiPoly.linear_form(direction)
+        form = MultiPoly.linear_form(
+            [strict_rational(a, "line direction entry", IndexOutOfRange) for a in direction]
+        )
         return EquivariantClass({fp.id: form for fp in model.fixed_points})
     if kind == "v":
         if not (model.family and model.family[0] == "sphere"):
@@ -452,6 +444,14 @@ def strict_int(value, what: str, error: type[TorusLocError] = ModelFormatError) 
     if type(value) is int:
         return value
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def strict_rational(value, what: str, error: type[TorusLocError]) -> Fraction:
+    """An ``int`` or ``Fraction`` as a Fraction; floats, strings and booleans
+    are rejected rather than coerced."""
+    if type(value) is int or isinstance(value, Fraction):
+        return Fraction(value)
+    raise error(f"{what} must be an int or a Fraction, got {value!r}")
 
 
 def strict_int_vector(value, what: str, error: type[TorusLocError] = ModelFormatError) -> tuple[int, ...]:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import NotRegular, Unsupported
+from .errors import NotRegular, TorusLocError, Unsupported
 from .localization import OrientedFlag, Plan, PlanTerm
 from .model import TorusModel, assignments, check_family_size, cp_label_id
+from .model import strict_int_vector, strict_rational
 
 # The two oriented flags of the projective-plane recipe: cross the second
 # circle first and descend against the first circle, or the reverse.
@@ -45,7 +46,9 @@ class WallList:
 
 
 def wall_list(model: TorusModel, xi: Sequence[int]) -> WallList:
-    """Group the fixed points by the value of their moment against xi."""
+    """Group the fixed points by the value of their moment against xi, a
+    list or tuple of ``int``."""
+    xi = strict_int_vector(xi, "direction", Unsupported)
     if len(xi) != model.rank:
         raise Unsupported(f"direction must have length {model.rank}")
     moments = {fp.moment for fp in model.fixed_points}
@@ -69,7 +72,7 @@ def rank1_plan(model: TorusModel, p0: Union[int, Fraction], direction: int) -> P
         raise Unsupported("rank1_plan requires a rank-1 model")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    p0 = Fraction(p0)
+    p0 = strict_rational(p0, "base point", TorusLocError)
     exits: dict[Fraction, bool] = {}
     for value in {fp.moment[0] for fp in model.fixed_points}:
         if value == p0:

@@ -336,39 +336,16 @@ def _graded(numerators: dict, order: int) -> list[dict]:
     return pieces
 
 
-def _affine_pieces(
-    nvars: int, factors: Iterable[tuple[int, Sequence[int]]], order: int
-) -> list[dict]:
-    """Graded integer terms of prod (constant + sum_i coeffs[i] * u_i) through ``order``.
-
-    Element n holds the part of total exponent n; zeros may remain.  Each
-    factor scales piece n by its constant and adds piece n-1 shifted up in
-    each variable, so nothing above ``order`` is ever formed.
-    """
-    pieces: list[dict] = [{(0,) * nvars: 1}] + [{} for _ in range(order)]
-    for constant, coeffs in factors:
-        shifts = [(i, a) for i, a in enumerate(coeffs) if a]
-        for n in range(order, -1, -1):  # downwards, so piece n-1 is still the old one
-            out = {e: v * constant for e, v in pieces[n].items()} if constant else {}
-            if n and shifts:
-                get = out.get
-                for e, v in pieces[n - 1].items():
-                    for i, a in shifts:
-                        e_up = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                        out[e_up] = get(e_up, 0) + v * a
-            pieces[n] = out
-    return pieces
-
-
 def affine_product(nvars: int, factors: Iterable[tuple[int, Sequence[int]]]) -> MultiPoly:
     """The product over (constant, coeffs) of constant + sum_i coeffs[i] * u_i.
 
     Constants and coefficients are integers, and so is every intermediate
     coefficient.
     """
-    factors = list(factors)
-    pieces = _affine_pieces(nvars, factors, len(factors))
-    return MultiPoly._make(nvars, {e: v for piece in pieces for e, v in piece.items()})
+    terms = {(0,) * nvars: 1}
+    for constant, coeffs in factors:
+        terms = _int_product(terms, _affine_terms(constant, coeffs))
+    return MultiPoly._make(nvars, terms)
 
 
 @lru_cache(maxsize=4096)

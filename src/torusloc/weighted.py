@@ -24,7 +24,7 @@ from .errors import EmptyStage
 from .poly import (
     MultiPoly,
     TruncSeries,
-    _affine_pieces,
+    _graded,
     affine_product,
     series_invert,  # noqa: F401  re-exported; instrumentation wraps it by this name
 )
@@ -119,6 +119,8 @@ def _segre_numerators(lines: tuple[Line, ...], residual_count: int, order: int) 
 
 def weighted_segre(space: WeightedSpace, order: int) -> TruncSeries:
     """Multiplicative inverse of the weighted Chern class through ``order``."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     pieces, den = _segre_numerators(space.lines, space.residual_count, order)
     body = {e: v for piece in pieces for e, v in piece}
     return TruncSeries(MultiPoly._make(space.residual_count, body, den), order)
@@ -172,7 +174,7 @@ def ring_relation(space: WeightedSpace) -> list[MultiPoly]:
     residual action this degenerates to h^r, the classical projective-space
     relation.
     """
-    pieces = _affine_pieces(space.residual_count, space.lines, space.rank)
+    pieces = _graded(weighted_chern(space).numerators, space.rank)
     return [MultiPoly._make(space.residual_count, piece) for piece in pieces]
 
 

@@ -325,3 +325,81 @@ def unimodular(draw, d):
     if draw(st.booleans()):
         rows[0] = [-a for a in rows[0]]
     return [tuple(row) for row in rows]
+
+
+# ----------------------------------------------------------------------
+# class-expression trees for the parser properties
+#
+# An expression is a tuple of (op, term) pairs, op "" / "-" / "+" for the
+# first term and "+" / "-" after it; a term is (coefficient, factors) with
+# coefficient None or a (numerator, denominator or None) pair; a factor is
+# ("gen", text, power, kind, index, direction), ("group", expression, power)
+# or ("weyl", expression), with power None when no exponent is written and
+# kind, index and direction the arguments of class_generator.
+
+
+def render_expr(expr, sep: str = " ") -> tuple[str, list[int]]:
+    """The text of an expression tree, with sep between tokens, and the
+    offset of each weyl(...) in source order."""
+    out: list[str] = []
+    weyls: list[int] = []
+
+    def expr_text(expr):
+        for i, (op, term) in enumerate(expr):
+            if i:
+                out.append(sep)
+            if op:
+                out.extend((op, sep))
+            coefficient, factors = term
+            if coefficient is not None:
+                num, den = coefficient
+                out.append(f"{num}*" if den is None else f"{num}/{den}*")
+            for j, factor in enumerate(factors):
+                if j:
+                    out.append("*")
+                if factor[0] == "gen":
+                    out.append(factor[1])
+                elif factor[0] == "group":
+                    out.append("(")
+                    expr_text(factor[1])
+                    out.append(")")
+                else:
+                    weyls.append(len("".join(out)))
+                    out.append("weyl(")
+                    expr_text(factor[1])
+                    out.append(")")
+                    continue
+                if factor[2] is not None:
+                    out.append(f"^{factor[2]}")
+
+    expr_text(expr)
+    return "".join(out), weyls
+
+
+def misplaced_weyl(expr) -> int | None:
+    """Source-order index of the first weyl(...) that is not the single
+    factor of the single term of the whole expression, or None: the
+    placement rule of the class language, walked on the tree."""
+    count = 0
+
+    def walk(expr, outermost):
+        nonlocal count
+        for _, (_, factors) in expr:
+            for factor in factors:
+                if factor[0] == "weyl":
+                    index = count
+                    count += 1
+                    if not (outermost and len(expr) == 1 and len(factors) == 1):
+                        return index
+                if factor[0] != "gen":
+                    found = walk(factor[1], False)
+                    if found is not None:
+                        return found
+        return None
+
+    return walk(expr, True)
+
+
+def line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of an offset into text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +158,13 @@ class TestRingSegre:
         code, out, _ = run(capsys, "segre", "--space", "1:-1", "--order", "2")
         assert code == 0
         assert out == "s_0 = 1\ns_1 = u\ns_2 = u^2\n"
+
+    def test_negative_segre_order_is_usage_error(self, capsys):
+        # used to exit 0 and print nothing
+        code, out, err = run(capsys, "segre", "--space", "1:-1", "--order", "-1")
+        assert code == 2
+        assert out == ""
+        assert "order must be nonnegative" in err
 
     def test_bad_space_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "ring", "--space", "1:1;2")
@@ -398,3 +407,23 @@ class TestSizeGuard:
         assert code == 3
         assert out == ""
         assert "fixed points" in err and str(model_module.MAX_FIXED_POINTS) in err
+
+
+def readme_examples():
+    """Each `torusloc ... # -> output` line of the README's command-line
+    block, as (argv, expected output lines); " / " separates lines."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    examples = []
+    for line in block.splitlines():
+        command, marker, output = line.partition("# ->")
+        if marker:
+            examples.append((shlex.split(command)[1:], output.strip().split(" / ")))
+    return examples
+
+
+@pytest.mark.parametrize("argv, expected", readme_examples())
+def test_readme_command_line_examples(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == expected

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import line_column, misplaced_weyl, render_expr
 from torusloc import (
     ClassSyntaxError,
+    EquivariantClass,
     MultiPoly,
     build_cp_product,
     build_sphere_product,
@@ -165,3 +168,122 @@ class TestCanonicalInputs:
         L = class_generator(m, "prequantum")
         v = lambda i: class_generator(m, "v", index=i)
         assert evaluate(text, m) == self.EXPECTED[text](L, v, m)
+
+
+class TestSyntaxErrorsWinOverPlacement:
+    """A misplaced weyl(...) is reported only once the whole text parses."""
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("L*weyl(L) + @", "unexpected character", 1, 13),
+        ("weyl(L) )", "trailing input", 1, 9),
+        ("weyl(L)*L^", "exponents", 1, 11),
+        ("L + weyl(weyl(L)^2)", "cannot carry a power", 1, 17),
+    ])
+    def test_syntax_error_is_reported(self, text, message, line, column):
+        with pytest.raises(ClassSyntaxError, match=message) as err:
+            parse_class_expr(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+# ----------------------------------------------------------------------
+# properties: random expression trees, rendered as text and parsed
+
+
+SPHERES3 = build_sphere_product(3)
+CP2_2 = build_cp_product(3, 2)
+
+powers = st.one_of(st.none(), st.integers(0, 2))
+coefficients = st.one_of(st.none(), st.tuples(st.integers(0, 6), st.one_of(st.none(), st.integers(1, 4))))
+
+
+def generator(text, kind, index=None, direction=None):
+    return powers.map(lambda power: ("gen", text, power, kind, index, direction))
+
+
+sphere_generators = st.one_of(
+    generator("L", "prequantum"), *(generator(f"v{i}", "v", index=i) for i in (1, 2, 3))
+)
+cp2_generators = st.one_of(
+    generator("L", "prequantum"),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).flatmap(
+        lambda d: generator(f"line({d[0]},{d[1]})", "line", direction=d)
+    ),
+)
+
+
+def sums_of(factors):
+    terms = st.tuples(coefficients, st.lists(factors, min_size=1, max_size=3).map(tuple))
+    rest = st.lists(st.tuples(st.sampled_from("+-"), terms), max_size=2)
+    return st.tuples(st.sampled_from(["", "-", "+"]), terms, rest).map(
+        lambda t: ((t[0], t[1]), *t[2])
+    )
+
+
+def expressions(generators, weyl=False):
+    def extend(inner):
+        factors = st.one_of(generators, st.tuples(st.just("group"), inner, powers))
+        if weyl:
+            factors = st.one_of(factors, st.tuples(st.just("weyl"), inner))
+        return sums_of(factors)
+
+    return st.recursive(sums_of(generators), extend, max_leaves=6)
+
+
+separators = st.sampled_from(["", " ", "\n  "])
+
+
+def expected_class(expr, m):
+    """The class of an expression tree, built with class_generator and
+    class arithmetic."""
+    total = EquivariantClass.constant(m, 0)
+    for op, (coefficient, factors) in expr:
+        value = EquivariantClass.constant(m, 1)
+        for factor in factors:
+            if factor[0] == "gen":
+                _, _, power, kind, index, direction = factor
+                part = class_generator(m, kind, index=index, direction=direction)
+            elif factor[0] == "group":
+                _, inner, power = factor
+                part = expected_class(inner, m)
+            else:
+                part, power = weyl_correct(m, expected_class(factor[1], m)), None
+            value = value * (part if power is None else part**power)
+        if coefficient is not None:
+            num, den = coefficient
+            value = value * Fraction(num, den or 1)
+        total = total - value if op == "-" else total + value
+    return total
+
+
+class TestRandomExpressions:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            expressions(sphere_generators).map(lambda e: (SPHERES3, e)),
+            expressions(cp2_generators).map(lambda e: (CP2_2, e)),
+        ),
+        separators,
+    )
+    def test_text_evaluates_to_the_tree_class(self, case, sep):
+        m, expr = case
+        text, _ = render_expr(expr, sep)
+        assert evaluate(text, m) == expected_class(expr, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.sampled_from(["", "-"]), coefficients, expressions(sphere_generators, weyl=True))
+            .map(lambda t: ((t[0], (t[1], (("weyl", t[2]),))),)),
+            expressions(sphere_generators, weyl=True),
+        ),
+        separators,
+    )
+    def test_weyl_placement_matches_the_rule(self, expr, sep):
+        text, weyls = render_expr(expr, sep)
+        index = misplaced_weyl(expr)
+        if index is None:
+            assert evaluate(text, SPHERES3) == expected_class(expr, SPHERES3)
+        else:
+            with pytest.raises(ClassSyntaxError, match="outermost") as err:
+                parse_class_expr(text)
+            assert (err.value.line, err.value.column) == line_column(text, weyls[index])

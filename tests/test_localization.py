@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -37,6 +38,7 @@ from torusloc import (
     weyl_correct,
 )
 from torusloc.convolution import uniform_sum_density
+from torusloc import localization
 from torusloc.localization import _int_det
 from torusloc.model import FixedPoint
 from torusloc.plans import THETA1, rank1_plan
@@ -360,6 +362,12 @@ class TestVolumeClass:
         with pytest.raises(DimensionMismatch, match="base point"):
             volume_class(build_cp_product(3, 2), "torus", (Fraction(1, 2),))
 
+    @pytest.mark.parametrize("base", [(0.1,), (0.0,), (True,), ("1/2",)])
+    def test_base_point_entries_must_be_int_or_fraction(self, base):
+        # volume_class(m, "torus", (0.1,)) used to pair at the binary value of 0.1
+        with pytest.raises(DimensionMismatch, match="must be an int or a Fraction"):
+            volume_class(build_sphere_product(3), "torus", base)
+
     def test_errors(self):
         with pytest.raises(Unsupported, match="without fixed points"):
             volume_class(TorusModel(1, ()), "torus")
@@ -392,6 +400,32 @@ class TestPlanFiles:
     def test_plan_terms_validate_flag(self):
         with pytest.raises(NotUnimodular, match="has determinant 2"):
             load_plan(io.StringIO('[{"coefficient": 1, "fixed_point": "f{}", "flag": [[2]]}]'))
+
+    def test_each_distinct_flag_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting_det(rows):
+            calls.append(rows)
+            return _int_det(rows)
+
+        monkeypatch.setattr(localization, "_int_det", counting_det)
+        flags = ([[0, 1], [-1, 0]], [[-1, 0], [0, 1]])
+        entries = [
+            {"coefficient": 1, "fixed_point": f"p{i}", "flag": flags[i % 2]} for i in range(1000)
+        ]
+        plan = load_plan(io.StringIO(json.dumps(entries)))
+        assert len(calls) == 2
+        assert [term.flag.stages for term in plan.terms[:2]] == [((0, 1), (-1, 0)), ((-1, 0), (0, 1))]
+        assert len({id(term.flag) for term in plan.terms}) == 2
+
+    @pytest.mark.parametrize("bad", ["[[true, 0], [0, 1]]", "[[1.0, 0], [0, 1]]"])
+    def test_a_flag_equal_in_value_to_an_earlier_one_is_still_checked(self, bad):
+        text = (
+            '[{"coefficient": 1, "fixed_point": "a", "flag": [[1, 0], [0, 1]]},'
+            f' {{"coefficient": 1, "fixed_point": "b", "flag": {bad}}}]'
+        )
+        with pytest.raises(PlanFormatError, match="flag stage"):
+            load_plan(io.StringIO(text))
 
 
 class TestStrictFlag:

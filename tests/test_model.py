@@ -98,8 +98,8 @@ def five_points(third: tuple, fifth: tuple) -> list[FixedPoint]:
 
 
 class TestModelChecksNameTheFirstBadPoint:
-    """TorusModel checks distinct values first; a failure still names the
-    first offending point even when a later point repeats its fault.  A
+    """TorusModel scans the points in order, so a failure names the first
+    offending point even when a later point repeats its fault.  A
     zero weight is refused by FixedPoint itself, so the third point is
     named as it is made."""
 
@@ -233,6 +233,14 @@ class TestClassGenerator:
         m = build_sphere_product(2)
         cls = class_generator(m, "line", direction=(2,))
         assert all(p == MultiPoly(1, {(1,): 2}) for p in cls.restrictions.values())
+
+    @pytest.mark.parametrize("direction", [(0.5,), (1.0,), (True,), ("2",)])
+    def test_line_direction_must_be_int_or_fraction(self, direction):
+        # class_generator(m, "line", direction=(0.5,)) used to build 1/2*u
+        with pytest.raises(IndexOutOfRange, match="must be an int or a Fraction"):
+            class_generator(build_sphere_product(3), "line", direction=direction)
+        line = class_generator(build_sphere_product(3), "line", direction=(Fraction(1, 2),))
+        assert line.at("f{}") == MultiPoly(1, {(1,): Fraction(1, 2)})
 
     def test_v_on_cp_model_rejected(self):
         with pytest.raises(UnknownGenerator):

@@ -14,6 +14,7 @@ from torusloc import (
     ModelTooLarge,
     NotRegular,
     OrientedFlag,
+    TorusLocError,
     TorusModel,
     Unsupported,
     build_cp_product,
@@ -53,6 +54,12 @@ class TestWallList:
         assert walls.values() == [Fraction(v) for v in (-3, -1, 1, 3)]
         sizes = [len(ids) for _, ids in walls.entries]
         assert sizes == [1, 3, 3, 1]
+
+    @pytest.mark.parametrize("xi", [(0.5,), (1.0,), (True,), ("1",), [Fraction(1)]])
+    def test_non_int_direction_is_rejected(self, xi):
+        # wall_list(m, (0.5,)) used to return float walls such as -1.5
+        with pytest.raises(Unsupported, match="direction must be a list of integers"):
+            wall_list(build_sphere_product(3), xi)
 
     def test_cp_direction(self):
         m = build_cp_product(3, 2)
@@ -111,6 +118,12 @@ class TestRank1Plan:
     def test_requires_rank_one(self):
         with pytest.raises(Unsupported):
             rank1_plan(build_cp_product(3, 2), 0, 1)
+
+    @pytest.mark.parametrize("p0", [0.1, 0.5, True, "1/2", None])
+    def test_base_point_must_be_int_or_fraction(self, p0):
+        # rank1_plan(m, 0.1, 1) used to plan at the binary value of 0.1
+        with pytest.raises(TorusLocError, match="base point must be an int or a Fraction"):
+            rank1_plan(build_sphere_product(3), p0, 1)
 
     def test_telescoping_between_walls(self):
         # no wall in (2, 4) for n = 4, so plans from any base point agree

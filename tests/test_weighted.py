@@ -67,6 +67,11 @@ class TestWeightedSegre:
         product = (weighted_chern(v) * series.body).truncate(5)
         assert product == MultiPoly.const(2, 1)
 
+    def test_negative_order_is_rejected(self):
+        # used to return an empty series of order -1
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            weighted_segre(space((1, (-1,)), residuals=1), -1)
+
 
 class TestWeightGcd:
     def test_unit_weights(self):
