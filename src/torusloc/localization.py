@@ -124,6 +124,16 @@ class PlanTerm:
         if not isinstance(self.fixed_point_id, str):
             raise PlanFormatError(f"fixed_point must be a string, got {self.fixed_point_id!r}")
 
+    @classmethod
+    def _make(cls, coefficient: int, fixed_point_id: str, flag: OrientedFlag) -> "PlanTerm":
+        """Internal constructor for parts valid by construction, as the plan
+        recipes make them; fields are set in order, as FixedPoint._make sets them."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "coefficient", coefficient)
+        object.__setattr__(obj, "fixed_point_id", fixed_point_id)
+        object.__setattr__(obj, "flag", flag)
+        return obj
+
 
 @dataclass(frozen=True)
 class Plan:
@@ -242,12 +252,14 @@ def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fract
     when the summed coefficient is zero, so a flag whose rank is not the
     model's still raises.
     """
+    by_id, restrictions = model._by_id, cls.restrictions
     groups: dict[tuple, list] = {}
     for term in plan.terms:
         fp_id = term.fixed_point_id
-        if not model.has_fixed_point(fp_id):
+        point = by_id.get(fp_id)
+        if point is None:
             raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
-        key = (cls.at(fp_id), model.fixed_point(fp_id).sorted_weights, term.flag)
+        key = (restrictions[fp_id], point.sorted_weights, term.flag)
         group = groups.get(key)
         if group is None:
             groups[key] = [fp_id, term.coefficient]
@@ -274,8 +286,9 @@ def weyl_correct(model: TorusModel, cls: EquivariantClass) -> EquivariantClass:
 
 def volume_class(model: TorusModel, group: str, base: Sequence = ()) -> tuple[EquivariantClass, int]:
     """The volume class (L - <p0, u>)^m at the base point p0 (default the
-    origin) of the quotient by the torus or the full group, and m.  The
-    entries of p0 must be ``int`` or ``Fraction``.
+    origin) of the quotient by the torus or the full group, and m.  p0 is a
+    list or tuple of ``int`` or ``Fraction`` entries; anything else raises
+    DimensionMismatch.
 
     m is the quotient's complex dimension: weights per point minus the rank,
     minus the number of roots for group "weyl", where the class is also
@@ -294,6 +307,8 @@ def volume_class(model: TorusModel, group: str, base: Sequence = ()) -> tuple[Eq
         m -= len(model.roots)
     if m < 0:
         raise Unsupported("negative volume degree: quotient dimension is negative")
+    if not isinstance(base, (list, tuple)):
+        raise DimensionMismatch(f"base point must be a list or tuple, got {base!r}")
     base = tuple(strict_rational(b, "base point entry", DimensionMismatch) for b in base)
     cls = class_generator(model, "prequantum")
     if any(base):

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Sequence, Union
 
 from .errors import (
     IndexOutOfRange,
@@ -85,18 +85,21 @@ class FixedPoint:
         object.__setattr__(self, "weights", weights)
 
     @classmethod
-    def _make(cls, id: str, moment: Moment, weights: tuple[Weight, ...]) -> "FixedPoint":
-        """Internal constructor for checked parts; fields are set in order so
-        the instance dicts share their keys."""
+    def _make(cls, id: str, moment: Moment, weights: tuple[Weight, ...],
+              sorted_weights: tuple[Weight, ...]) -> "FixedPoint":
+        """Internal constructor for checked parts, with ``tuple(sorted(weights))``
+        given; fields are set in order so the instance dicts share their keys."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "id", id)
         object.__setattr__(obj, "moment", moment)
         object.__setattr__(obj, "weights", weights)
+        object.__setattr__(obj, "sorted_weights", sorted_weights)
         return obj
 
     @cached_property
     def sorted_weights(self) -> tuple[Weight, ...]:
-        """The weights as a canonical multiset; flag evaluations depend only on it."""
+        """The weights as a canonical multiset; flag evaluations depend only on it.
+        The builders set it when they make a point, once per size vector."""
         return tuple(sorted(self.weights))
 
 
@@ -262,30 +265,44 @@ def check_family_size(name: str, k: int, n: int):
             )
 
 
-def assignments(n: int, k: int):
-    """Every assignment of the elements 1..n to k groups, as (word, groups).
+def group_walk(n: int, k: int, pieces: Sequence[tuple]):
+    """Every assignment of the elements 1..n to k groups, as (joined, groups, sizes).
 
     Words run over {0..k-1}^n in itertools.product order; element i goes
-    to group word[i-1].  groups[j] lists the decimal labels of the
-    elements in group j in increasing order, ready to join into a point
-    id; each word costs O(n) appends and no sorting.
+    to group word[i-1].  joined is pieces[word[0]] + ... + pieces[word[-1]],
+    groups[j] the comma-joined decimal labels of the elements in group j
+    in increasing order, ready for a point id, and sizes[j] their count.
+    A depth-first walk extends the three tuples of a prefix by one element
+    at a time, so a word costs a few tuple and string joins and no list,
+    and the words stream: the stack holds at most k entries per level.
     """
     labels = [str(i) for i in range(1, n + 1)]
-    for word in itertools.product(range(k), repeat=n):
-        groups = [[] for _ in range(k)]
-        for label, j in zip(labels, word):
-            groups[j].append(label)
-        yield word, groups
+    later = ["," + label for label in labels]
+    forward, backward = range(k), range(k - 1, -1, -1)
+    stack = [(0, (), ("",) * k, (0,) * k)]
+    while stack:
+        depth, joined, groups, sizes = stack.pop()
+        label, clabel = labels[depth], later[depth]
+        depth += 1
+        leaf = depth == n
+        # Inner nodes push their children last to first, so they pop in
+        # product order.
+        for j in forward if leaf else backward:
+            group = groups[j]
+            child = (
+                joined + pieces[j],
+                groups[:j] + ((group + clabel) if group else label,) + groups[j + 1 :],
+                sizes[:j] + (sizes[j] + 1,) + sizes[j + 1 :],
+            )
+            if leaf:
+                yield child
+            else:
+                stack.append((depth, *child))
 
 
-def sphere_label_id(labels: Iterable[str]) -> str:
-    """Id of the sphere-product point whose south-pole factors carry these labels."""
-    return "f{" + ",".join(labels) + "}"
-
-
-def cp_label_id(groups: Iterable[Iterable[str]]) -> str:
-    """Id of the projective-product point with these label groups, "F{1,2}|{}|{3}"."""
-    return "F{" + "}|{".join(map(",".join, groups)) + "}"
+def cp_label_id(groups: Sequence[str]) -> str:
+    """Id of the projective-product point with these joined label groups, "F{1,2}|{}|{3}"."""
+    return "F{" + "}|{".join(groups) + "}"
 
 
 def build_sphere_product(n: int) -> TorusModel:
@@ -293,18 +310,22 @@ def build_sphere_product(n: int) -> TorusModel:
 
     Fixed points are indexed by the subsets I of {1..n} whose factors sit
     at the south pole; the moment value is n - 2|I| and the tangent weight
-    of factor i is +1 off I and -1 on it.  Root data for the ambient
-    rotation group (roots +1, -1 and Weyl order 2) is attached.
+    of factor i is +1 off I and -1 on it.  The moment and the sorted
+    weights depend only on |I|, so each is built once per size and shared
+    by the points of that size.  Root data for the ambient rotation group
+    (roots +1, -1 and Weyl order 2) is attached.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     check_family_size("spheres", 2, n)
-    moments = [(Fraction(n - 2 * size),) for size in range(n + 1)]
     signs = tuple(strict_int_vector(w, "weight") for w in ((1,), (-1,)))
-    points = [
-        FixedPoint._make(sphere_label_id(south), moments[len(south)], tuple(map(signs.__getitem__, word)))
-        for word, (_, south) in assignments(n, 2)
-    ]
+    parts: dict[tuple[int, int], tuple] = {}
+    points = []
+    for weights, (_, south), sizes in group_walk(n, 2, [(sign,) for sign in signs]):
+        shared = parts.get(sizes)
+        if shared is None:
+            shared = parts[sizes] = ((Fraction(n - 2 * sizes[1]),), tuple(sorted(weights)))
+        points.append(FixedPoint._make("f{" + south + "}", shared[0], weights, shared[1]))
     return TorusModel(
         rank=1,
         fixed_points=tuple(points),
@@ -342,8 +363,9 @@ def build_cp_product(k: int, n: int) -> TorusModel:
     {1..n} into k groups, one per coordinate point of the factor.  The
     j-th coordinate point has moment (1, ..., 1) - k e_j (the last one
     (1, ..., 1)), so a point whose groups have sizes (i_1, ..., i_k) has
-    moment (n - k i_1, ..., n - k i_{k-1}); it is built once per size
-    vector.  For k = 3 the six roots and Weyl order 6 are attached.
+    moment (n - k i_1, ..., n - k i_{k-1}).  The moment and the sorted
+    weights are built once per size vector and shared by its points.  For
+    k = 3 the six roots and Weyl order 6 are attached.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -351,15 +373,14 @@ def build_cp_product(k: int, n: int) -> TorusModel:
         raise ValueError("n must be a positive integer")
     check_family_size(f"cp{k - 1}", k, n)
     vertex_weights = [tuple(strict_int_vector(w, "weight") for w in ws) for ws in cp_vertex_weights(k)]
-    moments: dict[tuple[int, ...], Moment] = {}
+    parts: dict[tuple[int, ...], tuple] = {}
     points = []
-    for word, groups in assignments(n, k):
-        sizes = tuple(map(len, groups))
-        moment = moments.get(sizes)
-        if moment is None:
-            moment = moments[sizes] = tuple(Fraction(n - k * size) for size in sizes[:-1])
-        weights = tuple(itertools.chain.from_iterable(map(vertex_weights.__getitem__, word)))
-        points.append(FixedPoint._make(cp_label_id(groups), moment, weights))
+    for weights, groups, sizes in group_walk(n, k, vertex_weights):
+        shared = parts.get(sizes)
+        if shared is None:
+            moment = tuple(Fraction(n - k * size) for size in sizes[:-1])
+            shared = parts[sizes] = (moment, tuple(sorted(weights)))
+        points.append(FixedPoint._make(cp_label_id(groups), shared[0], weights, shared[1]))
     roots = None
     weyl = None
     if k == 3:
@@ -384,9 +405,10 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
 
     kind "prequantum": restriction <moment(F), u> at each F.
     kind "v": sphere products only; the i-th factor class restricting to
-        +u off the subset and -u on it.
+        +u off the subset and -u on it, for an ``int`` index i in 1..n.
     kind "line": the constant linear form <direction, u> at every point;
-        direction entries must be ``int`` or ``Fraction``.
+        direction is a list or tuple of ``int`` or ``Fraction`` entries.
+    A bad index or direction raises IndexOutOfRange.
     """
     if kind == "prequantum":
         # Points holding the same moment tuple share one form; the built-in
@@ -401,7 +423,7 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
             restrictions[fp.id] = form
         return EquivariantClass(restrictions)
     if kind == "line":
-        if direction is None or len(direction) != model.rank:
+        if not isinstance(direction, (list, tuple)) or len(direction) != model.rank:
             raise IndexOutOfRange(f"line class needs a direction of length {model.rank}")
         form = MultiPoly.linear_form(
             [strict_rational(a, "line direction entry", IndexOutOfRange) for a in direction]
@@ -411,7 +433,7 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
         if not (model.family and model.family[0] == "sphere"):
             raise UnknownGenerator("v classes exist only on sphere-product models")
         n = model.family[1]
-        if index is None or not 1 <= index <= n:
+        if index is None or not 1 <= strict_int(index, "v index", IndexOutOfRange) <= n:
             raise IndexOutOfRange(f"v index must lie in 1..{n}")
         u = MultiPoly.variable(1, 0)
         restrictions = {}

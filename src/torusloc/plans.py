@@ -18,8 +18,8 @@ from typing import Sequence, Union
 
 from .errors import NotRegular, TorusLocError, Unsupported
 from .localization import OrientedFlag, Plan, PlanTerm
-from .model import TorusModel, assignments, check_family_size, cp_label_id
-from .model import strict_int_vector, strict_rational
+from .model import TorusModel, check_family_size, cp_label_id, group_walk
+from .model import strict_int, strict_int_vector, strict_rational
 
 # The two oriented flags of the projective-plane recipe: cross the second
 # circle first and descend against the first circle, or the reverse.
@@ -51,11 +51,15 @@ def wall_list(model: TorusModel, xi: Sequence[int]) -> WallList:
     xi = strict_int_vector(xi, "direction", Unsupported)
     if len(xi) != model.rank:
         raise Unsupported(f"direction must have length {model.rank}")
-    moments = {fp.moment for fp in model.fixed_points}
-    values = {m: sum((c * x for c, x in zip(xi, m)), Fraction(0)) for m in moments}
+    # Each distinct moment object is summed, and its value hashed, once;
+    # equal moments held as different objects land in the same group.
+    moments = {id(fp.moment): fp.moment for fp in model.fixed_points}
     groups: dict[Fraction, list[str]] = {}
+    members: dict[int, list[str]] = {}
+    for key, m in moments.items():
+        members[key] = groups.setdefault(sum((c * x for c, x in zip(xi, m)), Fraction(0)), [])
     for fp in model.fixed_points:
-        groups.setdefault(values[fp.moment], []).append(fp.id)
+        members[id(fp.moment)].append(fp.id)
     entries = tuple((value, tuple(groups[value])) for value in sorted(groups))
     return WallList(entries)
 
@@ -66,20 +70,25 @@ def rank1_plan(model: TorusModel, p0: Union[int, Fraction], direction: int) -> P
 
     Every fixed point strictly on the exit side contributes one term with
     coefficient +1 and the single-stage flag oriented along the path, in
-    point order; walls and sides are tested once per distinct moment value.
+    point order; walls and sides are tested once per distinct moment
+    object.  direction must be an ``int`` (else TorusLocError).
     """
     if model.rank != 1:
         raise Unsupported("rank1_plan requires a rank-1 model")
-    if direction not in (1, -1):
+    if strict_int(direction, "direction", TorusLocError) not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     p0 = strict_rational(p0, "base point", TorusLocError)
-    exits: dict[Fraction, bool] = {}
-    for value in {fp.moment[0] for fp in model.fixed_points}:
+    # Keyed by moment identity, as class_generator keys its forms: the
+    # builders hand every point of a size vector the same moment tuple.
+    moments = {id(fp.moment): fp.moment for fp in model.fixed_points}
+    exits: dict[int, bool] = {}
+    for key, (value,) in moments.items():
         if value == p0:
             raise NotRegular(f"{p0} is a wall value")
-        exits[value] = (value - p0) * direction > 0
+        exits[key] = (value - p0) * direction > 0
     flag = OrientedFlag(((direction,),))
-    return Plan(tuple(PlanTerm(1, fp.id, flag) for fp in model.fixed_points if exits[fp.moment[0]]))
+    make = PlanTerm._make
+    return Plan(tuple(make(1, fp.id, flag) for fp in model.fixed_points if exits[id(fp.moment)]))
 
 
 def _cp2_predicates(n: int, variant: str):
@@ -123,11 +132,10 @@ def cp2_plan(n: int, variant: str = "general") -> Plan:
     check_family_size("cp2", 3, n)
     flags: dict[tuple[int, ...], OrientedFlag | None] = {}
     terms = []
-    for _, groups in assignments(n, 3):
-        sizes = tuple(map(len, groups))
+    for _, groups, sizes in group_walk(n, 3, ((),) * 3):  # ids and sizes only
         if sizes not in flags:
             flags[sizes] = next((flag for predicate, flag in predicates if predicate(*sizes)), None)
         flag = flags[sizes]
         if flag is not None:
-            terms.append(PlanTerm(1, cp_label_id(groups), flag))
+            terms.append(PlanTerm._make(1, cp_label_id(groups), flag))
     return Plan(tuple(terms))

@@ -401,7 +401,7 @@ class TestSizeGuard:
             raise AssertionError("the size guard let a model build start")
 
         monkeypatch.setattr(model_module, "FixedPoint", refuse)
-        monkeypatch.setattr(model_module, "assignments", refuse)
+        monkeypatch.setattr(model_module, "group_walk", refuse)
         monkeypatch.setattr(model_module.itertools, "product", refuse)
         code, out, err = run(capsys, *argv)
         assert code == 3

@@ -368,6 +368,12 @@ class TestVolumeClass:
         with pytest.raises(DimensionMismatch, match="must be an int or a Fraction"):
             volume_class(build_sphere_product(3), "torus", base)
 
+    @pytest.mark.parametrize("base", [0.5, 0, None, "0"])
+    def test_base_point_must_be_a_sequence(self, base):
+        # volume_class(m, "torus", 0.5) used to end in a TypeError
+        with pytest.raises(DimensionMismatch, match="base point must be a list or tuple"):
+            volume_class(build_sphere_product(3), "torus", base)
+
     def test_errors(self):
         with pytest.raises(Unsupported, match="without fixed points"):
             volume_class(TorusModel(1, ()), "torus")

@@ -1,7 +1,10 @@
 import io
+import itertools
 import json
 import re
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -28,6 +31,7 @@ from torusloc.model import (
     MAX_FIXED_POINTS,
     FixedPoint,
     check_family_size,
+    group_walk,
     strict_int_vector,
 )
 
@@ -71,6 +75,53 @@ class TestBuildersMatchPartitionReference:
         assert sphere.fixed_points[5].id == ref_sphere_point_id({4, 2})
 
 
+class TestBuilderSortedWeights:
+    """The builders set each point's weight multiset and share one tuple
+    among the points of a size vector, which the moment identifies."""
+
+    @staticmethod
+    def check(model: TorusModel, size_vectors: int):
+        shared = {}
+        for fp in model.fixed_points:
+            assert vars(fp)["sorted_weights"] == tuple(sorted(fp.weights))
+            assert shared.setdefault(id(fp.moment), fp.sorted_weights) is fp.sorted_weights
+        assert len(shared) == len({id(w) for w in shared.values()}) == size_vectors
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_cp_product(self, k, n):
+        self.check(build_cp_product(k, n), comb(n + k - 1, k - 1))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sphere_product(self, n):
+        self.check(build_sphere_product(n), n + 1)
+
+
+class TestGroupWalk:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_product_order(self, k, n):
+        pieces = [(f"p{j}",) for j in range(k)]
+        expected = []
+        for word in itertools.product(range(k), repeat=n):
+            groups = [[str(i) for i, j in enumerate(word, 1) if j == g] for g in range(k)]
+            expected.append((tuple(f"p{j}" for j in word), tuple(map(",".join, groups)),
+                             tuple(map(len, groups))))
+        assert list(group_walk(n, k, pieces)) == expected
+
+    def test_streams(self):
+        # 3^12 words; a walk that lists them would allocate megabytes
+        # before yielding the first one
+        tracemalloc.start()
+        try:
+            first = next(group_walk(12, 3, ((),) * 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == ((), (",".join(map(str, range(1, 13))), "", ""), (12, 0, 0))
+        assert peak < 100_000
+
+
 class TestBuilderPointsMatchPublicConstructor:
     """Builder points skip the per-point checks; the checked public
     constructor must give back equal points."""
@@ -82,9 +133,10 @@ class TestBuilderPointsMatchPublicConstructor:
     def test_points_equal_checked_points(self, model):
         for fp in model.fixed_points:
             checked = FixedPoint(fp.id, fp.moment, fp.weights)
-            assert list(vars(fp)) == list(vars(checked)) == ["id", "moment", "weights"]
-            assert fp == checked
             assert fp.sorted_weights == checked.sorted_weights
+            keys = ["id", "moment", "weights", "sorted_weights"]
+            assert list(vars(fp)) == list(vars(checked)) == keys
+            assert fp == checked
 
 
 PAIR = ((1, 0), (0, 1))
@@ -249,6 +301,18 @@ class TestClassGenerator:
     def test_v_index_range(self):
         with pytest.raises(IndexOutOfRange):
             class_generator(build_sphere_product(3), "v", index=4)
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1"])
+    def test_v_index_must_be_an_int(self, index):
+        # index=1.5 used to end in a TypeError and index=True to mean v1
+        with pytest.raises(IndexOutOfRange, match="v index must be an integer"):
+            class_generator(build_sphere_product(3), "v", index=index)
+
+    @pytest.mark.parametrize("direction", [5, None, "12", Fraction(1)])
+    def test_line_direction_must_be_a_sequence(self, direction):
+        # direction=5 used to end in a TypeError from len()
+        with pytest.raises(IndexOutOfRange, match="direction of length 1"):
+            class_generator(build_sphere_product(3), "line", direction=direction)
 
     def test_unknown_kind(self):
         with pytest.raises(UnknownGenerator):

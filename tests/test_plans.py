@@ -88,6 +88,9 @@ REPEATED_MOMENTS = {
         (build_cp_product(3, 4), (1, 0)),
         (build_cp_product(3, 4), (2, -1)),
         (build_cp_product(3, 4), (1, 1)),
+        (build_sphere_product(7), (1,)),
+        (build_cp_product(3, 5), (1, 0)),
+        (build_cp_product(3, 5), (0, 1)),
         (load_model(io.StringIO(json.dumps(REPEATED_MOMENTS))), (1, 0)),
         (load_model(io.StringIO(json.dumps(REPEATED_MOMENTS))), (2, -4)),
     ],
@@ -124,6 +127,22 @@ class TestRank1Plan:
         # rank1_plan(m, 0.1, 1) used to plan at the binary value of 0.1
         with pytest.raises(TorusLocError, match="base point must be an int or a Fraction"):
             rank1_plan(build_sphere_product(3), p0, 1)
+
+    @pytest.mark.parametrize("direction", [1.0, True, "1", None])
+    def test_direction_must_be_an_int(self, direction):
+        # rank1_plan(m, 0, 1.0) used to fail inside OrientedFlag, naming a flag
+        with pytest.raises(TorusLocError, match="direction must be an integer"):
+            rank1_plan(build_sphere_product(3), 0, direction)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_builder_models_match_per_point_reference(self, n):
+        m = build_sphere_product(n)
+        for p0 in (Fraction(1, 2), Fraction(-5, 3), n - 1):
+            for direction in (1, -1):
+                expected = ref_rank1_plan(m, p0, direction)
+                assert [vars(t) for t in rank1_plan(m, p0, direction).terms] == [
+                    vars(t) for t in expected.terms
+                ]
 
     def test_telescoping_between_walls(self):
         # no wall in (2, 4) for n = 4, so plans from any base point agree
@@ -204,9 +223,12 @@ class TestCp2Plan:
             cp2_plan(4, "bogus")
 
     @pytest.mark.parametrize("variant", ["general", "swapped", "mirror"])
-    @pytest.mark.parametrize("n", [4, 5, 7])
+    @pytest.mark.parametrize("n", [4, 5, 7, 8])
     def test_matches_the_partition_reference(self, n, variant):
-        assert cp2_plan(n, variant) == ref_cp2_plan(n, variant)
+        # vars compares each term's fields in order, as the checked
+        # constructor sets them
+        expected = ref_cp2_plan(n, variant)
+        assert [vars(t) for t in cp2_plan(n, variant).terms] == [vars(t) for t in expected.terms]
 
     def test_oversized_plan_is_refused(self):
         with pytest.raises(ModelTooLarge):
