@@ -77,8 +77,9 @@ def format_value(value: Fraction, as_float: bool) -> str:
 
 
 def cmd_pair(args) -> int:
+    expr = parse_class_expr(getattr(args, "class"))
     model = resolve_model(args.model)
-    cls = evaluate_expr(parse_class_expr(getattr(args, "class")), model)
+    cls = evaluate_expr(expr, model)
     plan = plan_for(args, model)
     value = evaluate_plan(model, plan, cls)
     print(format_value(value, args.float))

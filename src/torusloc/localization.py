@@ -17,7 +17,6 @@ way and the result of a full evaluation is always a plain rational.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -33,6 +32,7 @@ from .errors import (
     UnknownFixedPoint,
     Unsupported,
 )
+from .frozen import Frozen
 from .model import (
     EquivariantClass,
     FixedPoint,
@@ -76,8 +76,7 @@ def _int_det(rows: tuple[tuple[int, ...], ...]) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class OrientedFlag:
+class OrientedFlag(Frozen):
     """A signed lattice basis; stage i is the circle direction stages[i].
 
     Reversing the orientation of a stage circle is exactly negating its
@@ -89,13 +88,12 @@ class OrientedFlag:
     raises NotUnimodular, so every flag that exists is a lattice basis.
     """
 
-    stages: tuple[tuple[int, ...], ...]
+    _fields = ("stages",)
 
-    def __post_init__(self):
-        if not isinstance(self.stages, (list, tuple)):
-            raise PlanFormatError(f"flag must be a list of stage vectors, got {self.stages!r}")
-        stages = tuple(strict_int_vector(s, "flag stage", PlanFormatError) for s in self.stages)
-        object.__setattr__(self, "stages", stages)
+    def __init__(self, stages: tuple[tuple[int, ...], ...]):
+        if not isinstance(stages, (list, tuple)):
+            raise PlanFormatError(f"flag must be a list of stage vectors, got {stages!r}")
+        stages = tuple(strict_int_vector(s, "flag stage", PlanFormatError) for s in stages)
         d = len(stages)
         if any(len(s) != d for s in stages):
             raise PlanFormatError(
@@ -104,25 +102,32 @@ class OrientedFlag:
         det = _int_det(stages)
         if abs(det) != 1:
             raise NotUnimodular(f"flag {stages} has determinant {det}")
+        self._set(stages)
+        # evaluate_plan hashes one flag per plan term
+        object.__setattr__(self, "_hash", hash(stages))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self) -> int:
         return len(self.stages)
 
 
-@dataclass(frozen=True)
-class PlanTerm:
+class PlanTerm(Frozen):
     """One (fixed point, flag) pair with an ``int`` coefficient and a ``str``
     id; anything else raises PlanFormatError."""
 
-    coefficient: int
-    fixed_point_id: str
-    flag: OrientedFlag
+    _fields = ("coefficient", "fixed_point_id", "flag")
 
-    def __post_init__(self):
-        strict_int(self.coefficient, "coefficient", PlanFormatError)
-        if not isinstance(self.fixed_point_id, str):
-            raise PlanFormatError(f"fixed_point must be a string, got {self.fixed_point_id!r}")
+    def __init__(self, coefficient: int, fixed_point_id: str, flag: OrientedFlag):
+        strict_int(coefficient, "coefficient", PlanFormatError)
+        if not isinstance(fixed_point_id, str):
+            raise PlanFormatError(f"fixed_point must be a string, got {fixed_point_id!r}")
+        # set one by one, as _make sets them: load_plan makes a term per entry
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "fixed_point_id", fixed_point_id)
+        object.__setattr__(self, "flag", flag)
 
     @classmethod
     def _make(cls, coefficient: int, fixed_point_id: str, flag: OrientedFlag) -> "PlanTerm":
@@ -135,14 +140,13 @@ class PlanTerm:
         return obj
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Frozen):
     """A formal integer combination of (fixed point, flag) pairs."""
 
-    terms: tuple[PlanTerm, ...]
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, terms: tuple[PlanTerm, ...]):
+        self._set(tuple(terms))
 
     def __len__(self):
         return len(self.terms)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import IO, Sequence, Union
@@ -29,6 +28,7 @@ from .errors import (
     TorusLocError,
     UnknownGenerator,
 )
+from .frozen import Frozen
 from .poly import MultiPoly
 
 Weight = tuple[int, ...]
@@ -39,8 +39,7 @@ Moment = tuple[Fraction, ...]
 MAX_FIXED_POINTS = 2**20
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(Frozen):
     """An isolated fixed point: identifier, moment image, tangent weights.
 
     The id must be a ``str``.  Each weight must be a list or tuple of
@@ -51,26 +50,22 @@ class FixedPoint:
     type raises too.
     """
 
-    id: str
-    moment: Moment
-    weights: tuple[Weight, ...]
+    _fields = ("id", "moment", "weights")
 
-    def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise ModelFormatError(f"fixed point id must be a string, got {self.id!r}")
-        moment = self.moment
+    def __init__(self, id: str, moment: Moment, weights: tuple[Weight, ...]):
+        if not isinstance(id, str):
+            raise ModelFormatError(f"fixed point id must be a string, got {id!r}")
         if type(moment) is not tuple or {*map(type, moment)} - {Fraction}:
             moment = tuple(moment)
             if any(isinstance(m, (float, bool)) for m in moment):
                 raise ModelFormatError(
-                    f"fixed point {self.id!r}: moment {moment!r} has a float or boolean entry"
+                    f"fixed point {id!r}: moment {moment!r} has a float or boolean entry"
                 )
             try:
                 moment = tuple(map(_parse_rational, moment))
             except ModelFormatError as err:
-                raise ModelFormatError(f"fixed point {self.id!r}: {err}") from None
-            object.__setattr__(self, "moment", moment)
-        weights = tuple(self.weights)
+                raise ModelFormatError(f"fixed point {id!r}: {err}") from None
+        weights = tuple(weights)
         kinds = {*map(type, weights)}
         # One pass over all entries; only a failing point pays the per-weight
         # check, which names the first bad weight.
@@ -78,10 +73,13 @@ class FixedPoint:
             if list in kinds:
                 weights = tuple(map(tuple, weights))
         else:
-            what = f"fixed point {self.id!r}: weight"
+            what = f"fixed point {id!r}: weight"
             weights = tuple(strict_int_vector(w, what) for w in weights)
         if not all(map(any, weights)):
-            raise ModelFormatError(f"fixed point {self.id!r}: zero tangent weight")
+            raise ModelFormatError(f"fixed point {id!r}: zero tangent weight")
+        # set one by one, as _make sets them: load_model makes a point per entry
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "moment", moment)
         object.__setattr__(self, "weights", weights)
 
     @classmethod
@@ -103,40 +101,40 @@ class FixedPoint:
         return tuple(sorted(self.weights))
 
 
-@dataclass(frozen=True, eq=False)
-class TorusModel:
-    """A rank-d torus action described entirely by its fixed points."""
+class TorusModel(Frozen):
+    """A rank-d torus action described entirely by its fixed points; family
+    is the builder tag, e.g. ("sphere", n) or ("cp", k, n).  Models compare
+    and hash by identity."""
 
-    rank: int
-    fixed_points: tuple[FixedPoint, ...]
-    roots: tuple[Weight, ...] | None = None
-    weyl_order: int | None = None
-    global_stabilizer_order: int = 1
-    family: tuple | None = None  # builder tag, e.g. ("sphere", n) or ("cp", k, n)
+    _fields = ("rank", "fixed_points", "roots", "weyl_order", "global_stabilizer_order", "family")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "fixed_points", tuple(self.fixed_points))
-        strict_int(self.rank, "rank")
-        strict_int(self.global_stabilizer_order, "global_stabilizer_order")
-        if self.weyl_order is not None:
-            strict_int(self.weyl_order, "weyl_order")
-        if self.rank < 1:
+    def __init__(self, rank: int, fixed_points: tuple[FixedPoint, ...],
+                 roots: tuple[Weight, ...] | None = None, weyl_order: int | None = None,
+                 global_stabilizer_order: int = 1, family: tuple | None = None):
+        self._set(rank, tuple(fixed_points), roots, weyl_order, global_stabilizer_order, family)
+        strict_int(rank, "rank")
+        strict_int(global_stabilizer_order, "global_stabilizer_order")
+        if weyl_order is not None:
+            strict_int(weyl_order, "weyl_order")
+        if rank < 1:
             raise ModelFormatError("rank must be a positive integer")
-        if self.global_stabilizer_order < 1:
+        if global_stabilizer_order < 1:
             raise ModelFormatError("global_stabilizer_order must be positive")
-        if self.weyl_order is not None and self.weyl_order < 1:
+        if weyl_order is not None and weyl_order < 1:
             raise ModelFormatError("weyl_order must be positive")
         self._scan_points()
-        if self.roots is not None:
-            if not isinstance(self.roots, (list, tuple)):
-                raise ModelFormatError(f"roots must be a list, got {self.roots!r}")
-            roots = tuple(strict_int_vector(r, "root") for r in self.roots)
+        if roots is not None:
+            if not isinstance(roots, (list, tuple)):
+                raise ModelFormatError(f"roots must be a list, got {roots!r}")
+            roots = tuple(strict_int_vector(r, "root") for r in roots)
             object.__setattr__(self, "roots", roots)
             if len(roots) % 2:
                 raise ModelFormatError("root list must have even length")
             for r in roots:
-                if len(r) != self.rank:
-                    raise ModelFormatError(f"root {r} has length {len(r)}, expected {self.rank}")
+                if len(r) != rank:
+                    raise ModelFormatError(f"root {r} has length {len(r)}, expected {rank}")
                 if tuple(-a for a in r) not in roots:
                     raise ModelFormatError(f"root list is not closed under negation: {r}")
 
@@ -179,8 +177,7 @@ class TorusModel:
         return len(self.fixed_points[0].weights) if self.fixed_points else 0
 
 
-@dataclass(frozen=True)
-class EquivariantClass:
+class EquivariantClass(Frozen):
     """A cohomology class stored as one polynomial restriction per fixed point.
 
     Arithmetic is computed once per distinct restriction (or distinct pair
@@ -188,10 +185,10 @@ class EquivariantClass:
     the symmetric families have far fewer distinct restrictions than points.
     """
 
-    restrictions: dict[str, MultiPoly]
+    _fields = ("restrictions",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "restrictions", dict(self.restrictions))
+    def __init__(self, restrictions: dict[str, MultiPoly]):
+        self._set(dict(restrictions))
 
     @classmethod
     def constant(cls, model: TorusModel, value) -> "EquivariantClass":
@@ -239,11 +236,6 @@ class EquivariantClass:
 
     def __pow__(self, n: int):
         return self.pointwise(lambda p: p**n)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EquivariantClass) and self.restrictions == other.restrictions
-        )
 
 
 # ----------------------------------------------------------------------

@@ -12,11 +12,11 @@ side; see the package README for the recorded finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import NotRegular, TorusLocError, Unsupported
+from .frozen import Frozen
 from .localization import OrientedFlag, Plan, PlanTerm
 from .model import TorusModel, check_family_size, cp_label_id, group_walk
 from .model import strict_int, strict_int_vector, strict_rational
@@ -34,12 +34,14 @@ THETA2_MIRROR = OrientedFlag(((0, -1), (1, 0)))
 CP2_VARIANTS = ("general", "swapped", "mirror")
 
 
-@dataclass(frozen=True)
-class WallList:
+class WallList(Frozen):
     """Sorted wall values of a model along a circle direction, with the
     fixed points sitting on each wall."""
 
-    entries: tuple[tuple[Fraction, tuple[str, ...]], ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Fraction, tuple[str, ...]], ...]):
+        self._set(entries)
 
     def values(self) -> list[Fraction]:
         return [value for value, _ in self.entries]

@@ -26,7 +26,6 @@ and copy through the internal constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -35,6 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, PlanFormatError, ZeroConstantTerm
+from .frozen import Frozen
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -395,19 +395,18 @@ def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly
     return MultiPoly._make(d, _int_substitute(p.numerators, basis), p.den)
 
 
-@dataclass(frozen=True)
-class TruncSeries:
+class TruncSeries(Frozen):
     """A polynomial together with the order through which it is trusted.
 
     All terms of total exponent greater than ``order`` have been dropped.
     """
 
-    body: MultiPoly
-    order: int
+    _fields = ("body", "order")
 
-    def __post_init__(self):
-        if self.body.total_degree() > self.order:
+    def __init__(self, body: MultiPoly, order: int):
+        if body.total_degree() > order:
             raise ValueError("series body exceeds its truncation order")
+        self._set(body, order)
 
     def piece(self, e: int) -> MultiPoly:
         """Graded piece of total exponent ``e`` (zero above the order)."""

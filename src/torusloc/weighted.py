@@ -16,11 +16,11 @@ algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
 from .errors import EmptyStage
+from .frozen import Frozen
 from .poly import (
     MultiPoly,
     TruncSeries,
@@ -32,20 +32,18 @@ from .poly import (
 Line = tuple[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class WeightedSpace:
+class WeightedSpace(Frozen):
     """A circle representation split into lines, with residual equivariance.
 
     ``lines`` is a sequence of (circle_weight, residual_vector) pairs; all
     residual vectors have length ``residual_count``.
     """
 
-    lines: tuple[Line, ...]
-    residual_count: int
+    _fields = ("lines", "residual_count")
 
-    def __post_init__(self):
+    def __init__(self, lines: tuple[Line, ...], residual_count: int):
         norm = []
-        for weight, residual in self.lines:
+        for weight, residual in lines:
             if weight == 0:
                 raise ValueError("circle weight 0: the circle must fix only the origin")
             if type(weight) is not int:
@@ -53,13 +51,13 @@ class WeightedSpace:
             residual = tuple(residual)
             if any(type(r) is not int for r in residual):
                 raise ValueError(f"residual vector {residual} must have integer entries")
-            if len(residual) != self.residual_count:
+            if len(residual) != residual_count:
                 raise ValueError(
                     f"residual vector {residual} has length {len(residual)},"
-                    f" expected {self.residual_count}"
+                    f" expected {residual_count}"
                 )
             norm.append((weight, residual))
-        object.__setattr__(self, "lines", tuple(norm))
+        self._set(tuple(norm), residual_count)
 
     @property
     def rank(self) -> int:

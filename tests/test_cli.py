@@ -51,6 +51,17 @@ class TestPair:
         assert code == 3
         assert "column" in err
 
+    def test_huge_power_is_refused_before_the_model(self, capsys, monkeypatch):
+        def no_model(spec):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr("torusloc.cli.resolve_model", no_model)
+        code, out, err = run(capsys, "pair", "--model", "spheres:3", "--class",
+                             "L^99999999999", "--path", "0:+")
+        assert code == 3
+        assert out == ""
+        assert "at most 2000" in err and "column 3" in err
+
     def test_zero_denominator_path_is_usage_error(self, capsys):
         code, out, err = run(capsys, "pair", "--model", "spheres:3", "--class", "L^2",
                              "--path", "1/0:+")

@@ -13,7 +13,7 @@ from torusloc import (
     class_generator,
     weyl_correct,
 )
-from torusloc.expr import MAX_NESTING, evaluate_expr, parse_class_expr
+from torusloc.expr import MAX_NESTING, MAX_POWER, evaluate_expr, parse_class_expr
 
 
 def evaluate(text, model):
@@ -145,6 +145,41 @@ class TestNestingLimit:
         with pytest.raises(ClassSyntaxError, match="nesting") as err:
             parse_class_expr("L*\n" + "(" * outer + "weyl(L)" + ")" * outer)
         assert (err.value.line, err.value.column) == (2, outer + 1)
+
+
+class TestPowerLimit:
+    """Exponents above MAX_POWER are refused at their position while parsing;
+    nothing here evaluates a power above the limit."""
+
+    def test_power_at_the_limit_parses(self):
+        for text in (f"L^{MAX_POWER}", f"(v1 + L)^{MAX_POWER}", f"v2^00{MAX_POWER}"):
+            parse_class_expr(text)
+
+    def test_leading_zeros_keep_their_value(self):
+        m = build_sphere_product(3)
+        assert evaluate("L^0002", m) == evaluate("L^2", m)
+        assert evaluate("v1^000", m) == EquivariantClass.constant(m, 1)
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            (f"L^{MAX_POWER + 1}", 3),
+            ("L^99999999999", 3),
+            ("L^" + "9" * 5000, 3),
+            (f"v1 + (L*v2)^{MAX_POWER + 1}", 13),
+            (f"line(1)^{10 * MAX_POWER}", 9),
+            (f"L^2*v3^0{MAX_POWER + 1}", 8),
+        ],
+    )
+    def test_power_past_the_limit_fails_at_its_position(self, text, column):
+        with pytest.raises(ClassSyntaxError, match=f"at most {MAX_POWER}") as err:
+            parse_class_expr(text)
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_an_earlier_syntax_error_wins(self):
+        with pytest.raises(ClassSyntaxError, match="unknown generator") as err:
+            parse_class_expr(f"w^2 + L^{MAX_POWER + 1}")
+        assert (err.value.line, err.value.column) == (1, 1)
 
 
 class TestCanonicalInputs:
