@@ -111,6 +111,14 @@ class _Parser:
         token = self.peek()
         raise ClassSyntaxError(message, token.line, token.column)
 
+    @staticmethod
+    def to_int(digits: str, token: Token) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # longer than the interpreter converts
+            message = f"integer literal of {len(digits)} digits is too long"
+            raise ClassSyntaxError(message, token.line, token.column) from None
+
     def parse_nested(self, opener: Token) -> Evaluator:
         """The parenthesized expression after ``opener``, '(' or 'weyl'."""
         self.depth += 1
@@ -169,13 +177,14 @@ class _Parser:
         return evaluate
 
     def parse_rational(self) -> Fraction:
-        num = int(self.advance().text)
+        num_token = self.advance()
+        num = self.to_int(num_token.text, num_token)
         if self.peek().kind == "op" and self.peek().text == "/":
             self.advance()
             den_token = self.peek()
             if den_token.kind != "int":
                 self.fail("expected a positive integer denominator")
-            den = int(self.advance().text)
+            den = self.to_int(self.advance().text, den_token)
             if den == 0:
                 raise ClassSyntaxError("zero denominator", den_token.line, den_token.column)
             return Fraction(num, den)
@@ -210,7 +219,7 @@ class _Parser:
             return self.with_power(lambda model: class_generator(model, "line", direction=direction))
         match = re.fullmatch(r"v(\d+)", name)
         if match:
-            index = int(match.group(1))
+            index = self.to_int(match.group(1), token)
             return self.with_power(lambda model: class_generator(model, "v", index=index))
         raise ClassSyntaxError(f"unknown generator {name!r}", token.line, token.column)
 
@@ -222,7 +231,7 @@ class _Parser:
             token = self.peek()
         if token.kind != "int":
             self.fail("expected an integer")
-        return sign * int(self.advance().text)
+        return sign * self.to_int(self.advance().text, token)
 
     def with_power(self, base: Evaluator) -> Evaluator:
         """``base``, raised to the exponent that follows it, if one does."""
@@ -235,7 +244,8 @@ class _Parser:
         digits = token.text.lstrip("0")
         if len(digits) > len(str(MAX_POWER)) or int(digits or 0) > MAX_POWER:
             self.fail(f"exponents must be at most {MAX_POWER}")
-        power = int(self.advance().text)
+        self.advance()
+        power = int(digits or 0)
         return base if power == 1 else lambda model: base(model) ** power
 
 

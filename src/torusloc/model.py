@@ -8,8 +8,9 @@ its maximal torus.
 
 The two built-in families are products of 2-spheres rotated diagonally by
 a circle, and products of projective planes acted on by the rank-2 maximal
-torus of the projective unitary group.  Both have all tangent weight data
-in closed form, which the builders reproduce exactly.
+torus of the projective unitary group.  Both are n-fold products of one
+toric factor, built by one builder from the factor's vertex weights and
+the closed form of the moment.
 """
 
 from __future__ import annotations
@@ -245,16 +246,14 @@ class EquivariantClass(Frozen):
 def check_family_size(name: str, k: int, n: int):
     """Raise ModelTooLarge if k**n fixed points exceed MAX_FIXED_POINTS.
 
-    The count is built up one factor at a time, so a huge n costs no
-    more than about twenty multiplications.
+    Every family has k >= 2, so k**e exceeds the limit already at
+    e = MAX_FIXED_POINTS.bit_length(); capping the exponent there gives
+    the same answer and keeps a huge n cheap.
     """
-    count = 1
-    for _ in range(n):
-        count *= k
-        if count > MAX_FIXED_POINTS:
-            raise ModelTooLarge(
-                f"{name}:{n} has {k}^{n} fixed points, more than the limit {MAX_FIXED_POINTS}"
-            )
+    if k ** min(n, MAX_FIXED_POINTS.bit_length()) > MAX_FIXED_POINTS:
+        raise ModelTooLarge(
+            f"{name}:{n} has {k}^{n} fixed points, more than the limit {MAX_FIXED_POINTS}"
+        )
 
 
 def group_walk(n: int, k: int, pieces: Sequence[tuple]):
@@ -297,54 +296,58 @@ def cp_label_id(groups: Sequence[str]) -> str:
     return "F{" + "}|{".join(groups) + "}"
 
 
+def _build_product(n: int, k: int, vertex_weights: Sequence[tuple[Weight, ...]],
+                   moment_of_sizes, point_id, **model_fields) -> TorusModel:
+    """The n-fold product of a toric factor with k vertices, as a TorusModel
+    with model_fields.
+
+    A point's weights are its vertices' weights laid end to end and its id
+    is point_id(groups).  Its moment, moment_of_sizes(sizes), and its sorted
+    weights depend only on the group sizes, so each is built once per size
+    vector and the points of that size vector share it.
+    """
+    vertex_weights = [tuple(strict_int_vector(w, "weight") for w in ws) for ws in vertex_weights]
+    parts: dict[tuple[int, ...], tuple] = {}
+    points = []
+    for weights, groups, sizes in group_walk(n, k, vertex_weights):
+        shared = parts.get(sizes)
+        if shared is None:
+            shared = parts[sizes] = (moment_of_sizes(sizes), tuple(sorted(weights)))
+        points.append(FixedPoint._make(point_id(groups), shared[0], weights, shared[1]))
+    return TorusModel(fixed_points=tuple(points), **model_fields)
+
+
 def build_sphere_product(n: int) -> TorusModel:
     """The n-fold product of 2-spheres under the diagonal circle rotation.
 
-    Fixed points are indexed by the subsets I of {1..n} whose factors sit
-    at the south pole; the moment value is n - 2|I| and the tangent weight
-    of factor i is +1 off I and -1 on it.  The moment and the sorted
-    weights depend only on |I|, so each is built once per size and shared
-    by the points of that size.  Root data for the ambient rotation group
-    (roots +1, -1 and Weyl order 2) is attached.
+    The k = 2 product with vertices north (weight +1) and south (weight -1):
+    the point "f{I}" has the factors in I at the south pole and moment value
+    n - 2|I|.  Root data for the ambient rotation group (roots +1, -1 and
+    Weyl order 2) is attached.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     check_family_size("spheres", 2, n)
-    signs = tuple(strict_int_vector(w, "weight") for w in ((1,), (-1,)))
-    parts: dict[tuple[int, int], tuple] = {}
-    points = []
-    for weights, (_, south), sizes in group_walk(n, 2, [(sign,) for sign in signs]):
-        shared = parts.get(sizes)
-        if shared is None:
-            shared = parts[sizes] = ((Fraction(n - 2 * sizes[1]),), tuple(sorted(weights)))
-        points.append(FixedPoint._make("f{" + south + "}", shared[0], weights, shared[1]))
-    return TorusModel(
-        rank=1,
-        fixed_points=tuple(points),
-        roots=((1,), (-1,)),
-        weyl_order=2,
-        family=("sphere", n),
+    return _build_product(
+        n, 2, (((1,),), ((-1,),)),
+        lambda sizes: (Fraction(n - 2 * sizes[1]),),
+        lambda groups: "f{" + groups[1] + "}",
+        rank=1, roots=((1,), (-1,)), weyl_order=2, family=("sphere", n),
     )
 
 
 def cp_vertex_weights(k: int) -> list[tuple[Weight, ...]]:
-    """Tangent weights at each coordinate fixed point of one projective factor."""
+    """Tangent weights at each coordinate fixed point of one projective factor.
 
-    def basis(i: int) -> list[int]:
-        e = [0] * (k - 1)
-        e[i - 1] = 1
-        return e
-
-    out = []
-    for j in range(1, k):
-        ws = []
-        for i in range(1, k):
-            if i != j:
-                ws.append(tuple(a - b for a, b in zip(basis(i), basis(j))))
-        ws.append(tuple(-a for a in basis(j)))
-        out.append(tuple(ws))
-    out.append(tuple(tuple(basis(i)) for i in range(1, k)))
-    return out
+    At vertex j they are the edge directions e_i - e_j of the moment
+    simplex, for i != j in order, with e_1, ..., e_{k-1} the lattice basis
+    and e_k = 0.
+    """
+    e = [tuple(int(i == a) for a in range(k - 1)) for i in range(k)]
+    return [
+        tuple(tuple(a - b for a, b in zip(e[i], e[j])) for i in range(k) if i != j)
+        for j in range(k)
+    ]
 
 
 def build_cp_product(k: int, n: int) -> TorusModel:
@@ -355,35 +358,24 @@ def build_cp_product(k: int, n: int) -> TorusModel:
     {1..n} into k groups, one per coordinate point of the factor.  The
     j-th coordinate point has moment (1, ..., 1) - k e_j (the last one
     (1, ..., 1)), so a point whose groups have sizes (i_1, ..., i_k) has
-    moment (n - k i_1, ..., n - k i_{k-1}).  The moment and the sorted
-    weights are built once per size vector and shared by its points.  For
-    k = 3 the six roots and Weyl order 6 are attached.
+    moment (n - k i_1, ..., n - k i_{k-1}).  For k = 3 the six roots and
+    Weyl order 6 are attached.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if n < 1:
         raise ValueError("n must be a positive integer")
     check_family_size(f"cp{k - 1}", k, n)
-    vertex_weights = [tuple(strict_int_vector(w, "weight") for w in ws) for ws in cp_vertex_weights(k)]
-    parts: dict[tuple[int, ...], tuple] = {}
-    points = []
-    for weights, groups, sizes in group_walk(n, k, vertex_weights):
-        shared = parts.get(sizes)
-        if shared is None:
-            moment = tuple(Fraction(n - k * size) for size in sizes[:-1])
-            shared = parts[sizes] = (moment, tuple(sorted(weights)))
-        points.append(FixedPoint._make(cp_label_id(groups), shared[0], weights, shared[1]))
     roots = None
     weyl = None
     if k == 3:
         roots = ((1, -1), (-1, 1), (1, 0), (-1, 0), (0, 1), (0, -1))
         weyl = 6
-    return TorusModel(
-        rank=k - 1,
-        fixed_points=tuple(points),
-        roots=roots,
-        weyl_order=weyl,
-        family=("cp", k, n),
+    return _build_product(
+        n, k, cp_vertex_weights(k),
+        lambda sizes: tuple(Fraction(n - k * size) for size in sizes[:-1]),
+        cp_label_id,
+        rank=k - 1, roots=roots, weyl_order=weyl, family=("cp", k, n),
     )
 
 

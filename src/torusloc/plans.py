@@ -5,9 +5,9 @@ For a rank-1 model every wall is a fixed-point moment value, so a path
 from a regular value straight out of the moment image crosses exactly the
 fixed points on one side.  For the rank-2 projective-plane family the
 source text of the recipe is internally inconsistent about which of the
-two flags goes with which region of fixed points, so the predicate pair
-is exposed as a configuration token and the alternatives are kept side by
-side; see the package README for the recorded finding.
+two flags goes with which region of fixed points, so the assignment is
+exposed as a configuration token and the alternatives are kept side by
+side in one table; see the package README for the recorded finding.
 """
 
 from __future__ import annotations
@@ -26,12 +26,22 @@ from .model import strict_int, strict_int_vector, strict_rational
 THETA1 = OrientedFlag(((0, 1), (-1, 0)))
 THETA2 = OrientedFlag(((-1, 0), (0, 1)))
 
-# Reflections of the two flags under the lattice symmetry that swaps the
-# two torus coordinates.
-THETA1_MIRROR = OrientedFlag(((1, 0), (0, -1)))
-THETA2_MIRROR = OrientedFlag(((0, -1), (1, 0)))
+# Images of the two flags under the lattice symmetry that swaps the two
+# torus coordinates.
+THETA1_MIRROR, THETA2_MIRROR = (
+    OrientedFlag(tuple(stage[::-1] for stage in flag.stages)) for flag in (THETA1, THETA2)
+)
 
-CP2_VARIANTS = ("general", "swapped", "mirror")
+# variant -> (flag of region A, flag of region B, mirrored).  Region A holds
+# the partitions with i1 > n/3 and i3 > n/3, region B those with i2 < n/3
+# and i3 < n/3; a mirrored variant reads both with i1 and i2 swapped, so
+# "mirror" is the coordinate-swap image of "swapped".
+_CP2_RECIPE = {
+    "general": (THETA1, THETA2, False),
+    "swapped": (THETA2, THETA1, False),
+    "mirror": (THETA2_MIRROR, THETA1_MIRROR, True),
+}
+CP2_VARIANTS = tuple(_CP2_RECIPE)
 
 
 class WallList(Frozen):
@@ -93,50 +103,36 @@ def rank1_plan(model: TorusModel, p0: Union[int, Fraction], direction: int) -> P
     return Plan(tuple(make(1, fp.id, flag) for fp in model.fixed_points if exits[id(fp.moment)]))
 
 
-def _cp2_predicates(n: int, variant: str):
-    third = Fraction(n, 3)
-
-    def region_high(i1, i2, i3):  # the displayed first region
-        return i1 > third and i3 > third
-
-    def region_low(i1, i2, i3):  # the displayed second region
-        return i2 < third and i3 < third
-
-    if variant == "general":
-        return ((region_high, THETA1), (region_low, THETA2))
-    if variant == "swapped":
-        return ((region_high, THETA2), (region_low, THETA1))
-    if variant == "mirror":
-        # Coordinate-swapped image of the "swapped" assignment.
-        def region_high_m(i1, i2, i3):
-            return i2 > third and i3 > third
-
-        def region_low_m(i1, i2, i3):
-            return i1 < third and i3 < third
-
-        return ((region_high_m, THETA2_MIRROR), (region_low_m, THETA1_MIRROR))
-    raise ValueError(f"unknown predicate variant {variant!r}; choose from {CP2_VARIANTS}")
-
-
 def cp2_plan(n: int, variant: str = "general") -> Plan:
     """Plan for the origin pairing on the n-fold projective-plane product.
 
-    One term per partition of {1..n} satisfying one of the two region
-    predicates, with the flag the chosen variant assigns to that region.
-    The regions are disjoint, so no partition receives two terms.  The
-    predicates depend only on the group sizes and run once per size vector.
+    One term per partition of {1..n} in one of the two regions of
+    _CP2_RECIPE, with the flag the chosen variant assigns to that region.
+    The regions are disjoint, so no partition receives two terms.  They
+    depend only on the group sizes and are tested once per size vector.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n % 3 == 0:
         raise NotRegular("the origin is not a regular value when n is a multiple of 3")
-    predicates = _cp2_predicates(n, variant)
+    if variant not in CP2_VARIANTS:
+        raise ValueError(f"unknown predicate variant {variant!r}; choose from {CP2_VARIANTS}")
+    flag_a, flag_b, mirrored = _CP2_RECIPE[variant]
     check_family_size("cp2", 3, n)
+    third = Fraction(n, 3)
     flags: dict[tuple[int, ...], OrientedFlag | None] = {}
     terms = []
     for _, groups, sizes in group_walk(n, 3, ((),) * 3):  # ids and sizes only
         if sizes not in flags:
-            flags[sizes] = next((flag for predicate, flag in predicates if predicate(*sizes)), None)
+            i1, i2, i3 = sizes
+            if mirrored:
+                i1, i2 = i2, i1
+            if i1 > third and i3 > third:
+                flags[sizes] = flag_a
+            elif i2 < third and i3 < third:
+                flags[sizes] = flag_b
+            else:
+                flags[sizes] = None
         flag = flags[sizes]
         if flag is not None:
             terms.append(PlanTerm._make(1, cp_label_id(groups), flag))

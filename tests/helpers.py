@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -23,8 +24,12 @@ from torusloc import (
     linear_substitute,
     volume_class,
 )
-from torusloc.model import cp_vertex_weights
 from torusloc.plans import THETA1, THETA1_MIRROR, THETA2, THETA2_MIRROR
+
+
+# int() refuses decimal literals longer than this; 0 means no limit, as
+# before Python 3.10.7 or with PYTHONINTMAXSTRDIGITS=0.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def monomial_class(model: TorusModel, j1: int, j2: int) -> EquivariantClass:
@@ -114,9 +119,25 @@ def ref_cp_vertex_moments(k: int) -> list[tuple[Fraction, ...]]:
     return vertices
 
 
+def ref_cp_vertex_weights(k: int) -> list[tuple[tuple[int, ...], ...]]:
+    """At each vertex v_j of the moment simplex, the weight toward each other
+    vertex v_i in order, (v_j - v_i) / k as an integer vector."""
+    vertices = ref_cp_vertex_moments(k)
+    out = []
+    for j, vj in enumerate(vertices):
+        weights = []
+        for i, vi in enumerate(vertices):
+            if i != j:
+                w = [(a - b) / k for a, b in zip(vj, vi)]
+                assert all(c.denominator == 1 for c in w)
+                weights.append(tuple(int(c) for c in w))
+        out.append(tuple(weights))
+    return out
+
+
 def ref_build_cp_product(k: int, n: int) -> TorusModel:
     vertices = ref_cp_vertex_moments(k)
-    vertex_weights = cp_vertex_weights(k)
+    vertex_weights = ref_cp_vertex_weights(k)
     points = []
     for partition in partitions_of(n, k):
         moment = tuple(

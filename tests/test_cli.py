@@ -7,6 +7,8 @@ import pytest
 import torusloc.model as model_module
 from torusloc.cli import main
 
+from helpers import INT_DIGIT_LIMIT
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -400,6 +402,25 @@ class TestDeepInput:
         assert code == 3
         assert out == ""
         assert "nesting" in err and "column 101" in err and "Traceback" not in err
+
+
+@pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() converts literals of any length here")
+class TestLongIntegerLiterals:
+    LONG = "9" * (INT_DIGIT_LIMIT + 1)
+
+    @pytest.mark.parametrize("text, column", [
+        (f"{LONG}*L^2", 1),
+        (f"1/{LONG}*L^2", 3),
+        (f"line({LONG})", 6),
+        (f"v{LONG}", 1),
+    ], ids=["coefficient", "denominator", "line", "v"])
+    def test_long_literal_is_syntax_error(self, capsys, text, column):
+        # these used to reach int() and end in its ValueError, exit code 2
+        code, out, err = run(capsys, "pair", "--model", "spheres:3", "--class", text,
+                             "--path", "0:+")
+        assert code == 3
+        assert out == ""
+        assert "too long" in err and f"column {column}" in err and "Traceback" not in err
 
 
 class TestSizeGuard:

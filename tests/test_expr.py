@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import line_column, misplaced_weyl, render_expr
+from helpers import INT_DIGIT_LIMIT, line_column, misplaced_weyl, render_expr
 from torusloc import (
     ClassSyntaxError,
     EquivariantClass,
@@ -180,6 +180,36 @@ class TestPowerLimit:
         with pytest.raises(ClassSyntaxError, match="unknown generator") as err:
             parse_class_expr(f"w^2 + L^{MAX_POWER + 1}")
         assert (err.value.line, err.value.column) == (1, 1)
+
+    def test_any_number_of_leading_zeros_keeps_the_value(self):
+        m = build_sphere_product(3)
+        assert evaluate("L^" + "0" * 5000 + "2", m) == evaluate("L^2", m)
+
+
+LONG = "9" * (INT_DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() converts literals of any length here")
+class TestLongIntegerLiterals:
+    """A literal longer than int() converts is a syntax error at its token."""
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            (f"{LONG}*L^2", 1, 1),
+            (f"L +\n {LONG}*L", 2, 2),
+            (f"1/{LONG}*L^2", 1, 3),
+            (f"L + line({LONG})", 1, 10),
+            (f"line(1, -{LONG})", 1, 10),
+            (f"v{LONG}", 1, 1),
+            (f"v1 * v{LONG}^2", 1, 6),
+        ],
+        ids=["coefficient", "second-line", "denominator", "line", "negative-line", "v", "v-power"],
+    )
+    def test_refused_at_its_position(self, text, line, column):
+        with pytest.raises(ClassSyntaxError, match="too long") as err:
+            parse_class_expr(text)
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 class TestCanonicalInputs:

@@ -31,6 +31,7 @@ from torusloc.model import (
     MAX_FIXED_POINTS,
     FixedPoint,
     check_family_size,
+    cp_vertex_weights,
     group_walk,
     strict_int_vector,
 )
@@ -39,6 +40,7 @@ from helpers import (
     ref_build_cp_product,
     ref_build_sphere_product,
     ref_cp_point_id,
+    ref_cp_vertex_weights,
     ref_sphere_point_id,
 )
 
@@ -73,6 +75,30 @@ class TestBuildersMatchPartitionReference:
         assert cp.fixed_points[0].id == ref_cp_point_id(({4, 3, 2, 1}, (), ()))
         sphere = build_sphere_product(4)
         assert sphere.fixed_points[5].id == ref_sphere_point_id({4, 2})
+
+
+class TestProductSymmetries:
+    """Both families are n-fold products of one toric factor whose tangent
+    weights at vertex j are the edge directions e_i - e_j of its moment simplex."""
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_vertex_weights_are_the_simplex_edges(self, k):
+        assert cp_vertex_weights(k) == ref_cp_vertex_weights(k)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_spheres_are_the_relabelled_projective_line_product(self, n):
+        # f{S} <-> F{S}|{N}: the south set S is the group of the vertex with
+        # weight -1, the north set N its complement
+        lines = {fp.id: fp for fp in build_cp_product(2, n).fixed_points}
+        spheres = build_sphere_product(n).fixed_points
+        assert len(spheres) == len(lines)
+        everything = set(range(1, n + 1))
+        for fp in spheres:
+            south = {int(i) for i in fp.id[2:-1].split(",") if i}
+            twin = lines[ref_cp_point_id((south, everything - south))]
+            assert fp.moment == twin.moment
+            assert fp.weights == twin.weights
+            assert fp.sorted_weights == twin.sorted_weights
 
 
 class TestBuilderSortedWeights:
@@ -583,3 +609,12 @@ class TestSizeGuard:
     def test_huge_size_is_rejected_without_computing_the_count(self):
         with pytest.raises(ModelTooLarge):
             check_family_size("spheres", 2, 10**12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_cap_is_exact_for_each_factor(self, k):
+        largest = max(n for n in range(1, 64) if k**n <= MAX_FIXED_POINTS)
+        check_family_size(f"cp{k - 1}", k, largest)
+        with pytest.raises(ModelTooLarge, match=f"{k}\\^{largest + 1} fixed points"):
+            check_family_size(f"cp{k - 1}", k, largest + 1)
+        with pytest.raises(ModelTooLarge):
+            check_family_size(f"cp{k - 1}", k, 10**12)

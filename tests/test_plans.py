@@ -257,6 +257,21 @@ class TestCp2Plan:
         remapped = Counter((t.fixed_point_id, swap[t.flag]) for t in general.terms)
         assert remapped == Counter((t.fixed_point_id, t.flag) for t in swapped.terms)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 8])
+    def test_mirror_is_the_coordinate_swap_of_swapped(self, n):
+        # F{A}|{B}|{C} -> F{B}|{A}|{C}, and each flag stage's two
+        # coordinates swapped
+        def swap(term):
+            a, b, c = term.fixed_point_id[1:].split("|")
+            stages = tuple(stage[::-1] for stage in term.flag.stages)
+            return term.coefficient, f"F{b}|{a}|{c}", stages
+
+        image = Counter(map(swap, cp2_plan(n, "swapped").terms))
+        mirror = Counter(
+            (t.coefficient, t.fixed_point_id, t.flag.stages) for t in cp2_plan(n, "mirror").terms
+        )
+        assert image == mirror
+
     @pytest.mark.parametrize("n", [4, 5, 7])
     def test_mirror_consistency_of_valid_descents(self, n):
         # the swapped assignment and its coordinate-swapped image are two
