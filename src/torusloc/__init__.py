@@ -46,7 +46,7 @@ from .model import (
     class_generator,
     load_model,
 )
-from .plans import CP2_VARIANTS, WallList, cp2_plan, rank1_plan, wall_list
+from .plans import CP2_VARIANTS, WallList, cp2_plan, expand_orbits, rank1_plan, wall_list
 from .poly import (
     MultiPoly,
     TruncSeries,

@@ -9,8 +9,11 @@ Subcommands:
     ring    cohomology ring relation of a weighted sphere quotient
     segre   weighted Segre pieces of a circle representation
 
-Models are "spheres:N", "cp2:N", or a path to a JSON model file.  Exit
-codes: 0 on success, 2 on usage errors, 3 on domain errors.
+Models are "spheres:N", "cp2:N", or a path to a JSON model file.  pair
+and volume evaluate a built-in family on its orbit model; walls, plan, a
+--plan file and a class naming v<i> use the per-point model, so every id
+printed or read is a per-point id.  Exit codes: 0 on success, 2 on usage
+errors, 3 on domain errors.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import TorusLocError, Unsupported
-from .expr import evaluate_expr, parse_class_expr
+from .expr import evaluate_expr, names_factor_class, parse_class_expr
 from .localization import dump_plan, evaluate_plan, load_plan, volume_class
-from .model import TorusModel, build_cp_product, build_sphere_product, load_model
-from .plans import CP2_VARIANTS, cp2_plan, rank1_plan, wall_list
+from .model import TorusModel, build_cp_product, build_sphere_product, check_family_size, load_model
+from .plans import CP2_VARIANTS, cp2_plan, expand_orbits, rank1_plan, wall_list
 from .poly import MultiPoly, poly_str
 from .weighted import (
     parse_weighted_space,
@@ -36,12 +39,23 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 
 
-def resolve_model(spec: str) -> TorusModel:
-    if spec.startswith("spheres:"):
-        return build_sphere_product(int(spec.split(":", 1)[1]))
-    if spec.startswith("cp2:"):
-        return build_cp_product(3, int(spec.split(":", 1)[1]))
-    return load_model(spec)
+# family name -> (vertices of the factor, orbit-model builder)
+FAMILIES = {"spheres": (2, build_sphere_product), "cp2": (3, lambda n: build_cp_product(3, n))}
+
+
+def resolve_model(spec: str, per_point: bool = False) -> TorusModel:
+    """The model a --model spec names: a built-in family's orbit model, or
+    with per_point its per-point model, refused above the size limit before
+    a point is built; or a loaded model file."""
+    name, colon, size = spec.partition(":")
+    if not (colon and name in FAMILIES):
+        return load_model(spec)
+    k, build = FAMILIES[name]
+    n = int(size)
+    if per_point:
+        check_family_size(name, k, n)
+        return expand_orbits(build(n))[0]
+    return build(n)
 
 
 def parse_path(text: str) -> tuple[Fraction, int]:
@@ -77,8 +91,9 @@ def format_value(value: Fraction, as_float: bool) -> str:
 
 
 def cmd_pair(args) -> int:
-    expr = parse_class_expr(getattr(args, "class"))
-    model = resolve_model(args.model)
+    text = getattr(args, "class")
+    expr = parse_class_expr(text)
+    model = resolve_model(args.model, args.plan is not None or names_factor_class(text))
     cls = evaluate_expr(expr, model)
     plan = plan_for(args, model)
     value = evaluate_plan(model, plan, cls)
@@ -87,7 +102,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    model = resolve_model(args.model)
+    model = resolve_model(args.model, args.plan is not None)
     plan = plan_for(args, model)
     base = (parse_path(args.path)[0],) if args.path is not None else ()
     cls, m = volume_class(model, args.group, base)
@@ -102,7 +117,7 @@ def cmd_volume(args) -> int:
 
 
 def cmd_walls(args) -> int:
-    model = resolve_model(args.model)
+    model = resolve_model(args.model, per_point=True)
     xi = tuple(int(part) for part in args.xi.split(","))
     walls = wall_list(model, xi)
     for value, ids in walls.entries:
@@ -111,8 +126,10 @@ def cmd_walls(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    model = resolve_model(args.model)
+    model = resolve_model(args.model, args.plan is not None)
     plan = plan_for(args, model)
+    if args.plan is None:
+        plan = expand_orbits(model, plan)[1]
     if args.out:
         dump_plan(plan, args.out)
     else:

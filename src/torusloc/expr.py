@@ -48,6 +48,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+_V_NAME = re.compile(r"v(\d+)")
+
 
 class Token(Frozen):
     """One token of class text; kind is "int", "name", "op" or "end"."""
@@ -217,7 +219,7 @@ class _Parser:
             self.expect_op(")")
             direction = tuple(direction)
             return self.with_power(lambda model: class_generator(model, "line", direction=direction))
-        match = re.fullmatch(r"v(\d+)", name)
+        match = _V_NAME.fullmatch(name)
         if match:
             index = self.to_int(match.group(1), token)
             return self.with_power(lambda model: class_generator(model, "v", index=index))
@@ -270,6 +272,13 @@ def parse_class_expr(text: str) -> Evaluator:
                 "weyl(...) must be the outermost factor", token.line, token.column
             )
     return evaluate
+
+
+def names_factor_class(text: str) -> bool:
+    """Whether class text names a factor class v<i>.  Such a class is
+    invariant only under the permutations that fix i, so it needs the
+    per-point model of a built-in family, not its orbit model."""
+    return any(t.kind == "name" and _V_NAME.fullmatch(t.text) for t in tokenize(text))
 
 
 def evaluate_expr(expr: Evaluator, model: TorusModel) -> EquivariantClass:

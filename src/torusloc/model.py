@@ -9,8 +9,13 @@ its maximal torus.
 The two built-in families are products of 2-spheres rotated diagonally by
 a circle, and products of projective planes acted on by the rank-2 maximal
 torus of the projective unitary group.  Both are n-fold products of one
-toric factor, built by one builder from the factor's vertex weights and
-the closed form of the moment.
+toric factor, and permuting the n factors maps fixed points to fixed
+points.  The builders return the orbit model: one representative point
+per orbit, that is per group-size vector, which records how many points
+its orbit holds.  Every class that is invariant under permuting the
+factors pairs the same on it, with the orbit sizes as plan coefficients,
+as on the whole product.  ``torusloc.plans.expand_orbits`` lists every
+point, for plan files and the per-factor ``v`` classes.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import json
 import operator
 from fractions import Fraction
 from functools import cached_property
+from math import comb, factorial, prod
 from typing import IO, Sequence, Union
 
 from .errors import (
@@ -28,6 +34,7 @@ from .errors import (
     ModelTooLarge,
     TorusLocError,
     UnknownGenerator,
+    Unsupported,
 )
 from .frozen import Frozen
 from .poly import MultiPoly
@@ -35,8 +42,9 @@ from .poly import MultiPoly
 Weight = tuple[int, ...]
 Moment = tuple[Fraction, ...]
 
-# The built-in families refuse to build more fixed points than this
-# (spheres:20 and cp2:12 are the largest legal sizes).
+# An orbit model may hold at most this many orbit types times factors
+# (spheres:1023 and cp2:127 are the largest legal sizes), and a per-point
+# expansion at most this many points (spheres:20 and cp2:12).
 MAX_FIXED_POINTS = 2**20
 
 
@@ -104,17 +112,31 @@ class FixedPoint(Frozen):
 
 class TorusModel(Frozen):
     """A rank-d torus action described entirely by its fixed points; family
-    is the builder tag, e.g. ("sphere", n) or ("cp", k, n).  Models compare
-    and hash by identity."""
+    is the builder tag, e.g. ("sphere", n) or ("cp", k, n).  orbit_sizes[i]
+    is the number of points fixed_points[i] stands for: 1 for every point
+    by default, as in a loaded model, and multinomial(n; sizes) for an
+    orbit representative of a builder.  Models compare and hash by
+    identity."""
 
-    _fields = ("rank", "fixed_points", "roots", "weyl_order", "global_stabilizer_order", "family")
+    _fields = ("rank", "fixed_points", "roots", "weyl_order", "global_stabilizer_order",
+               "family", "orbit_sizes")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(self, rank: int, fixed_points: tuple[FixedPoint, ...],
                  roots: tuple[Weight, ...] | None = None, weyl_order: int | None = None,
-                 global_stabilizer_order: int = 1, family: tuple | None = None):
-        self._set(rank, tuple(fixed_points), roots, weyl_order, global_stabilizer_order, family)
+                 global_stabilizer_order: int = 1, family: tuple | None = None,
+                 orbit_sizes: tuple[int, ...] | None = None):
+        fixed_points = tuple(fixed_points)
+        if orbit_sizes is None:
+            orbit_sizes = (1,) * len(fixed_points)
+        else:
+            orbit_sizes = tuple(orbit_sizes)
+            if len(orbit_sizes) != len(fixed_points) or not all(
+                type(size) is int and size > 0 for size in orbit_sizes
+            ):
+                raise ModelFormatError("orbit_sizes must hold one positive integer per fixed point")
+        self._set(rank, fixed_points, roots, weyl_order, global_stabilizer_order, family, orbit_sizes)
         strict_int(rank, "rank")
         strict_int(global_stabilizer_order, "global_stabilizer_order")
         if weyl_order is not None:
@@ -172,6 +194,11 @@ class TorusModel(Frozen):
 
     def has_fixed_point(self, fp_id: str) -> bool:
         return fp_id in self._by_id
+
+    @cached_property
+    def has_orbits(self) -> bool:
+        """Whether some point stands for more than one; see expand_orbits."""
+        return any(size != 1 for size in self.orbit_sizes)
 
     @property
     def weights_per_point(self) -> int:
@@ -244,7 +271,8 @@ class EquivariantClass(Frozen):
 
 
 def check_family_size(name: str, k: int, n: int):
-    """Raise ModelTooLarge if k**n fixed points exceed MAX_FIXED_POINTS.
+    """Raise ModelTooLarge if the k**n points of a per-point expansion
+    exceed MAX_FIXED_POINTS.
 
     Every family has k >= 2, so k**e exceeds the limit already at
     e = MAX_FIXED_POINTS.bit_length(); capping the exponent there gives
@@ -254,6 +282,39 @@ def check_family_size(name: str, k: int, n: int):
         raise ModelTooLarge(
             f"{name}:{n} has {k}^{n} fixed points, more than the limit {MAX_FIXED_POINTS}"
         )
+
+
+def check_orbit_size(name: str, k: int, n: int):
+    """Raise ModelTooLarge if an orbit model would hold more than
+    MAX_FIXED_POINTS factor vertices: C(n+k-1, k-1) orbit types of n each.
+
+    Each representative holds n blocks of vertex weights, so this bounds
+    the memory of the model, and of the classes and plans over it.
+    """
+    types = comb(n + k - 1, k - 1)
+    if types * n > MAX_FIXED_POINTS:
+        raise ModelTooLarge(
+            f"{name}:{n} has {types} orbit types of fixed points with {n} factors each,"
+            f" more than the limit {MAX_FIXED_POINTS}"
+        )
+
+
+def orbit_types(n: int, k: int):
+    """Each size vector of the elements 1..n in k groups, as (sizes, groups,
+    orbit size) for the first word with these sizes in product order.
+
+    That word puts the groups in consecutive blocks, 1..sizes[0] in group
+    0 and so on; groups[j] is the comma-joined labels of group j, as
+    group_walk joins them.  Size vectors come in the order their first
+    words do, and the orbit size is the multinomial(n; sizes) words with
+    these sizes.
+    """
+    labels = [str(i) for i in range(1, n + 1)]
+    for word in itertools.combinations_with_replacement(range(k), n):
+        sizes = tuple(map(word.count, range(k)))
+        ends = itertools.accumulate(sizes)
+        groups = tuple(",".join(labels[end - size : end]) for size, end in zip(sizes, ends))
+        yield sizes, groups, factorial(n) // prod(map(factorial, sizes))
 
 
 def group_walk(n: int, k: int, pieces: Sequence[tuple]):
@@ -296,44 +357,58 @@ def cp_label_id(groups: Sequence[str]) -> str:
     return "F{" + "}|{".join(groups) + "}"
 
 
-def _build_product(n: int, k: int, vertex_weights: Sequence[tuple[Weight, ...]],
-                   moment_of_sizes, point_id, **model_fields) -> TorusModel:
-    """The n-fold product of a toric factor with k vertices, as a TorusModel
-    with model_fields.
+def product_factor(family: tuple):
+    """The toric factor of a builder's family tag, as (name, k, vertex
+    weights, moment of a size vector, point id of the label groups).
 
-    A point's weights are its vertices' weights laid end to end and its id
-    is point_id(groups).  Its moment, moment_of_sizes(sizes), and its sorted
-    weights depend only on the group sizes, so each is built once per size
-    vector and the points of that size vector share it.
+    A point puts each factor at one of the k vertices; its weights are its
+    vertices' weights laid end to end, and its moment depends only on how
+    many factors sit at each vertex.
     """
-    vertex_weights = [tuple(strict_int_vector(w, "weight") for w in ws) for ws in vertex_weights]
-    parts: dict[tuple[int, ...], tuple] = {}
-    points = []
-    for weights, groups, sizes in group_walk(n, k, vertex_weights):
-        shared = parts.get(sizes)
-        if shared is None:
-            shared = parts[sizes] = (moment_of_sizes(sizes), tuple(sorted(weights)))
-        points.append(FixedPoint._make(point_id(groups), shared[0], weights, shared[1]))
-    return TorusModel(fixed_points=tuple(points), **model_fields)
+    n = family[-1]
+    if family[0] == "sphere":
+        return ("spheres", 2, (((1,),), ((-1,),)),
+                lambda sizes: (Fraction(n - 2 * sizes[1]),),
+                lambda groups: "f{" + groups[1] + "}")
+    k = family[1]
+    return (f"cp{k - 1}", k, cp_vertex_weights(k),
+            lambda sizes: tuple(Fraction(n - k * size) for size in sizes[:-1]),
+            cp_label_id)
+
+
+def _build_orbits(family: tuple, **model_fields) -> TorusModel:
+    """The orbit model of a family tag, with model_fields: one point per
+    size vector, the first of its orbit in product order, with its orbit
+    size.  Refused by check_orbit_size before a point is made."""
+    name, k, vertex_weights, moment_of_sizes, point_id = product_factor(family)
+    n = family[-1]
+    check_orbit_size(name, k, n)
+    points, orbit_sizes = [], []
+    for sizes, groups, orbit_size in orbit_types(n, k):
+        weights = tuple(itertools.chain.from_iterable(
+            block * size for block, size in zip(vertex_weights, sizes)
+        ))
+        points.append(FixedPoint._make(
+            point_id(groups), moment_of_sizes(sizes), weights, tuple(sorted(weights))
+        ))
+        orbit_sizes.append(orbit_size)
+    return TorusModel(fixed_points=tuple(points), family=family, orbit_sizes=tuple(orbit_sizes),
+                      **model_fields)
 
 
 def build_sphere_product(n: int) -> TorusModel:
-    """The n-fold product of 2-spheres under the diagonal circle rotation.
+    """The orbit model of the n-fold product of 2-spheres under the
+    diagonal circle rotation.
 
     The k = 2 product with vertices north (weight +1) and south (weight -1):
     the point "f{I}" has the factors in I at the south pole and moment value
-    n - 2|I|.  Root data for the ambient rotation group (roots +1, -1 and
-    Weyl order 2) is attached.
+    n - 2|I|.  The orbit of |I| = s has C(n, s) points, and its
+    representative is "f{n-s+1,...,n}".  Root data for the ambient rotation
+    group (roots +1, -1 and Weyl order 2) is attached.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    check_family_size("spheres", 2, n)
-    return _build_product(
-        n, 2, (((1,),), ((-1,),)),
-        lambda sizes: (Fraction(n - 2 * sizes[1]),),
-        lambda groups: "f{" + groups[1] + "}",
-        rank=1, roots=((1,), (-1,)), weyl_order=2, family=("sphere", n),
-    )
+    return _build_orbits(("sphere", n), rank=1, roots=((1,), (-1,)), weyl_order=2)
 
 
 def cp_vertex_weights(k: int) -> list[tuple[Weight, ...]]:
@@ -351,32 +426,29 @@ def cp_vertex_weights(k: int) -> list[tuple[Weight, ...]]:
 
 
 def build_cp_product(k: int, n: int) -> TorusModel:
-    """The n-fold product of (k-1)-dimensional projective spaces.
+    """The orbit model of the n-fold product of (k-1)-dimensional
+    projective spaces.
 
     The acting torus is the rank k-1 maximal torus of the projective
     unitary group; fixed points are indexed by ordered partitions of
     {1..n} into k groups, one per coordinate point of the factor.  The
     j-th coordinate point has moment (1, ..., 1) - k e_j (the last one
     (1, ..., 1)), so a point whose groups have sizes (i_1, ..., i_k) has
-    moment (n - k i_1, ..., n - k i_{k-1}).  For k = 3 the six roots and
-    Weyl order 6 are attached.
+    moment (n - k i_1, ..., n - k i_{k-1}).  Its orbit has
+    multinomial(n; i_1, ..., i_k) points, and its representative has the
+    groups in consecutive blocks, "F{1,2}|{3}|{4}".  For k = 3 the six
+    roots and Weyl order 6 are attached.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    check_family_size(f"cp{k - 1}", k, n)
     roots = None
     weyl = None
     if k == 3:
         roots = ((1, -1), (-1, 1), (1, 0), (-1, 0), (0, 1), (0, -1))
         weyl = 6
-    return _build_product(
-        n, k, cp_vertex_weights(k),
-        lambda sizes: tuple(Fraction(n - k * size) for size in sizes[:-1]),
-        cp_label_id,
-        rank=k - 1, roots=roots, weyl_order=weyl, family=("cp", k, n),
-    )
+    return _build_orbits(("cp", k, n), rank=k - 1, roots=roots, weyl_order=weyl)
 
 
 # ----------------------------------------------------------------------
@@ -388,8 +460,9 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
     """Return one of the standard generating classes of a model.
 
     kind "prequantum": restriction <moment(F), u> at each F.
-    kind "v": sphere products only; the i-th factor class restricting to
-        +u off the subset and -u on it, for an ``int`` index i in 1..n.
+    kind "v": per-point sphere products only; the i-th factor class
+        restricting to +u off the subset and -u on it, for an ``int``
+        index i in 1..n.  On an orbit model it raises Unsupported.
     kind "line": the constant linear form <direction, u> at every point;
         direction is a list or tuple of ``int`` or ``Fraction`` entries.
     A bad index or direction raises IndexOutOfRange.
@@ -419,6 +492,11 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
         n = model.family[1]
         if index is None or not 1 <= strict_int(index, "v index", IndexOutOfRange) <= n:
             raise IndexOutOfRange(f"v index must lie in 1..{n}")
+        if model.has_orbits:
+            # v<i> is invariant only under the permutations fixing i
+            raise Unsupported(
+                "v classes need the per-point model; expand the orbit model with expand_orbits"
+            )
         u = MultiPoly.variable(1, 0)
         restrictions = {}
         for fp in model.fixed_points:

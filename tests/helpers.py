@@ -20,7 +20,11 @@ from torusloc import (
     PlanTerm,
     TorusModel,
     WeightedSpace,
+    build_cp_product,
+    build_sphere_product,
     class_generator,
+    cp2_plan,
+    expand_orbits,
     linear_substitute,
     volume_class,
 )
@@ -30,6 +34,21 @@ from torusloc.plans import THETA1, THETA1_MIRROR, THETA2, THETA2_MIRROR
 # int() refuses decimal literals longer than this; 0 means no limit, as
 # before Python 3.10.7 or with PYTHONINTMAXSTRDIGITS=0.
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def point_sphere_product(n: int) -> TorusModel:
+    """The per-point model of spheres:n: every fixed point, not one per orbit."""
+    return expand_orbits(build_sphere_product(n))[0]
+
+
+def point_cp_product(k: int, n: int) -> TorusModel:
+    """The per-point model of the n-fold product of (k-1)-dimensional projective spaces."""
+    return expand_orbits(build_cp_product(k, n))[0]
+
+
+def point_cp2_plan(n: int, variant: str) -> Plan:
+    """The cp2:n recipe plan with one term per partition, over point_cp_product(3, n)."""
+    return expand_orbits(build_cp_product(3, n), cp2_plan(n, variant))[1]
 
 
 def monomial_class(model: TorusModel, j1: int, j2: int) -> EquivariantClass:

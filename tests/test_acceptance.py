@@ -42,7 +42,14 @@ from torusloc.weighted import (
     weighted_segre,
 )
 
-from helpers import all_v_monomials, cp2_volume_class, monomial_class, sizes_of, v_monomial
+from helpers import (
+    all_v_monomials,
+    cp2_volume_class,
+    monomial_class,
+    point_sphere_product,
+    sizes_of,
+    v_monomial,
+)
 from test_weighted import random_space
 
 
@@ -72,7 +79,7 @@ def test_criterion_2_independent_convolution_oracle():
 
 def test_criterion_3_so3_pairings_match_both_closed_forms():
     for n in (3, 5, 7):
-        m = build_sphere_product(n)
+        m = point_sphere_product(n)
         plan = rank1_plan(m, 0, 1)
         for exponents in all_v_monomials(n, n - 3):
             cls = weyl_correct(m, v_monomial(m, exponents))
@@ -81,11 +88,11 @@ def test_criterion_3_so3_pairings_match_both_closed_forms():
             assert value == so3_pairing_subset_form(n, num_odd), (n, exponents)
             assert value == so3_pairing_binomial_form(n, num_odd), (n, exponents)
     # spot values worked out by hand
-    m3 = build_sphere_product(3)
+    m3 = point_sphere_product(3)
     assert evaluate_plan(
         m3, rank1_plan(m3, 0, 1), weyl_correct(m3, EquivariantClass.constant(m3, 1))
     ) == 1
-    m5 = build_sphere_product(5)
+    m5 = point_sphere_product(5)
     assert evaluate_plan(
         m5, rank1_plan(m5, 0, 1), weyl_correct(m5, v_monomial(m5, (2, 0, 0, 0, 0)))
     ) == -3
@@ -94,7 +101,7 @@ def test_criterion_3_so3_pairings_match_both_closed_forms():
 
 def test_criterion_4_kernel_classes_pair_to_zero():
     for n in (5, 7):
-        m = build_sphere_product(n)
+        m = point_sphere_product(n)
         plan = rank1_plan(m, 0, 1)
         fillers = list(all_v_monomials(n, n - 5))
         for i, j in itertools.combinations(range(1, n + 1), 2):
@@ -109,7 +116,7 @@ def test_criterion_4_kernel_classes_pair_to_zero():
 
 def test_criterion_5_path_independence_on_random_classes():
     for n in (3, 5, 7):
-        m = build_sphere_product(n)
+        m = point_sphere_product(n)
         forward = rank1_plan(m, 0, 1)
         backward = rank1_plan(m, 0, -1)
         rng = random.Random(42 + n)

@@ -1,13 +1,24 @@
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import torusloc.model as model_module
+import torusloc.plans as plans_module
 from torusloc.cli import main
 
-from helpers import INT_DIGIT_LIMIT
+from helpers import (
+    INT_DIGIT_LIMIT,
+    ref_build_cp_product,
+    ref_build_sphere_product,
+    ref_cp2_plan,
+    ref_rank1_plan,
+    ref_wall_entries,
+)
+from torusloc.closedforms import sphere_torus_pairing
+from torusloc.localization import plan_to_obj
 
 
 def run(capsys, *argv):
@@ -423,22 +434,113 @@ class TestLongIntegerLiterals:
         assert "too long" in err and f"column {column}" in err and "Traceback" not in err
 
 
+def refuse_model_builds(monkeypatch):
+    """Make every way of building a fixed point fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the size guard let a model build start")
+
+    monkeypatch.setattr(model_module, "FixedPoint", refuse)
+    monkeypatch.setattr(model_module, "group_walk", refuse)
+    monkeypatch.setattr(plans_module, "group_walk", refuse)
+    monkeypatch.setattr(model_module.itertools, "product", refuse)
+
+
 class TestSizeGuard:
+    # The orbit models hold C(n+k-1, k-1) points of n factors each: the
+    # guard refuses them when that product exceeds MAX_FIXED_POINTS.
     @pytest.mark.parametrize("argv", [
-        ("volume", "--model", "spheres:40", "--group", "torus", "--path", "0:+"),
-        ("pair", "--model", "cp2:30", "--class", "L", "--cp2-variant", "swapped"),
+        ("volume", "--model", "spheres:2000", "--group", "torus", "--path", "0:+"),
+        ("pair", "--model", "cp2:1400", "--class", "L", "--cp2-variant", "swapped"),
     ])
     def test_oversized_family_is_domain_error(self, capsys, monkeypatch, argv):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the size guard let a model build start")
-
-        monkeypatch.setattr(model_module, "FixedPoint", refuse)
-        monkeypatch.setattr(model_module, "group_walk", refuse)
-        monkeypatch.setattr(model_module.itertools, "product", refuse)
+        refuse_model_builds(monkeypatch)
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
         assert "fixed points" in err and str(model_module.MAX_FIXED_POINTS) in err
+
+    @pytest.mark.parametrize("argv", [
+        ("walls", "--model", "spheres:21", "--xi", "1"),
+        ("pair", "--model", "spheres:21", "--class", "v1^20", "--path", "0:+"),
+        ("volume", "--model", "cp2:13", "--group", "torus", "--plan", "unread.json"),
+    ])
+    def test_oversized_per_point_model_is_refused_before_a_point(self, capsys, monkeypatch, argv):
+        # these need every point's id, so the 2^20-point limit still holds
+        refuse_model_builds(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "fixed points" in err and str(model_module.MAX_FIXED_POINTS) in err
+
+
+class TestOrbitModels:
+    """pair and volume evaluate a built-in family on its orbit model; walls,
+    plan, a --plan file and a v<i> class read or print point ids, and get
+    them from the per-point expansion, the one caller of group_walk."""
+
+    @staticmethod
+    def refuse_walk(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("group_walk was reached")
+
+        monkeypatch.setattr(plans_module, "group_walk", refuse)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("volume", "--model", "spheres:13", "--group", "torus", "--path", "0:+"), "20646903199/13305600 * (2pi)^12"),
+        (("volume", "--model", "spheres:5", "--group", "weyl", "--path", "0:+"), "5/2 * (2pi)^2"),
+        (("volume", "--model", "cp2:8", "--group", "weyl", "--cp2-variant", "swapped"), "11539/240 * (2pi)^8"),
+        (("pair", "--model", "spheres:4", "--class", "(L - 1/2*line(1))^3", "--path", "1/2:-"), "235/8"),
+        (("pair", "--model", "cp2:5", "--class", "weyl(L^2)", "--cp2-variant", "mirror"), "5"),
+        (("pair", "--model", "spheres:21", "--class", "L^20", "--path", "0:+"), str(sphere_torus_pairing(21))),
+    ])
+    def test_pair_and_volume_do_not_expand(self, capsys, monkeypatch, argv, expected):
+        self.refuse_walk(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ("walls", "--model", "spheres:3", "--xi", "1"),
+        ("plan", "--model", "spheres:3", "--path", "0:+"),
+        ("plan", "--model", "cp2:4", "--cp2-variant", "swapped"),
+        ("pair", "--model", "spheres:3", "--class", "L^2", "--plan", "PLAN"),
+        ("volume", "--model", "spheres:3", "--group", "torus", "--plan", "PLAN"),
+        ("pair", "--model", "spheres:5", "--class", "weyl(v1^2)", "--path", "0:+"),
+    ])
+    def test_point_ids_come_from_the_expansion(self, capsys, monkeypatch, tmp_path, argv):
+        plan = tmp_path / "plan.json"
+        plan.write_text('[{"coefficient": 1, "fixed_point": "f{1}", "flag": [[1]]}]')
+        self.refuse_walk(monkeypatch)
+        with pytest.raises(AssertionError, match="group_walk was reached"):
+            run(capsys, *[str(plan) if a == "PLAN" else a for a in argv])
+
+    @pytest.mark.parametrize("spec, xis", [
+        *((f"spheres:{n}", ("1", "-2")) for n in range(3, 7)),
+        ("cp2:4", ("1,0", "2,-1", "1,1")),
+        ("cp2:5", ("1,0", "0,1")),
+    ])
+    def test_walls_list_every_point(self, capsys, spec, xis):
+        name, n = spec.split(":")
+        model = ref_build_sphere_product(int(n)) if name == "spheres" else ref_build_cp_product(3, int(n))
+        for xi in xis:
+            code, out, _ = run(capsys, "walls", "--model", spec, "--xi", xi)
+            entries = ref_wall_entries(model, tuple(map(int, xi.split(","))))
+            assert code == 0
+            assert out == "".join(f"{value}: {' '.join(ids)}\n" for value, ids in entries)
+
+    @pytest.mark.parametrize("spec, source", [
+        *((f"spheres:{n}", ("--path", path)) for n in range(3, 7) for path in ("1/2:+", "-3/2:-", "5/3:+")),
+        *((f"cp2:{n}", ("--cp2-variant", variant)) for n in (4, 5) for variant in ("general", "swapped", "mirror")),
+    ])
+    def test_plans_list_every_point(self, capsys, spec, source):
+        name, n = spec.split(":")
+        if name == "spheres":
+            p0, direction = source[1][:-2], 1 if source[1].endswith("+") else -1
+            expected = ref_rank1_plan(ref_build_sphere_product(int(n)), Fraction(p0), direction)
+        else:
+            expected = ref_cp2_plan(int(n), source[1])
+        code, out, _ = run(capsys, "plan", "--model", spec, "=".join(source))
+        assert code == 0
+        assert out == json.dumps(plan_to_obj(expected), indent=1) + "\n"
 
 
 def readme_examples():

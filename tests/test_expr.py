@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import INT_DIGIT_LIMIT, line_column, misplaced_weyl, render_expr
+from helpers import INT_DIGIT_LIMIT, line_column, misplaced_weyl, point_sphere_product, render_expr
 from torusloc import (
     ClassSyntaxError,
     EquivariantClass,
@@ -26,7 +26,7 @@ class TestParsing:
         assert evaluate("L^2", m) == class_generator(m, "prequantum") ** 2
 
     def test_scaled_monomial(self):
-        m = build_sphere_product(3)
+        m = point_sphere_product(3)
         expected = (
             class_generator(m, "v", index=1) ** 2
             * class_generator(m, "v", index=2)
@@ -39,7 +39,7 @@ class TestParsing:
             parse_class_expr("v1^-1")
 
     def test_sums_and_parens(self):
-        m = build_sphere_product(3)
+        m = point_sphere_product(3)
         left = evaluate("(v1 + v2)^2", m)
         right = evaluate("v1^2 + 2*v1*v2 + v2^2", m)
         assert left == right
@@ -156,7 +156,7 @@ class TestPowerLimit:
             parse_class_expr(text)
 
     def test_leading_zeros_keep_their_value(self):
-        m = build_sphere_product(3)
+        m = point_sphere_product(3)
         assert evaluate("L^0002", m) == evaluate("L^2", m)
         assert evaluate("v1^000", m) == EquivariantClass.constant(m, 1)
 
@@ -229,7 +229,7 @@ class TestCanonicalInputs:
 
     @pytest.mark.parametrize("text", list(EXPECTED))
     def test_parses_and_evaluates(self, text):
-        m = build_cp_product(3, 2) if text.startswith("line") else build_sphere_product(3)
+        m = build_cp_product(3, 2) if text.startswith("line") else point_sphere_product(3)
         L = class_generator(m, "prequantum")
         v = lambda i: class_generator(m, "v", index=i)
         assert evaluate(text, m) == self.EXPECTED[text](L, v, m)
@@ -254,7 +254,7 @@ class TestSyntaxErrorsWinOverPlacement:
 # properties: random expression trees, rendered as text and parsed
 
 
-SPHERES3 = build_sphere_product(3)
+SPHERES3 = point_sphere_product(3)
 CP2_2 = build_cp_product(3, 2)
 
 powers = st.one_of(st.none(), st.integers(0, 2))

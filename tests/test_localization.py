@@ -43,7 +43,7 @@ from torusloc.localization import _int_det
 from torusloc.model import FixedPoint
 from torusloc.plans import THETA1, rank1_plan
 
-from helpers import monomial_class, ref_cp_point_id, unimodular
+from helpers import monomial_class, point_sphere_product, ref_cp_point_id, unimodular
 
 PLUS = OrientedFlag(((1,),))
 MINUS = OrientedFlag(((-1,),))
@@ -99,7 +99,7 @@ class TestOrientedFlag:
 
 class TestFlagSplit:
     def test_rank_one_identity(self):
-        m = build_sphere_product(3)
+        m = point_sphere_product(3)
         spaces, basis = flag_split(m.fixed_point("f{1}"), PLUS)
         assert len(spaces) == 1
         assert spaces[0].lines == ((-1, ()), (1, ()), (1, ()))
@@ -204,7 +204,7 @@ class TestLambdaFlag:
                     assert value == 0
 
     def test_linearity(self):
-        m = build_sphere_product(5)
+        m = point_sphere_product(5)
         L = class_generator(m, "prequantum")
         v1 = class_generator(m, "v", index=1)
         a = L**4

@@ -37,6 +37,8 @@ from torusloc.model import (
 )
 
 from helpers import (
+    point_cp_product,
+    point_sphere_product,
     ref_build_cp_product,
     ref_build_sphere_product,
     ref_cp_point_id,
@@ -59,21 +61,21 @@ class TestBuildersMatchPartitionReference:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_cp_product(self, k, n):
-        assert model_record(build_cp_product(k, n)) == model_record(ref_build_cp_product(k, n))
+        assert model_record(point_cp_product(k, n)) == model_record(ref_build_cp_product(k, n))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_sphere_product(self, n):
-        assert model_record(build_sphere_product(n)) == model_record(ref_build_sphere_product(n))
+        assert model_record(point_sphere_product(n)) == model_record(ref_build_sphere_product(n))
 
     def test_points_of_one_size_vector_share_their_moment(self):
-        m = build_cp_product(3, 4)
+        m = point_cp_product(3, 4)
         assert len({id(fp.moment) for fp in m.fixed_points}) == 15
 
     def test_point_id_helpers_match_the_built_ids(self):
-        cp = build_cp_product(3, 4)
+        cp = point_cp_product(3, 4)
         assert cp.fixed_points[5].id == ref_cp_point_id((frozenset({2, 1}), {3}, [4]))
         assert cp.fixed_points[0].id == ref_cp_point_id(({4, 3, 2, 1}, (), ()))
-        sphere = build_sphere_product(4)
+        sphere = point_sphere_product(4)
         assert sphere.fixed_points[5].id == ref_sphere_point_id({4, 2})
 
 
@@ -89,8 +91,8 @@ class TestProductSymmetries:
     def test_spheres_are_the_relabelled_projective_line_product(self, n):
         # f{S} <-> F{S}|{N}: the south set S is the group of the vertex with
         # weight -1, the north set N its complement
-        lines = {fp.id: fp for fp in build_cp_product(2, n).fixed_points}
-        spheres = build_sphere_product(n).fixed_points
+        lines = {fp.id: fp for fp in point_cp_product(2, n).fixed_points}
+        spheres = point_sphere_product(n).fixed_points
         assert len(spheres) == len(lines)
         everything = set(range(1, n + 1))
         for fp in spheres:
@@ -116,11 +118,11 @@ class TestBuilderSortedWeights:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_cp_product(self, k, n):
-        self.check(build_cp_product(k, n), comb(n + k - 1, k - 1))
+        self.check(point_cp_product(k, n), comb(n + k - 1, k - 1))
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_sphere_product(self, n):
-        self.check(build_sphere_product(n), n + 1)
+        self.check(point_sphere_product(n), n + 1)
 
 
 class TestGroupWalk:
@@ -219,7 +221,7 @@ class TestModelChecksNameTheFirstBadPoint:
 
 class TestSphereProduct:
     def test_point_count(self):
-        assert len(build_sphere_product(3).fixed_points) == 8
+        assert len(point_sphere_product(3).fixed_points) == 8
 
     def test_north_pole_point(self):
         m = build_sphere_product(3)
@@ -228,7 +230,7 @@ class TestSphereProduct:
         assert fp.weights == ((1,), (1,), (1,))
 
     def test_two_south_poles(self):
-        m = build_sphere_product(3)
+        m = point_sphere_product(3)
         fp = m.fixed_point("f{1,2}")
         assert fp.moment == (Fraction(-1),)
         assert fp.weights == ((-1,), (-1,), (1,))
@@ -239,7 +241,7 @@ class TestSphereProduct:
         assert m.weyl_order == 2
 
     def test_moment_symmetry_under_complement(self):
-        m = build_sphere_product(4)
+        m = point_sphere_product(4)
         for fp in m.fixed_points:
             subset = {int(i) for i in fp.id[2:-1].split(",") if i}
             complement = set(range(1, 5)) - subset
@@ -257,7 +259,7 @@ class TestCpProduct:
         assert f1.weights == ((-1, 1), (-1, 0))
 
     def test_point_count(self):
-        assert len(build_cp_product(3, 2).fixed_points) == 9
+        assert len(point_cp_product(3, 2).fixed_points) == 9
 
     def test_moment_formula(self):
         m = build_cp_product(3, 4)
@@ -297,7 +299,7 @@ class TestClassGenerator:
         assert cls.at("f{}") == MultiPoly(1, {(1,): 3})
 
     def test_v_class_sign(self):
-        m = build_sphere_product(3)
+        m = point_sphere_product(3)
         cls = class_generator(m, "v", index=1)
         assert cls.at("f{1}") == MultiPoly(1, {(1,): -1})
         assert cls.at("f{2}") == MultiPoly(1, {(1,): 1})
@@ -368,7 +370,7 @@ class TestCheckRegular:
                 rank1_plan(build_sphere_product(4), 0, direction)
 
     def test_sphere_odd_origin(self):
-        assert len(rank1_plan(build_sphere_product(5), 0, 1)) == 16
+        assert len(rank1_plan(point_sphere_product(5), 0, 1)) == 16
 
     def test_sphere_wall_value(self):
         with pytest.raises(NotRegular):
@@ -376,8 +378,8 @@ class TestCheckRegular:
 
     def test_cp_multiple_of_three(self):
         with pytest.raises(NotRegular):
-            cp2_plan(6)
-        assert len(cp2_plan(4)) > 0
+            cp2_plan(6, "swapped")
+        assert len(cp2_plan(4, "swapped")) > 0
 
     def test_cp_off_origin_unsupported(self):
         # the only rank-2 plans are the cp2 recipe at the origin

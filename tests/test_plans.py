@@ -39,6 +39,8 @@ from torusloc.plans import THETA1, THETA2
 from helpers import (
     all_v_monomials,
     cp2_volume_class,
+    point_cp2_plan,
+    point_sphere_product,
     ref_cp2_plan,
     ref_rank1_plan,
     ref_wall_entries,
@@ -49,7 +51,7 @@ from helpers import (
 
 class TestWallList:
     def test_sphere_walls(self):
-        m = build_sphere_product(3)
+        m = point_sphere_product(3)
         walls = wall_list(m, (1,))
         assert walls.values() == [Fraction(v) for v in (-3, -1, 1, 3)]
         sizes = [len(ids) for _, ids in walls.entries]
@@ -103,7 +105,7 @@ def test_wall_list_matches_per_point_sums(model, xi):
 
 class TestRank1Plan:
     def test_positive_direction_from_origin(self):
-        m = build_sphere_product(3)
+        m = point_sphere_product(3)
         plan = rank1_plan(m, 0, 1)
         assert len(plan) == 4
         assert {t.fixed_point_id for t in plan.terms} == {"f{}", "f{1}", "f{2}", "f{3}"}
@@ -136,7 +138,7 @@ class TestRank1Plan:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_builder_models_match_per_point_reference(self, n):
-        m = build_sphere_product(n)
+        m = point_sphere_product(n)
         for p0 in (Fraction(1, 2), Fraction(-5, 3), n - 1):
             for direction in (1, -1):
                 expected = ref_rank1_plan(m, p0, direction)
@@ -155,7 +157,7 @@ class TestRank1Plan:
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_path_independence_on_random_classes(self, n):
-        m = build_sphere_product(n)
+        m = point_sphere_product(n)
         forward = rank1_plan(m, 0, 1)
         backward = rank1_plan(m, 0, -1)
         rng = random.Random(1000 + n)
@@ -216,7 +218,7 @@ class TestUniformSumDensity:
 class TestCp2Plan:
     def test_multiple_of_three_rejected(self):
         with pytest.raises(NotRegular):
-            cp2_plan(6)
+            cp2_plan(6, "swapped")
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -228,14 +230,14 @@ class TestCp2Plan:
         # vars compares each term's fields in order, as the checked
         # constructor sets them
         expected = ref_cp2_plan(n, variant)
-        assert [vars(t) for t in cp2_plan(n, variant).terms] == [vars(t) for t in expected.terms]
+        assert [vars(t) for t in point_cp2_plan(n, variant).terms] == [vars(t) for t in expected.terms]
 
     def test_oversized_plan_is_refused(self):
         with pytest.raises(ModelTooLarge):
-            cp2_plan(31)
+            cp2_plan(1400, "swapped")
 
     def test_n4_general_composition_classes(self):
-        plan = cp2_plan(4, "general")
+        plan = point_cp2_plan(4, "general")
         by_flag = Counter((sizes_of(t.fixed_point_id), t.flag) for t in plan.terms)
         assert by_flag[((2, 0, 2), THETA1)] == 6
         assert by_flag[((4, 0, 0), THETA2)] == 1
@@ -266,9 +268,9 @@ class TestCp2Plan:
             stages = tuple(stage[::-1] for stage in term.flag.stages)
             return term.coefficient, f"F{b}|{a}|{c}", stages
 
-        image = Counter(map(swap, cp2_plan(n, "swapped").terms))
+        image = Counter(map(swap, point_cp2_plan(n, "swapped").terms))
         mirror = Counter(
-            (t.coefficient, t.fixed_point_id, t.flag.stages) for t in cp2_plan(n, "mirror").terms
+            (t.coefficient, t.fixed_point_id, t.flag.stages) for t in point_cp2_plan(n, "mirror").terms
         )
         assert image == mirror
 

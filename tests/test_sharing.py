@@ -25,13 +25,12 @@ from torusloc import (
     build_cp_product,
     build_sphere_product,
     class_generator,
-    cp2_plan,
     evaluate_plan,
     lambda_flag,
 )
 from torusloc.model import FixedPoint
 
-from helpers import cp2_volume_class
+from helpers import cp2_volume_class, point_cp2_plan, point_cp_product
 
 FLAGS = {
     1: (((1,),), ((-1,),)),
@@ -125,9 +124,9 @@ def test_splitting_terms_into_unit_terms(case):
 
 
 def test_cp2_volume_evaluates_each_distinct_key_once(monkeypatch):
-    model = build_cp_product(3, 5)
+    model = point_cp_product(3, 5)
     cls = cp2_volume_class(model)
-    plan = cp2_plan(5, "swapped")
+    plan = point_cp2_plan(5, "swapped")
     keys = {
         (
             frozenset(cls.at(t.fixed_point_id).terms.items()),
@@ -148,7 +147,7 @@ def test_cp2_volume_evaluates_each_distinct_key_once(monkeypatch):
 
 
 def test_class_power_runs_once_per_distinct_moment(monkeypatch):
-    model = build_cp_product(3, 5)
+    model = point_cp_product(3, 5)
     moments = {fp.moment for fp in model.fixed_points}
     powers = []
     power = MultiPoly.__pow__
