@@ -9,11 +9,11 @@ Subcommands:
     ring    cohomology ring relation of a weighted sphere quotient
     segre   weighted Segre pieces of a circle representation
 
-Models are "spheres:N", "cp2:N", or a path to a JSON model file.  pair
-and volume evaluate a built-in family on its orbit model; walls, plan, a
---plan file and a class naming v<i> use the per-point model, so every id
-printed or read is a per-point id.  Exit codes: 0 on success, 2 on usage
-errors, 3 on domain errors.
+Models are "spheres:N", "cp2:N", or a path to a JSON model file.  A
+built-in family is evaluated on its orbit model; walls, plan, a --plan
+file and a v<i> class on a sphere product name every point and use the
+per-point model, after a recipe has been checked on the orbit model.
+Exit codes: 0 on success, 2 on usage errors, 3 on domain errors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import TorusLocError, Unsupported
-from .expr import evaluate_expr, names_factor_class, parse_class_expr
+from .expr import MAX_POWER, evaluate_expr, names_factor_class, parse_class_expr
 from .localization import dump_plan, evaluate_plan, load_plan, volume_class
 from .model import TorusModel, build_cp_product, build_sphere_product, check_family_size, load_model
 from .plans import CP2_VARIANTS, cp2_plan, expand_orbits, rank1_plan, wall_list
@@ -44,9 +44,9 @@ FAMILIES = {"spheres": (2, build_sphere_product), "cp2": (3, lambda n: build_cp_
 
 
 def resolve_model(spec: str, per_point: bool = False) -> TorusModel:
-    """The model a --model spec names: a built-in family's orbit model, or
-    with per_point its per-point model, refused above the size limit before
-    a point is built; or a loaded model file."""
+    """The model a --model spec names: a built-in family's orbit model, or a
+    loaded model file; with per_point, a family above the per-point limit
+    is refused before a point is built."""
     name, colon, size = spec.partition(":")
     if not (colon and name in FAMILIES):
         return load_model(spec)
@@ -54,7 +54,6 @@ def resolve_model(spec: str, per_point: bool = False) -> TorusModel:
     n = int(size)
     if per_point:
         check_family_size(name, k, n)
-        return expand_orbits(build(n))[0]
     return build(n)
 
 
@@ -78,9 +77,9 @@ def plan_for(args, model: TorusModel):
         return rank1_plan(model, p0, direction)
     if args.plan is not None:
         return load_plan(args.plan)
-    if not (model.family and model.family[0] == "cp" and model.family[1] == 3):
+    if not (model.family and model.family[:2] == ("cp", 3)):
         raise Unsupported("--cp2-variant applies only to cp2:N models")
-    return cp2_plan(model.family[2], args.cp2_variant)
+    return cp2_plan(model, args.cp2_variant)
 
 
 def format_value(value: Fraction, as_float: bool) -> str:
@@ -93,7 +92,14 @@ def format_value(value: Fraction, as_float: bool) -> str:
 def cmd_pair(args) -> int:
     text = getattr(args, "class")
     expr = parse_class_expr(text)
-    model = resolve_model(args.model, args.plan is not None or names_factor_class(text))
+    # v<i> tells a sphere product's factors apart (the cp2:N orbit model
+    # refuses it), so its plan is checked on the orbit model, then expanded
+    per_point = args.plan is not None or names_factor_class(text) and args.model.startswith("spheres:")
+    model = resolve_model(args.model, per_point)
+    if per_point and model.has_orbits:
+        if args.plan is None:
+            plan_for(args, model)
+        model = expand_orbits(model)
     cls = evaluate_expr(expr, model)
     plan = plan_for(args, model)
     value = evaluate_plan(model, plan, cls)
@@ -104,6 +110,8 @@ def cmd_pair(args) -> int:
 def cmd_volume(args) -> int:
     model = resolve_model(args.model, args.plan is not None)
     plan = plan_for(args, model)
+    if args.plan is not None:
+        model = expand_orbits(model)
     base = (parse_path(args.path)[0],) if args.path is not None else ()
     cls, m = volume_class(model, args.group, base)
     coefficient = evaluate_plan(model, plan, cls) / factorial(m)
@@ -117,7 +125,7 @@ def cmd_volume(args) -> int:
 
 
 def cmd_walls(args) -> int:
-    model = resolve_model(args.model, per_point=True)
+    model = expand_orbits(resolve_model(args.model, per_point=True))
     xi = tuple(int(part) for part in args.xi.split(","))
     walls = wall_list(model, xi)
     for value, ids in walls.entries:
@@ -128,12 +136,9 @@ def cmd_walls(args) -> int:
 def cmd_plan(args) -> int:
     model = resolve_model(args.model, args.plan is not None)
     plan = plan_for(args, model)
-    if args.plan is None:
-        plan = expand_orbits(model, plan)[1]
-    if args.out:
-        dump_plan(plan, args.out)
-    else:
-        dump_plan(plan, sys.stdout)
+    if args.plan is None and model.has_orbits:
+        plan = plan_for(args, expand_orbits(model))  # the expansion is freed before the dump
+    dump_plan(plan, args.out or sys.stdout)
     return 0
 
 
@@ -172,6 +177,9 @@ def cmd_ring(args) -> int:
 
 
 def cmd_segre(args) -> int:
+    # order + 1 pieces are held at once; cap them as class exponents are
+    if args.order > MAX_POWER:
+        raise ValueError(f"order must be at most {MAX_POWER}")
     space = parse_weighted_space(args.space)
     series = weighted_segre(space, args.order)
     for i in range(args.order + 1):

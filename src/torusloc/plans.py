@@ -1,6 +1,6 @@
 """Plan generation: transverse paths for rank-1 models, the built-in
 two-flag recipe for products of projective planes, and the expansion of
-an orbit model and its plans to every point.
+an orbit model to every point.
 
 For a rank-1 model every wall is a fixed-point moment value, so a path
 from a regular value straight out of the moment image crosses exactly the
@@ -10,9 +10,9 @@ two flags goes with which region of fixed points, so the assignment is
 exposed as a configuration token and the alternatives are kept side by
 side in one table; see the package README for the recorded finding.
 
-Both recipes depend only on a point's group sizes, so over the orbit
-model of a built-in family they give each representative one term whose
-coefficient is its orbit size.
+Each recipe is a rule on a point's moment, so it runs on the orbit model
+of a built-in family, where each representative's coefficient is its
+orbit size, and on the per-point expansion alike.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import NotRegular, TorusLocError, UnknownFixedPoint, Unsupported
+from .errors import NotRegular, TorusLocError, Unsupported
 from .frozen import Frozen
 from .localization import OrientedFlag, Plan, PlanTerm
-from .model import FixedPoint, TorusModel, check_family_size, check_orbit_size, cp_label_id
-from .model import group_walk, orbit_types, product_factor
-from .model import strict_int, strict_int_vector, strict_rational
+from .model import FixedPoint, TorusModel, check_family_size, check_orbit_size, cp_label_id, group_walk
+from .model import orbit_types, product_factor, strict_int, strict_int_vector, strict_rational
 
 # The two oriented flags of the projective-plane recipe: cross the second
 # circle first and descend against the first circle, or the reverse.
@@ -38,10 +37,9 @@ THETA1_MIRROR, THETA2_MIRROR = (
     OrientedFlag(tuple(stage[::-1] for stage in flag.stages)) for flag in (THETA1, THETA2)
 )
 
-# variant -> (flag of region A, flag of region B, mirrored).  Region A holds
-# the partitions with i1 > n/3 and i3 > n/3, region B those with i2 < n/3
-# and i3 < n/3; a mirrored variant reads both with i1 and i2 swapped, so
-# "mirror" is the coordinate-swap image of "swapped".
+# variant -> (flag of region A, flag of region B, mirrored), for the regions
+# of cp2_plan; a mirrored variant reads them with the torus coordinates
+# swapped, so "mirror" is the coordinate-swap image of "swapped".
 _CP2_RECIPE = {
     "general": (THETA1, THETA2, False),
     "swapped": (THETA2, THETA1, False),
@@ -82,48 +80,63 @@ def wall_list(model: TorusModel, xi: Sequence[int]) -> WallList:
     return WallList(entries)
 
 
+def _plan_by_moment(model: TorusModel, flag_of) -> Plan:
+    """One term per point whose moment flag_of maps to a flag, not None, in
+    point order, with the point's orbit size as coefficient.  flag_of runs
+    once per distinct moment object: the builders hand every point of a
+    size vector the same moment tuple."""
+    moments = {id(fp.moment): fp.moment for fp in model.fixed_points}
+    flags = {key: flag_of(moment) for key, moment in moments.items()}
+    make = PlanTerm._make
+    return Plan(tuple(
+        make(size, fp.id, flags[id(fp.moment)])
+        for fp, size in zip(model.fixed_points, model.orbit_sizes)
+        if flags[id(fp.moment)] is not None
+    ))
+
+
 def rank1_plan(model: TorusModel, p0: Union[int, Fraction], direction: int) -> Plan:
     """Plan for the pairing at p0 on a rank-1 model, leaving the moment
     image through increasing (+1) or decreasing (-1) values.
 
     Every fixed point strictly on the exit side contributes one term with
     its orbit size as coefficient (1 on a per-point model) and the
-    single-stage flag oriented along the path, in point order; walls and
-    sides are tested once per distinct moment object.  direction must be
-    an ``int`` (else TorusLocError).
+    single-stage flag oriented along the path, in point order.  A moment
+    equal to p0 raises NotRegular.  direction must be an ``int`` (else
+    TorusLocError).
     """
     if model.rank != 1:
         raise Unsupported("rank1_plan requires a rank-1 model")
     if strict_int(direction, "direction", TorusLocError) not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     p0 = strict_rational(p0, "base point", TorusLocError)
-    # Keyed by moment identity, as class_generator keys its forms: the
-    # builders hand every point of a size vector the same moment tuple.
-    moments = {id(fp.moment): fp.moment for fp in model.fixed_points}
-    exits: dict[int, bool] = {}
-    for key, (value,) in moments.items():
-        if value == p0:
-            raise NotRegular(f"{p0} is a wall value")
-        exits[key] = (value - p0) * direction > 0
     flag = OrientedFlag(((direction,),))
-    make = PlanTerm._make
-    return Plan(tuple(
-        make(size, fp.id, flag)
-        for fp, size in zip(model.fixed_points, model.orbit_sizes)
-        if exits[id(fp.moment)]
-    ))
+
+    def flag_of(moment):
+        if moment[0] == p0:
+            raise NotRegular(f"{p0} is a wall value")
+        return flag if (moment[0] - p0) * direction > 0 else None
+
+    return _plan_by_moment(model, flag_of)
 
 
-def cp2_plan(n: int, variant: str) -> Plan:
-    """Plan for the origin pairing on the orbit model of the n-fold
-    projective-plane product, build_cp_product(3, n).
+def cp2_plan(source: Union[TorusModel, int], variant: str) -> Plan:
+    """Plan for the origin pairing on the n-fold projective-plane product.
 
-    One term per size vector in one of the two regions of _CP2_RECIPE,
-    at its representative, with its orbit size as coefficient and the
-    flag the chosen variant assigns to that region.  The regions are
-    disjoint, so no point receives two terms.  expand_orbits turns it
-    into the plan with one term per partition.
+    source is a build_cp_product(3, n) model, the orbit model or its
+    expansion, or the int n for the orbit plan without building the model;
+    any other model raises Unsupported.  A point of moment (m1, m2) =
+    (n - 3 i1, n - 3 i2) lies in region A when m1 < 0 < m1 + m2 (i1 and i3
+    above n/3), in region B when m1 + m2 < 0 < m2 (i2 and i3 below n/3),
+    and a mirrored variant reads (m2, m1).  Each point of a region takes
+    one term with its orbit size and the flag the variant gives the region.
     """
+    if isinstance(source, TorusModel):
+        if not (source.family and source.family[:2] == ("cp", 3)):
+            raise Unsupported("cp2_plan needs a build_cp_product(3, n) model or its expansion")
+        n = source.family[2]
+    else:
+        n = strict_int(source, "cp2_plan source", Unsupported)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n % 3 == 0:
@@ -131,70 +144,44 @@ def cp2_plan(n: int, variant: str) -> Plan:
     if variant not in CP2_VARIANTS:
         raise ValueError(f"unknown predicate variant {variant!r}; choose from {CP2_VARIANTS}")
     flag_a, flag_b, mirrored = _CP2_RECIPE[variant]
+
+    def flag_of(moment):
+        m1, m2 = moment[::-1] if mirrored else moment
+        if m1 < 0 < m1 + m2:
+            return flag_a
+        if m1 + m2 < 0 < m2:
+            return flag_b
+        return None
+
+    if isinstance(source, TorusModel):
+        return _plan_by_moment(source, flag_of)
     check_orbit_size("cp2", 3, n)
-    third = Fraction(n, 3)
     terms = []
-    for sizes, groups, orbit_size in orbit_types(n, 3):
-        i1, i2, i3 = sizes
-        if mirrored:
-            i1, i2 = i2, i1
-        if i1 > third and i3 > third:
-            flag = flag_a
-        elif i2 < third and i3 < third:
-            flag = flag_b
-        else:
-            continue
-        terms.append(PlanTerm._make(orbit_size, cp_label_id(groups), flag))
+    for (i1, i2, _), groups, orbit_size in orbit_types(n, 3):
+        flag = flag_of((n - 3 * i1, n - 3 * i2))
+        if flag is not None:
+            terms.append(PlanTerm._make(orbit_size, cp_label_id(groups), flag))
     return Plan(tuple(terms))
 
 
-def expand_orbits(model: TorusModel, plan: Plan | None = None) -> tuple[TorusModel, Plan | None]:
-    """The per-point model of a builder's orbit model, and a plan over the
-    orbit model carried to it.
-
-    The points come in product order, with the ids, weights and shared
-    moment and sorted-weight tuples of the product itself; each takes its
-    moment and sorted weights from its orbit's representative.  A term
-    with coefficient c at a representative of orbit size m gives every
-    point of the orbit a term c/m with the same flag; c must be a
-    multiple of m (else Unsupported).  The terms follow the points, and
-    each point's terms the order of the plan.  A model without orbits,
-    such as a loaded one, comes back as it is, with the plan.  A size
-    above the per-point limit raises ModelTooLarge before a point is made.
-    """
+def expand_orbits(model: TorusModel) -> TorusModel:
+    """The per-point model of a builder's orbit model: the points in product
+    order, each with its representative's moment and sorted-weight tuples.
+    A plan for it comes from running a recipe on it.  A model without
+    orbits, such as a loaded one, comes back as it is; a size above the
+    per-point limit raises ModelTooLarge before a point is made."""
     if not model.has_orbits:
-        return model, plan
+        return model
     if model.family is None:
         raise Unsupported("only the orbit models of the built-in families expand")
     name, k, vertex_weights, _, point_id = product_factor(model.family)
     n = model.family[-1]
     check_family_size(name, k, n)
-    terms_at: dict[str, list] = {fp.id: [] for fp in model.fixed_points}
-    if plan is not None:
-        sizes_of = dict(zip(terms_at, model.orbit_sizes))
-        for term in plan.terms:
-            fp_id = term.fixed_point_id
-            if fp_id not in terms_at:
-                raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
-            coefficient, rest = divmod(term.coefficient, sizes_of[fp_id])
-            if rest:
-                raise Unsupported(
-                    f"plan term at {fp_id!r} has coefficient {term.coefficient},"
-                    f" not a multiple of its orbit size {sizes_of[fp_id]}"
-                )
-            terms_at[fp_id].append((coefficient, term.flag))
-    reps = {
-        sizes: (fp.moment, fp.sorted_weights, terms_at[fp.id])
-        for (sizes, _, _), fp in zip(orbit_types(n, k), model.fixed_points)
-    }
-    make_point, make_term = FixedPoint._make, PlanTerm._make
-    points, terms = [], []
+    reps = {sizes: fp for (sizes, _, _), fp in zip(orbit_types(n, k), model.fixed_points)}
+    make = FixedPoint._make
+    points = []
     for weights, groups, sizes in group_walk(n, k, vertex_weights):
-        moment, sorted_weights, rep_terms = reps[sizes]
-        fp_id = point_id(groups)
-        points.append(make_point(fp_id, moment, weights, sorted_weights))
-        for coefficient, flag in rep_terms:
-            terms.append(make_term(coefficient, fp_id, flag))
-    expanded = TorusModel(model.rank, tuple(points), model.roots, model.weyl_order,
-                          model.global_stabilizer_order, model.family)
-    return expanded, None if plan is None else Plan(tuple(terms))
+        rep = reps[sizes]
+        points.append(make(point_id(groups), rep.moment, weights, rep.sorted_weights))
+    return TorusModel(model.rank, tuple(points), model.roots, model.weyl_order,
+                      model.global_stabilizer_order, model.family)

@@ -106,8 +106,9 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
-                c = coeff if type(coeff) in (int, Fraction) else Fraction(coeff)
-                clean[exp] = clean[exp] + c if exp in clean else c
+                if not (type(coeff) is int or isinstance(coeff, Fraction)):
+                    raise TypeError(f"coefficient of {exp} must be an int or a Fraction, got {coeff!r}")
+                clean[exp] = clean[exp] + coeff if exp in clean else coeff
         den = lcm(*(c.denominator for c in clean.values()))
         self._store(nvars, {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
 
@@ -162,8 +163,9 @@ class MultiPoly:
 
     @classmethod
     def linear_form(cls, coeffs: Sequence[Scalar]) -> "MultiPoly":
-        """The polynomial sum_i coeffs[i] * u_i."""
-        return cls(len(coeffs), _affine_terms(0, coeffs))
+        """The polynomial sum_i coeffs[i] * u_i; zero entries are checked too."""
+        n = len(coeffs)
+        return cls(n, {(0,) * i + (1,) + (0,) * (n - i - 1): c for i, c in enumerate(coeffs)})
 
     # ------------------------------------------------------------------
     # queries

@@ -38,17 +38,17 @@ INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 def point_sphere_product(n: int) -> TorusModel:
     """The per-point model of spheres:n: every fixed point, not one per orbit."""
-    return expand_orbits(build_sphere_product(n))[0]
+    return expand_orbits(build_sphere_product(n))
 
 
 def point_cp_product(k: int, n: int) -> TorusModel:
     """The per-point model of the n-fold product of (k-1)-dimensional projective spaces."""
-    return expand_orbits(build_cp_product(k, n))[0]
+    return expand_orbits(build_cp_product(k, n))
 
 
 def point_cp2_plan(n: int, variant: str) -> Plan:
     """The cp2:n recipe plan with one term per partition, over point_cp_product(3, n)."""
-    return expand_orbits(build_cp_product(3, n), cp2_plan(n, variant))[1]
+    return cp2_plan(point_cp_product(3, n), variant)
 
 
 def monomial_class(model: TorusModel, j1: int, j2: int) -> EquivariantClass:

@@ -8,6 +8,7 @@ import pytest
 import torusloc.model as model_module
 import torusloc.plans as plans_module
 from torusloc.cli import main
+from torusloc.expr import MAX_POWER
 
 from helpers import (
     INT_DIGIT_LIMIT,
@@ -189,6 +190,18 @@ class TestRingSegre:
         assert code == 2
         assert out == ""
         assert "order must be nonnegative" in err
+
+    def test_segre_order_above_max_power_is_usage_error(self, capsys, monkeypatch):
+        # order 3000 used to print 5.7 MB; the pieces are allocated up front
+        def refuse(*args):
+            raise AssertionError("the Segre pieces were computed")
+
+        monkeypatch.setattr("torusloc.cli.weighted_segre", refuse)
+        code, out, err = run(capsys, "segre", "--space", "1:-1", "--order", str(MAX_POWER + 1))
+        assert (code, out, err) == (2, "", f"error: order must be at most {MAX_POWER}\n")
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "segre", "--space", "1:-1", "--order", str(MAX_POWER))
+        assert code == 0 and out.count("\n") == MAX_POWER + 1
 
     def test_bad_space_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "ring", "--space", "1:1;2")
@@ -476,7 +489,8 @@ class TestSizeGuard:
 class TestOrbitModels:
     """pair and volume evaluate a built-in family on its orbit model; walls,
     plan, a --plan file and a v<i> class read or print point ids, and get
-    them from the per-point expansion, the one caller of group_walk."""
+    them from the per-point expansion, the one caller of group_walk.  A
+    recipe is checked on the orbit model before the expansion."""
 
     @staticmethod
     def refuse_walk(monkeypatch):
@@ -497,6 +511,20 @@ class TestOrbitModels:
         self.refuse_walk(monkeypatch)
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("pair", "--model", "spheres:20", "--class", "v1", "--path", "0:+"), "0 is a wall value"),
+        (("plan", "--model", "spheres:20", "--path", "0:+"), "0 is a wall value"),
+        (("plan", "--model", "spheres:20", "--cp2-variant", "swapped"),
+         "--cp2-variant applies only to cp2:N models"),
+        (("pair", "--model", "cp2:12", "--class", "v1", "--cp2-variant", "swapped"),
+         "v classes exist only on sphere-product models"),
+    ])
+    def test_bad_requests_fail_before_the_expansion(self, capsys, monkeypatch, argv, message):
+        # the plan, or the class, is made on the orbit model first
+        self.refuse_walk(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ("walls", "--model", "spheres:3", "--xi", "1"),

@@ -22,11 +22,7 @@ from torusloc import (
     ModelFormatError,
     ModelTooLarge,
     NotRegular,
-    OrientedFlag,
-    Plan,
-    PlanTerm,
     TorusModel,
-    UnknownFixedPoint,
     Unsupported,
     build_cp_product,
     build_sphere_product,
@@ -42,7 +38,13 @@ from torusloc.closedforms import cp2_volume_from_lambda_forms, sphere_torus_pair
 from torusloc.model import MAX_FIXED_POINTS, check_orbit_size
 from torusloc.plans import CP2_VARIANTS
 
-from helpers import cp2_volume_class, point_cp2_plan, point_cp_product, point_sphere_product
+from helpers import (
+    cp2_volume_class,
+    point_cp2_plan,
+    point_cp_product,
+    point_sphere_product,
+    ref_build_sphere_product,
+)
 
 
 def sizes_by_point(model: TorusModel, k: int) -> dict[str, tuple[int, ...]]:
@@ -88,8 +90,7 @@ class TestOrbitModel:
             {"rank": 1, "fixed_points": [{"id": "a", "moment": [1], "weights": [[1]]}]}
         )))
         assert model.orbit_sizes == (1,) and not model.has_orbits
-        plan = Plan((PlanTerm(1, "a", OrientedFlag(((1,),))),))
-        assert expand_orbits(model, plan) == (model, plan)
+        assert expand_orbits(model) is model
         points = point_sphere_product(4)
         assert set(points.orbit_sizes) == {1} and not points.has_orbits
 
@@ -104,17 +105,6 @@ class TestOrbitModel:
         with pytest.raises(Unsupported, match="expand_orbits"):
             class_generator(build_sphere_product(3), "v", index=1)
         assert class_generator(point_sphere_product(3), "v", index=1).at("f{1}").terms == {(1,): -1}
-
-    def test_plan_coefficients_must_be_orbit_multiples(self):
-        model = build_sphere_product(3)
-        flag = OrientedFlag(((1,),))
-        with pytest.raises(Unsupported, match="orbit size 3"):
-            expand_orbits(model, Plan((PlanTerm(2, "f{3}", flag),)))
-        with pytest.raises(UnknownFixedPoint):
-            expand_orbits(model, Plan((PlanTerm(1, "f{1}", flag),)))
-        _, plan = expand_orbits(model, Plan((PlanTerm(-6, "f{3}", flag), PlanTerm(1, "f{}", flag))))
-        assert [(t.coefficient, t.fixed_point_id) for t in plan.terms] == [
-            (1, "f{}"), (-2, "f{3}"), (-2, "f{2}"), (-2, "f{1}")]
 
 
 class TestOrbitSizeGuard:
@@ -144,7 +134,56 @@ class TestOrbitSizeGuard:
         with pytest.raises(ModelTooLarge, match="2\\^21 fixed points"):
             expand_orbits(build_sphere_product(21))
         with pytest.raises(ModelTooLarge, match="3\\^13 fixed points"):
-            expand_orbits(build_cp_product(3, 13), cp2_plan(13, "swapped"))
+            expand_orbits(build_cp_product(3, 13))
+
+
+class TestRecipesOnEitherModel:
+    """A recipe is a rule on a point's moment, so it runs on the orbit
+    model, its expansion, or (for cp2_plan) the int n alone."""
+
+    @pytest.mark.parametrize("variant", CP2_VARIANTS)
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 8, 10, 13, 20, 25, 40])
+    def test_cp2_plan_of_the_orbit_model_equals_the_plan_of_n(self, n, variant):
+        by_model = cp2_plan(build_cp_product(3, n), variant)
+        assert [vars(t) for t in by_model.terms] == [vars(t) for t in cp2_plan(n, variant).terms]
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_moment_regions_equal_the_size_predicates(self, n):
+        # region A: i1 > n/3 and i3 > n/3; region B: i2 < n/3 and i3 < n/3;
+        # mirror reads them with i1 and i2 swapped
+        third = Fraction(n, 3)
+        for variant in CP2_VARIANTS:
+            if n % 3 == 0:
+                with pytest.raises(NotRegular):
+                    cp2_plan(n, variant)
+                continue
+            flag_a, flag_b, mirrored = plans_module._CP2_RECIPE[variant]
+            expected = []
+            for sizes, groups, orbit_size in model_module.orbit_types(n, 3):
+                i1, i2, i3 = sizes
+                if mirrored:
+                    i1, i2 = i2, i1
+                if i1 > third and i3 > third:
+                    expected.append((orbit_size, model_module.cp_label_id(groups), flag_a))
+                elif i2 < third and i3 < third:
+                    expected.append((orbit_size, model_module.cp_label_id(groups), flag_b))
+            plan = cp2_plan(n, variant)
+            assert [(t.coefficient, t.fixed_point_id, t.flag) for t in plan.terms] == expected
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(build_sphere_product(4), id="spheres"),
+        pytest.param(build_cp_product(4, 2), id="cp3"),
+        pytest.param(load_model(io.StringIO(json.dumps({"rank": 2, "fixed_points": [
+            {"id": "a", "moment": [1, 1], "weights": [[1, 0], [0, 1]]}]}))), id="loaded"),
+    ])
+    def test_cp2_plan_refuses_other_models(self, model):
+        with pytest.raises(Unsupported, match="build_cp_product"):
+            cp2_plan(model, "swapped")
+
+    @pytest.mark.parametrize("source", [4.0, True, "4"])
+    def test_cp2_plan_source_must_be_a_model_or_an_int(self, source):
+        with pytest.raises(Unsupported, match="cp2_plan source"):
+            cp2_plan(source, "swapped")
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +202,7 @@ def test_cp2_orbit_values_equal_the_per_point_values(n, variant):
 
 @pytest.mark.parametrize("n", range(1, 14))
 def test_sphere_orbit_volumes_equal_the_per_point_volumes(n):
-    orbits, points = build_sphere_product(n), point_sphere_product(n)
+    orbits, points, ref = build_sphere_product(n), point_sphere_product(n), ref_build_sphere_product(n)
     for p0 in (Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3)):
         orbit_cls, m = volume_class(orbits, "torus", (p0,))
         point_cls, _ = volume_class(points, "torus", (p0,))
@@ -176,7 +215,7 @@ def test_sphere_orbit_volumes_equal_the_per_point_volumes(n):
                 continue
             orbit_plan = rank1_plan(orbits, p0, direction)
             assert evaluate_plan(orbits, orbit_plan, orbit_cls) == expected, (p0, direction)
-            assert expand_orbits(orbits, orbit_plan)[1] == rank1_plan(points, p0, direction)
+            assert rank1_plan(points, p0, direction) == rank1_plan(ref, p0, direction)
 
 
 # ----------------------------------------------------------------------

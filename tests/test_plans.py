@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 from collections import Counter
@@ -14,6 +15,8 @@ from torusloc import (
     ModelTooLarge,
     NotRegular,
     OrientedFlag,
+    Plan,
+    PlanTerm,
     TorusLocError,
     TorusModel,
     Unsupported,
@@ -273,6 +276,41 @@ class TestCp2Plan:
             (t.coefficient, t.fixed_point_id, t.flag.stages) for t in point_cp2_plan(n, "mirror").terms
         )
         assert image == mirror
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8])
+    def test_vertex_permutations_keep_the_pairings(self, n):
+        # Permuting the factor's vertices e_1, e_2, e_3 = 0 is the lattice
+        # automorphism L with L(e_i - e_j) = e_s(i) - e_s(j): weights, roots
+        # and moments map by L, flag stages by L^(-T), and a point's groups
+        # move to the permuted vertices.  Each image of the swapped and
+        # mirror plans is a descent of the same pairings.
+        model = build_cp_product(3, n)
+        classes = [cp2_volume_class]
+        if n != 8:  # the torus pairing of L^(2n-2) is checked up to n = 7
+            classes.append(lambda m: class_generator(m, "prequantum") ** (2 * n - 2))
+        expected = [evaluate_plan(model, cp2_plan(model, "swapped"), make(model)) for make in classes]
+        e = ((1, 0), (0, 1), (0, 0))
+        for s in itertools.permutations(range(3)):
+            (a, b), (c, d) = (tuple(x - y for x, y in zip(e[s[j]], e[s[2]])) for j in (0, 1))
+            L = lambda v: (a * v[0] + c * v[1], b * v[0] + d * v[1])
+            det = a * d - b * c
+            inverse_transpose = lambda v: (det * (d * v[0] - b * v[1]), det * (a * v[1] - c * v[0]))
+
+            def regroup(fp_id):
+                groups = fp_id[2:-1].split("}|{")
+                return "F{" + "}|{".join(groups[s.index(j)] for j in range(3)) + "}"
+
+            image = TorusModel(2, [FixedPoint(regroup(fp.id), L(fp.moment), tuple(map(L, fp.weights)))
+                                   for fp in model.fixed_points],
+                               roots=tuple(map(L, model.roots)), weyl_order=6, orbit_sizes=model.orbit_sizes)
+            for variant in ("swapped", "mirror"):
+                plan = Plan(tuple(
+                    PlanTerm(t.coefficient, regroup(t.fixed_point_id),
+                             OrientedFlag(tuple(map(inverse_transpose, t.flag.stages))))
+                    for t in cp2_plan(model, variant).terms
+                ))
+                values = [evaluate_plan(image, plan, make(image)) for make in classes]
+                assert values == expected, (s, variant)
 
     @pytest.mark.parametrize("n", [4, 5, 7])
     def test_mirror_consistency_of_valid_descents(self, n):

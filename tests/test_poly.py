@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from fractions import Fraction
 from math import comb, gcd
 
@@ -377,9 +378,19 @@ class TestCoefficientTypes:
         assert all(type(c) is int for c in MultiPoly.linear_form((1, Fraction(-2), 0)).terms.values())
         assert all(type(c) is int for c in P(2, {(1, 0): 5, (0, 1): Fraction(6, 3)}).terms.values())
 
-    def test_bool_goes_through_fraction(self):
-        assert MultiPoly.const(1, True) == MultiPoly.const(1, 1)
-        assert type(MultiPoly.const(1, True).terms[(0,)]) is int
+    @pytest.mark.parametrize("bad", [0.1, "1/3", True, None, 1j])
+    def test_inexact_coefficients_are_refused(self, bad):
+        # 0.1 used to be stored as 3602879701896397/36028797018963968, and
+        # "1/3" and True were read as rationals
+        message = rf"coefficient of \(1,\) must be an int or a Fraction, got {re.escape(repr(bad))}"
+        with pytest.raises(TypeError, match=message):
+            MultiPoly(1, {(1,): bad})
+        with pytest.raises(TypeError, match=r"coefficient of \(0, 0\)"):
+            MultiPoly.const(2, bad)
+        with pytest.raises(TypeError, match=r"coefficient of \(0, 1\)"):
+            MultiPoly.linear_form((1, bad))
+        with pytest.raises(TypeError, match=r"coefficient of \(1, 0\)"):
+            MultiPoly.linear_form((0.0, 1))
 
     def test_public_accessors_return_fraction(self):
         for p in (MultiPoly.const(2, 3), MultiPoly.const(2, Fraction(1, 3)), MultiPoly.zero(2)):
