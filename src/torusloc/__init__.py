@@ -47,14 +47,7 @@ from .model import (
     load_model,
 )
 from .plans import CP2_VARIANTS, WallList, cp2_plan, expand_orbits, rank1_plan, wall_list
-from .poly import (
-    MultiPoly,
-    TruncSeries,
-    homogeneous_part,
-    linear_substitute,
-    poly_str,
-    series_invert,
-)
+from .poly import MultiPoly, linear_substitute, poly_str, series_invert
 from .weighted import (
     WeightedSpace,
     fiber_integrate_power,

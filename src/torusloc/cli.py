@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from .errors import TorusLocError, Unsupported
+from .errors import TorusLocError, UnknownFixedPoint, Unsupported
 from .expr import MAX_POWER, evaluate_expr, names_factor_class, parse_class_expr
 from .localization import dump_plan, evaluate_plan, load_plan, volume_class
 from .model import TorusModel, build_cp_product, build_sphere_product, check_family_size, load_model
@@ -51,7 +51,13 @@ def resolve_model(spec: str, per_point: bool = False) -> TorusModel:
     if not (colon and name in FAMILIES):
         return load_model(spec)
     k, build = FAMILIES[name]
-    n = int(size)
+    # int() would also take ' 3', '+3', '1_0' and non-ASCII digits
+    if not (size.isascii() and size.isdigit()):
+        raise ValueError(f"--model {spec!r}: the size must be written in the digits 0-9")
+    try:
+        n = int(size)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"--model '{name}:...': the size has {len(size)} digits, too many to read") from None
     if per_point:
         check_family_size(name, k, n)
     return build(n)
@@ -136,7 +142,12 @@ def cmd_walls(args) -> int:
 def cmd_plan(args) -> int:
     model = resolve_model(args.model, args.plan is not None)
     plan = plan_for(args, model)
-    if args.plan is None and model.has_orbits:
+    if args.plan is not None:  # a file is re-emitted only if its points are the model's
+        model = expand_orbits(model)
+        for term in plan.terms:
+            if not model.has_fixed_point(term.fixed_point_id):
+                raise UnknownFixedPoint(f"model has no fixed point {term.fixed_point_id!r}")
+    elif model.has_orbits:
         plan = plan_for(args, expand_orbits(model))  # the expansion is freed before the dump
     dump_plan(plan, args.out or sys.stdout)
     return 0
@@ -181,9 +192,8 @@ def cmd_segre(args) -> int:
     if args.order > MAX_POWER:
         raise ValueError(f"order must be at most {MAX_POWER}")
     space = parse_weighted_space(args.space)
-    series = weighted_segre(space, args.order)
-    for i in range(args.order + 1):
-        print(f"s_{i} = {poly_str(series.piece(i))}")
+    for i, piece in enumerate(weighted_segre(space, args.order)):
+        print(f"s_{i} = {poly_str(piece)}")
     return 0
 
 

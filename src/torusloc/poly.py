@@ -34,7 +34,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DimensionMismatch, PlanFormatError, ZeroConstantTerm
-from .frozen import Frozen
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -320,13 +319,6 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {dict(self.sorted_terms())!r})"
 
 
-def homogeneous_part(p: MultiPoly, e: int) -> MultiPoly:
-    """The sum of terms of ``p`` with total exponent exactly ``e``."""
-    return MultiPoly._make(
-        p.nvars, {exp: v for exp, v in p.numerators.items() if sum(exp) == e}, p.den
-    )
-
-
 def _graded(numerators: dict, order: int) -> list[dict]:
     """The terms split by total exponent: element n holds those of exponent
     n, for n = 0..order; higher terms are dropped."""
@@ -397,35 +389,15 @@ def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly
     return MultiPoly._make(d, _int_substitute(p.numerators, basis), p.den)
 
 
-class TruncSeries(Frozen):
-    """A polynomial together with the order through which it is trusted.
-
-    All terms of total exponent greater than ``order`` have been dropped.
-    """
-
-    _fields = ("body", "order")
-
-    def __init__(self, body: MultiPoly, order: int):
-        if body.total_degree() > order:
-            raise ValueError("series body exceeds its truncation order")
-        self._set(body, order)
-
-    def piece(self, e: int) -> MultiPoly:
-        """Graded piece of total exponent ``e`` (zero above the order)."""
-        if e > self.order:
-            raise ValueError(f"piece {e} beyond truncation order {self.order}")
-        return homogeneous_part(self.body, e)
-
-
 def _int_invert(pieces: Sequence[dict], nvars: int, order: int) -> tuple[list[dict], int]:
     """Graded integer inverse of a graded integer series through total exponent ``order``.
 
     ``pieces[k]`` is the part c_k of total exponent k, for k = 0..order, and
     c0 != 0.  The inverse sum_n s_n has s_0 = 1/c0 and
     c0 s_n = -sum_{k=1..n} c_k s_{n-k}.  With s_n = t_n / c0^(n+1) this is
-    the integer recurrence t_n = -sum_k c0^(k-1) c_k t_{n-k}.  Returns the
-    pieces t_n c0^(order-n) over the single denominator c0^(order+1):
-    element n is a dictionary of total exponent n, and zeros are dropped.
+    the integer recurrence t_n = -sum_k c0^(k-1) c_k t_{n-k}.  Returns
+    (t, c0): element n of t is the dictionary t_n of total exponent n, with
+    zeros dropped.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -443,22 +415,25 @@ def _int_invert(pieces: Sequence[dict], nvars: int, order: int) -> tuple[list[di
                 for e, v in _int_product(pieces[k], t[n - k]).items():
                     acc[e] = get(e, 0) + v * scale
         t.append({e: v for e, v in acc.items() if v})
-    return [
-        {e: v * c0 ** (order - n) for e, v in piece.items()} for n, piece in enumerate(t)
-    ], c0 ** (order + 1)
+    return t, c0
 
 
-def series_invert(p: MultiPoly, order: int) -> TruncSeries:
-    """Multiplicative inverse of ``p`` modulo terms of total exponent > order.
+def series_invert(p: MultiPoly, order: int) -> list[MultiPoly]:
+    """Multiplicative inverse of ``p`` modulo terms of total exponent > order,
+    as its graded pieces: element n, for n = 0..order, is the homogeneous
+    part of total exponent n.
 
     With denominators cleared, p = (c0 + m) / D, and the inverse is D times
-    the integer inverse of c0 + m computed by ``_int_invert``.
+    the integer inverse of c0 + m computed by ``_int_invert``: piece n is
+    t_n D / c0^(n+1).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    pieces, inverse_den = _int_invert(_graded(p.numerators, order), p.nvars, order)
-    body = {e: v * p.den for piece in pieces for e, v in piece.items()}
-    return TruncSeries(MultiPoly._make(p.nvars, body, inverse_den), order)
+    t, c0 = _int_invert(_graded(p.numerators, order), p.nvars, order)
+    return [
+        MultiPoly._make(p.nvars, {e: v * p.den for e, v in piece.items()}, c0 ** (n + 1))
+        for n, piece in enumerate(t)
+    ]
 
 
 def poly_str(p: MultiPoly) -> str:

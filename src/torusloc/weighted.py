@@ -23,7 +23,6 @@ from .errors import EmptyStage
 from .frozen import Frozen
 from .poly import (
     MultiPoly,
-    TruncSeries,
     _graded,
     affine_product,
     series_invert,  # noqa: F401  re-exported; instrumentation wraps it by this name
@@ -115,13 +114,14 @@ def _segre_numerators(lines: tuple[Line, ...], residual_count: int, order: int) 
     ), c ** (order + 1)
 
 
-def weighted_segre(space: WeightedSpace, order: int) -> TruncSeries:
-    """Multiplicative inverse of the weighted Chern class through ``order``."""
+def weighted_segre(space: WeightedSpace, order: int) -> list[MultiPoly]:
+    """Multiplicative inverse of the weighted Chern class through ``order``,
+    as its graded pieces: element i, for i = 0..order, is the Segre piece
+    s_i, homogeneous of total exponent i."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     pieces, den = _segre_numerators(space.lines, space.residual_count, order)
-    body = {e: v for piece in pieces for e, v in piece}
-    return TruncSeries(MultiPoly._make(space.residual_count, body, den), order)
+    return [MultiPoly._make(space.residual_count, dict(piece), den) for piece in pieces]
 
 
 def weight_gcd(space: WeightedSpace) -> int:

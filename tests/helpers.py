@@ -233,6 +233,23 @@ def ref_terms(p: MultiPoly) -> dict:
     return {e: Fraction(c) for e, c in p.terms.items()}
 
 
+def ref_degree_part(p: MultiPoly, e: int) -> MultiPoly:
+    """The terms of p of total exponent exactly e, filtered from ``terms``."""
+    return MultiPoly(p.nvars, {exp: c for exp, c in p.terms.items() if sum(exp) == e})
+
+
+def check_graded_prefix(pieces_through, k: int, big: int):
+    """Assert that pieces_through(order) gives order + 1 polynomials, piece n
+    holding only exponents of total n, and that the pieces through k are the
+    first k + 1 of those through big."""
+    short, long = pieces_through(k), pieces_through(big)
+    assert len(short) == k + 1 and len(long) == big + 1
+    assert short == long[: k + 1]
+    for n, piece in enumerate(long):
+        assert isinstance(piece, MultiPoly)
+        assert all(sum(e) == n for e in piece.numerators)
+
+
 def ref_clean(terms: dict) -> dict:
     return {e: c for e, c in terms.items() if c}
 

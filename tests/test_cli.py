@@ -162,6 +162,62 @@ class TestPlanCommand:
         code, _, _ = run(capsys, "plan", "--model", "spheres:3", "--cp2-variant", "swapped")
         assert code == 3
 
+    def test_plan_file_with_foreign_points_is_domain_error(self, capsys, tmp_path):
+        # used to exit 0 and re-emit the cp2:4 terms for spheres:4
+        plan_file = str(tmp_path / "cp2_4.json")
+        assert run(capsys, "plan", "--model", "cp2:4", "--cp2-variant", "swapped",
+                   "--out", plan_file)[0] == 0
+        code, out, err = run(capsys, "pair", "--model", "spheres:4", "--class", "L^2",
+                             "--plan", plan_file)
+        assert (code, out, err) == (3, "", "error: model has no fixed point 'F{1,2,3,4}|{}|{}'\n")
+        assert run(capsys, "plan", "--model", "spheres:4", "--plan", plan_file) == (code, out, err)
+
+    def test_plan_file_with_foreign_points_on_a_model_file(self, capsys, tmp_path):
+        model_file, plan_file = tmp_path / "model.json", tmp_path / "plan.json"
+        model_file.write_text(json.dumps(SPHERE_MODEL))
+        plan_file.write_text(json.dumps(SPHERE_PLAN + [{"coefficient": 1, "fixed_point": "x", "flag": [[1]]}]))
+        code, out, err = run(capsys, "plan", "--model", str(model_file), "--plan", str(plan_file))
+        assert (code, out, err) == (3, "", "error: model has no fixed point 'x'\n")
+
+    @pytest.mark.parametrize("spec, source", [
+        ("spheres:4", "--path=1:+"),
+        ("spheres:5", "--path=-2:-"),
+        ("cp2:4", "--cp2-variant=mirror"),
+    ])
+    def test_plan_file_round_trip_is_byte_identical(self, capsys, tmp_path, spec, source):
+        plan_file = tmp_path / "plan.json"
+        assert run(capsys, "plan", "--model", spec, source, "--out", str(plan_file))[0] == 0
+        code, out, err = run(capsys, "plan", "--model", spec, "--plan", str(plan_file))
+        assert (code, out, err) == (0, plan_file.read_text(encoding="utf-8"), "")
+
+
+class TestModelSizes:
+    @pytest.mark.parametrize("size", ["abc", "1_0", " 3", "+3", "", "3 ", "\u0663"],
+                             ids=["letters", "underscore", "space", "plus", "empty", "trailing", "arabic"])
+    @pytest.mark.parametrize("argv", [
+        ("walls", "--model", "spheres:SIZE", "--xi", "1"),
+        ("pair", "--model", "spheres:SIZE", "--class", "L^2", "--path", "0:+"),
+        ("volume", "--model", "cp2:SIZE", "--group", "weyl", "--cp2-variant", "swapped"),
+    ], ids=["walls", "pair", "volume"])
+    def test_size_outside_the_ascii_digits_is_usage_error(self, capsys, size, argv):
+        # int() read '1_0' as 10, ' 3' and '+3' as 3, and ended 'abc' in its own message
+        argv = [a.replace("SIZE", size) for a in argv]
+        spec = argv[2]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (
+            2, "", f"error: --model {spec!r}: the size must be written in the digits 0-9\n")
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() reads decimal literals of any length")
+    def test_size_longer_than_int_reads_is_usage_error(self, capsys):
+        size = "9" * (INT_DIGIT_LIMIT + 1)
+        code, out, err = run(capsys, "walls", "--model", f"spheres:{size}", "--xi", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: --model 'spheres:...': the size has {len(size)} digits, too many to read\n"
+
+    def test_ascii_digit_sizes_still_read(self, capsys):
+        assert run(capsys, "walls", "--model", "spheres:03", "--xi", "1")[:2] == (
+            0, "-3: f{1,2,3}\n-1: f{2,3} f{1,3} f{1,2}\n1: f{3} f{2} f{1}\n3: f{}\n")
+
 
 class TestRingSegre:
     def test_classical_projective_line(self, capsys):
@@ -530,6 +586,7 @@ class TestOrbitModels:
         ("walls", "--model", "spheres:3", "--xi", "1"),
         ("plan", "--model", "spheres:3", "--path", "0:+"),
         ("plan", "--model", "cp2:4", "--cp2-variant", "swapped"),
+        ("plan", "--model", "spheres:3", "--plan", "PLAN"),
         ("pair", "--model", "spheres:3", "--class", "L^2", "--plan", "PLAN"),
         ("volume", "--model", "spheres:3", "--group", "torus", "--plan", "PLAN"),
         ("pair", "--model", "spheres:5", "--class", "weyl(v1^2)", "--path", "0:+"),

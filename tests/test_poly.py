@@ -13,13 +13,14 @@ from torusloc import (
     MultiPoly,
     PlanFormatError,
     ZeroConstantTerm,
-    homogeneous_part,
     linear_substitute,
     poly_str,
     series_invert,
 )
+from torusloc.poly import _graded
 
 from helpers import (
+    check_graded_prefix,
     exact_shape,
     mixed_coeffs,
     mixed_polys,
@@ -62,15 +63,15 @@ class TestArithmetic:
 class TestSeriesInvert:
     def test_geometric_series(self):
         p = P(1, {(0,): 1, (1,): -1})
-        assert series_invert(p, 3).body == P(1, {(0,): 1, (1,): 1, (2,): 1, (3,): 1})
+        assert sum(series_invert(p, 3)) == P(1, {(0,): 1, (1,): 1, (2,): 1, (3,): 1})
 
     def test_constant_inverse(self):
-        assert series_invert(MultiPoly.const(1, -1), 5).body == MultiPoly.const(1, -1)
+        assert sum(series_invert(MultiPoly.const(1, -1), 5)) == MultiPoly.const(1, -1)
 
     def test_two_variable_inverse(self):
         p = P(2, {(0, 0): 2, (1, 0): 1, (0, 1): 1})
         expected = P(2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 4), (0, 1): Fraction(-1, 4)})
-        assert series_invert(p, 1).body == expected
+        assert sum(series_invert(p, 1)) == expected
 
     def test_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):
@@ -111,17 +112,22 @@ class TestLinearSubstitute:
             linear_substitute(MultiPoly.linear_form([1, 2]), bad)
 
 
-class TestHomogeneousPart:
+def graded_pieces(p: MultiPoly, order: int) -> list[MultiPoly]:
+    """The pieces of total exponent 0..order of p, split by ``_graded``."""
+    return [MultiPoly._make(p.nvars, piece, p.den) for piece in _graded(p.numerators, order)]
+
+
+class TestGraded:
     def test_binomial_cube(self):
         p = P(1, {(0,): 1, (1,): 1}) ** 3
-        assert homogeneous_part(p, 2) == P(1, {(2,): 3})
+        assert graded_pieces(p, 2)[2] == P(1, {(2,): 3})
 
     def test_absent_degree(self):
-        assert homogeneous_part(P(2, {(2, 0): 1, (0, 1): 1}), 5).is_zero()
+        assert graded_pieces(P(2, {(2, 0): 1, (0, 1): 1}), 5)[5].is_zero()
 
     def test_mixed(self):
         p = P(2, {(1, 1): 1, (1, 0): 2})
-        assert homogeneous_part(p, 1) == P(2, {(1, 0): 2})
+        assert graded_pieces(p, 1)[1] == P(2, {(1, 0): 2})
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +149,8 @@ def polys(nvars, max_exp=3, max_terms=5):
 @given(st.integers(1, 3).flatmap(polys), st.integers(0, 8), fractions.filter(bool))
 def test_series_inverse_multiplies_to_one(p, order, c0):
     p = p - p.constant_term() + c0  # force a nonzero constant term
-    inverse = series_invert(p, order)
-    assert (p * inverse.body).truncate(order) == MultiPoly.const(p.nvars, 1)
+    inverse = sum(series_invert(p, order))
+    assert (p * inverse).truncate(order) == MultiPoly.const(p.nvars, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,10 +167,10 @@ def test_linear_substitute_is_ring_homomorphism(p, q):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3).flatmap(polys))
-def test_homogeneous_parts_sum_back(p):
+def test_graded_pieces_sum_back(p):
     total = MultiPoly.zero(p.nvars)
-    for e in range(p.total_degree() + 1):
-        total = total + homogeneous_part(p, e)
+    for piece in graded_pieces(p, p.total_degree()):
+        total = total + piece
     assert total == p
 
 
@@ -269,9 +275,22 @@ def test_linear_substitute_of_a_deep_monomial():
 @given(st.integers(1, 3).flatmap(mixed_polys), mixed_coeffs.filter(bool), st.integers(0, 5))
 def test_series_invert_matches_fraction_reference(p, c0, order):
     p = p - p.constant_term() + c0
-    inverse = series_invert(p, order)
-    assert inverse.body.terms == ref_invert(ref_terms(p), p.nvars, order)
-    assert exact_shape(inverse.body)
+    inverse = sum(series_invert(p, order))
+    assert inverse.terms == ref_invert(ref_terms(p), p.nvars, order)
+    assert exact_shape(inverse)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(mixed_polys),
+    mixed_coeffs.filter(bool),
+    st.integers(0, 5),
+    st.integers(1, 4),
+)
+def test_series_invert_pieces_are_graded_prefixes(p, c0, k, extra):
+    # piece n is t_n D / c0^(n+1), whatever the order it was computed through
+    p = p - p.constant_term() + c0
+    check_graded_prefix(lambda order: series_invert(p, order), k, k + extra)
 
 
 def sympy_invert(p: MultiPoly, order: int) -> dict:
@@ -301,8 +320,8 @@ def sympy_invert(p: MultiPoly, order: int) -> dict:
 @given(st.integers(1, 3).flatmap(mixed_polys), mixed_coeffs.filter(bool), st.integers(0, 5))
 def test_series_invert_matches_sympy(p, c0, order):
     p = p - p.constant_term() + c0
-    inverse = series_invert(p, order)
-    assert ref_terms(inverse.body) == sympy_invert(p, order)
+    inverse = sum(series_invert(p, order))
+    assert ref_terms(inverse) == sympy_invert(p, order)
 
 
 def is_canonical(p: MultiPoly) -> bool:
@@ -327,6 +346,7 @@ def is_canonical(p: MultiPoly) -> bool:
 )
 def test_every_result_is_canonical(case, c, n, order):
     p, q, basis = case
+    pieces = series_invert(p - p.constant_term() + c, order)
     results = [
         p + q,
         p - q,
@@ -334,7 +354,8 @@ def test_every_result_is_canonical(case, c, n, order):
         p * Fraction(c),
         p**n,
         linear_substitute(p, basis),
-        series_invert(p - p.constant_term() + c, order).body,
+        sum(pieces),
+        *pieces,
     ]
     for r in results:
         assert is_canonical(r)

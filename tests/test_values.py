@@ -23,7 +23,6 @@ from torusloc import (
     Plan,
     PlanTerm,
     TorusModel,
-    TruncSeries,
     WallList,
     WeightedSpace,
     build_cp_product,
@@ -34,7 +33,6 @@ from torusloc import (
     evaluate_plan,
     load_plan,
     rank1_plan,
-    series_invert,
 )
 from torusloc import localization
 from torusloc.expr import Token
@@ -59,7 +57,6 @@ VALUES = {
     "PlanTerm": term,
     "Plan": lambda: Plan((term(), term(-1, "q"))),
     "WeightedSpace": lambda: WeightedSpace(((2, (1,)), (-1, (0,))), 1),
-    "TruncSeries": lambda: series_invert(MultiPoly(1, {(0,): 2, (1,): 1}), 3),
     "WallList": lambda: WallList(((Fraction(-1), ("s",)), (Fraction(1), ("n", "m")))),
     "Token": lambda: Token("int", "12", 1, 3),
 }
@@ -72,7 +69,6 @@ OTHERS = {
     "PlanTerm": lambda: term(3),
     "Plan": lambda: Plan((term(),)),
     "WeightedSpace": lambda: WeightedSpace(((2, (1,)), (-1, (1,))), 1),
-    "TruncSeries": lambda: series_invert(MultiPoly(1, {(0,): 2, (1,): 1}), 2),
     "WallList": lambda: WallList(((Fraction(-1), ("s",)),)),
     "Token": lambda: Token("int", "12", 1, 4),
 }
@@ -85,7 +81,6 @@ FIELDS = {
     "PlanTerm": ("coefficient", "fixed_point_id", "flag"),
     "Plan": ("terms",),
     "WeightedSpace": ("lines", "residual_count"),
-    "TruncSeries": ("body", "order"),
     "WallList": ("entries",),
     "Token": ("kind", "text", "line", "column"),
 }
@@ -138,10 +133,6 @@ class TestConstruction:
     def test_weighted_space(self):
         keyword = WeightedSpace(residual_count=1, lines=[(2, [1])])
         assert fields_of(keyword) == fields_of(WeightedSpace([(2, (1,))], 1)) == (((2, (1,)),), 1)
-
-    def test_trunc_series(self):
-        body = MultiPoly(1, {(0,): 1, (1,): 2})
-        assert fields_of(TruncSeries(order=1, body=body)) == fields_of(TruncSeries(body, 1)) == (body, 1)
 
     def test_wall_list(self):
         entries = ((Fraction(0), ("a",)),)

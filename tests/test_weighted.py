@@ -10,7 +10,6 @@ from torusloc import (
     MultiPoly,
     WeightedSpace,
     fiber_integrate_power,
-    homogeneous_part,
     parse_weighted_space,
     ring_relation,
     series_invert,
@@ -19,7 +18,7 @@ from torusloc import (
     weighted_segre,
 )
 
-from helpers import ref_mul
+from helpers import check_graded_prefix, ref_degree_part, ref_mul
 
 
 def space(*lines, residuals=0):
@@ -51,20 +50,20 @@ class TestWeightedSegre:
         v = space((1, (-1,)), (1, (-1,)), (-1, (1,)), (-1, (0,)), (1, (0,)), residuals=1)
         assert weighted_chern(v) == MultiPoly(1, {(0,): 1, (1,): -1}) ** 3
         series = weighted_segre(v, 2)
-        assert series.piece(0) == MultiPoly.const(1, 1)
-        assert series.piece(1) == MultiPoly(1, {(1,): 3})
-        assert series.piece(2) == MultiPoly(1, {(2,): 6})
+        assert series[0] == MultiPoly.const(1, 1)
+        assert series[1] == MultiPoly(1, {(1,): 3})
+        assert series[2] == MultiPoly(1, {(2,): 6})
 
     def test_point_bundle_higher_pieces_vanish(self):
         v = space((1, ()), (1, ()), (-1, ()))
         series = weighted_segre(v, 4)
-        assert series.piece(0) == MultiPoly.const(0, -1)
-        assert all(series.piece(i).is_zero() for i in range(1, 5))
+        assert series[0] == MultiPoly.const(0, -1)
+        assert all(series[i].is_zero() for i in range(1, 5))
 
     def test_defining_identity(self):
         v = space((2, (1, -1)), (-3, (0, 2)), residuals=2)
         series = weighted_segre(v, 5)
-        product = (weighted_chern(v) * series.body).truncate(5)
+        product = (weighted_chern(v) * sum(series)).truncate(5)
         assert product == MultiPoly.const(2, 1)
 
     def test_negative_order_is_rejected(self):
@@ -200,8 +199,14 @@ def random_space(rng, max_lines=5, max_residuals=3):
 def test_ring_relation_is_the_graded_chern_class(v):
     chern = weighted_chern(v)
     relation = ring_relation(v)
-    assert relation == [homogeneous_part(chern, i) for i in range(v.rank + 1)]
+    assert relation == [ref_degree_part(chern, i) for i in range(v.rank + 1)]
     assert all(type(c) is int for piece in relation for c in piece.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2).flatmap(spaces), st.integers(0, 5), st.integers(1, 4))
+def test_weighted_segre_pieces_are_graded_prefixes(v, k, extra):
+    check_graded_prefix(lambda order: weighted_segre(v, order), k, k + extra)
 
 
 def test_segre_chern_identity_on_many_random_spaces():
@@ -210,7 +215,7 @@ def test_segre_chern_identity_on_many_random_spaces():
         v = random_space(rng)
         order = rng.randrange(7)
         series = weighted_segre(v, order)
-        assert (weighted_chern(v) * series.body).truncate(order) == MultiPoly.const(
+        assert (weighted_chern(v) * sum(series)).truncate(order) == MultiPoly.const(
             v.residual_count, 1
         )
 
