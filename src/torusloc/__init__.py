@@ -44,9 +44,10 @@ from .model import (
     build_cp_product,
     build_sphere_product,
     class_generator,
+    expand_orbits,
     load_model,
 )
-from .plans import CP2_VARIANTS, WallList, cp2_plan, expand_orbits, rank1_plan, wall_list
+from .plans import CP2_VARIANTS, WallList, cp2_plan, rank1_plan, wall_list
 from .poly import MultiPoly, linear_substitute, poly_str, series_invert
 from .weighted import (
     WeightedSpace,

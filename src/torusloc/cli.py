@@ -26,8 +26,9 @@ from math import factorial
 from .errors import TorusLocError, UnknownFixedPoint, Unsupported
 from .expr import MAX_POWER, evaluate_expr, names_factor_class, parse_class_expr
 from .localization import dump_plan, evaluate_plan, load_plan, volume_class
-from .model import TorusModel, build_cp_product, build_sphere_product, check_family_size, load_model
-from .plans import CP2_VARIANTS, cp2_plan, expand_orbits, rank1_plan, wall_list
+from .model import TorusModel, build_cp_product, build_sphere_product, check_family_size, expand_orbits
+from .model import load_model, read_number
+from .plans import CP2_VARIANTS, cp2_plan, rank1_plan, wall_list
 from .poly import MultiPoly, poly_str
 from .weighted import (
     parse_weighted_space,
@@ -51,13 +52,7 @@ def resolve_model(spec: str, per_point: bool = False) -> TorusModel:
     if not (colon and name in FAMILIES):
         return load_model(spec)
     k, build = FAMILIES[name]
-    # int() would also take ' 3', '+3', '1_0' and non-ASCII digits
-    if not (size.isascii() and size.isdigit()):
-        raise ValueError(f"--model {spec!r}: the size must be written in the digits 0-9")
-    try:
-        n = int(size)
-    except ValueError:  # more digits than int() converts
-        raise ValueError(f"--model '{name}:...': the size has {len(size)} digits, too many to read") from None
+    n = read_number(size, f"--model {spec!r}: the size", signed=False)
     if per_point:
         check_family_size(name, k, n)
     return build(n)
@@ -67,10 +62,7 @@ def parse_path(text: str) -> tuple[Fraction, int]:
     head, _, tail = text.rpartition(":")
     if not head or tail not in ("+", "-", "+1", "-1"):
         raise ValueError(f"path must look like 'p0:+' or 'p0:-', got {text!r}")
-    try:
-        p0 = Fraction(head)
-    except ZeroDivisionError:
-        raise ValueError(f"path base point {head!r} has a zero denominator") from None
+    p0 = read_number(head, f"--path {text!r}: the base point", kind=Fraction)
     return p0, 1 if tail.startswith("+") else -1
 
 
@@ -131,8 +123,8 @@ def cmd_volume(args) -> int:
 
 
 def cmd_walls(args) -> int:
+    xi = tuple(read_number(part, f"--xi {args.xi!r}: each entry") for part in args.xi.split(","))
     model = expand_orbits(resolve_model(args.model, per_point=True))
-    xi = tuple(int(part) for part in args.xi.split(","))
     walls = wall_list(model, xi)
     for value, ids in walls.entries:
         print(f"{value}: {' '.join(ids)}")
@@ -188,11 +180,12 @@ def cmd_ring(args) -> int:
 
 
 def cmd_segre(args) -> int:
+    order = read_number(args.order, f"--order {args.order!r}: the order")
     # order + 1 pieces are held at once; cap them as class exponents are
-    if args.order > MAX_POWER:
+    if order > MAX_POWER:
         raise ValueError(f"order must be at most {MAX_POWER}")
     space = parse_weighted_space(args.space)
-    for i, piece in enumerate(weighted_segre(space, args.order)):
+    for i, piece in enumerate(weighted_segre(space, order)):
         print(f"s_{i} = {poly_str(piece)}")
     return 0
 
@@ -244,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     segre = sub.add_parser("segre", help="weighted Segre pieces")
     segre.add_argument("--space", required=True, help="lines 'w:r1,r2,...;w:...'")
-    segre.add_argument("--order", type=int, required=True)
+    segre.add_argument("--order", required=True)
     segre.set_defaults(func=cmd_segre)
 
     return parser

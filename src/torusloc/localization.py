@@ -124,20 +124,10 @@ class PlanTerm(Frozen):
         strict_int(coefficient, "coefficient", PlanFormatError)
         if not isinstance(fixed_point_id, str):
             raise PlanFormatError(f"fixed_point must be a string, got {fixed_point_id!r}")
-        # set one by one, as _make sets them: load_plan makes a term per entry
+        # set one by one, faster than _set: load_plan and the recipes make a term per entry
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "fixed_point_id", fixed_point_id)
         object.__setattr__(self, "flag", flag)
-
-    @classmethod
-    def _make(cls, coefficient: int, fixed_point_id: str, flag: OrientedFlag) -> "PlanTerm":
-        """Internal constructor for parts valid by construction, as the plan
-        recipes make them; fields are set in order, as FixedPoint._make sets them."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "coefficient", coefficient)
-        object.__setattr__(obj, "fixed_point_id", fixed_point_id)
-        object.__setattr__(obj, "flag", flag)
-        return obj
 
 
 class Plan(Frozen):

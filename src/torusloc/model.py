@@ -14,8 +14,8 @@ points.  The builders return the orbit model: one representative point
 per orbit, that is per group-size vector, which records how many points
 its orbit holds.  Every class that is invariant under permuting the
 factors pairs the same on it, with the orbit sizes as plan coefficients,
-as on the whole product.  ``torusloc.plans.expand_orbits`` lists every
-point, for plan files and the per-factor ``v`` classes.
+as on the whole product.  ``expand_orbits`` lists every point, for plan
+files and the per-factor ``v`` classes.
 """
 
 from __future__ import annotations
@@ -194,6 +194,16 @@ class TorusModel(Frozen):
 
     def has_fixed_point(self, fp_id: str) -> bool:
         return fp_id in self._by_id
+
+    def map_moments(self, fn) -> list:
+        """fn(fp.moment) for every fixed point, in point order, with fn run once
+        per distinct moment object, in order of first appearance.  The builders
+        hand every point of a size vector one moment tuple, and keying by
+        identity spares an expansion hashing Fractions at every point.  The
+        points keep their moments alive, so no id is reused while keys live."""
+        keys = [id(fp.moment) for fp in self.fixed_points]
+        results = {key: fn(fp.moment) for key, fp in dict(zip(keys, self.fixed_points)).items()}
+        return [results[key] for key in keys]
 
     @cached_property
     def has_orbits(self) -> bool:
@@ -376,24 +386,52 @@ def product_factor(family: tuple):
             cp_label_id)
 
 
-def _build_orbits(family: tuple, **model_fields) -> TorusModel:
-    """The orbit model of a family tag, with model_fields: one point per
-    size vector, the first of its orbit in product order, with its orbit
-    size.  Refused by check_orbit_size before a point is made."""
-    name, k, vertex_weights, moment_of_sizes, point_id = product_factor(family)
+def family_orbits(family: tuple):
+    """(sizes, point id, orbit size) for each orbit type of a family tag,
+    in the order of its orbit model; a size check_orbit_size refuses
+    raises ModelTooLarge here, before the first one."""
+    name, k, _, _, point_id = product_factor(family)
     n = family[-1]
     check_orbit_size(name, k, n)
+    return ((sizes, point_id(groups), orbit_size) for sizes, groups, orbit_size in orbit_types(n, k))
+
+
+def _build_orbits(family: tuple, **model_fields) -> TorusModel:
+    """The orbit model of a family tag, with model_fields: per size vector,
+    the first point of its orbit in product order, with its orbit size."""
+    _, _, vertex_weights, moment_of_sizes, _ = product_factor(family)
     points, orbit_sizes = [], []
-    for sizes, groups, orbit_size in orbit_types(n, k):
+    for sizes, fp_id, orbit_size in family_orbits(family):
         weights = tuple(itertools.chain.from_iterable(
             block * size for block, size in zip(vertex_weights, sizes)
         ))
-        points.append(FixedPoint._make(
-            point_id(groups), moment_of_sizes(sizes), weights, tuple(sorted(weights))
-        ))
+        points.append(FixedPoint._make(fp_id, moment_of_sizes(sizes), weights, tuple(sorted(weights))))
         orbit_sizes.append(orbit_size)
     return TorusModel(fixed_points=tuple(points), family=family, orbit_sizes=tuple(orbit_sizes),
                       **model_fields)
+
+
+def expand_orbits(model: TorusModel) -> TorusModel:
+    """The per-point model of a builder's orbit model: the points in product
+    order, each with its representative's moment and sorted-weight tuples.
+    A plan for it comes from running a recipe on it.  A model without
+    orbits, such as a loaded one, comes back as it is; a size above the
+    per-point limit raises ModelTooLarge before a point is made."""
+    if not model.has_orbits:
+        return model
+    if model.family is None:
+        raise Unsupported("only the orbit models of the built-in families expand")
+    name, k, vertex_weights, _, point_id = product_factor(model.family)
+    n = model.family[-1]
+    check_family_size(name, k, n)
+    reps = {sizes: fp for (sizes, _, _), fp in zip(orbit_types(n, k), model.fixed_points)}
+    make = FixedPoint._make
+    points = []
+    for weights, groups, sizes in group_walk(n, k, vertex_weights):
+        rep = reps[sizes]
+        points.append(make(point_id(groups), rep.moment, weights, rep.sorted_weights))
+    return TorusModel(model.rank, tuple(points), model.roots, model.weyl_order,
+                      model.global_stabilizer_order, model.family)
 
 
 def build_sphere_product(n: int) -> TorusModel:
@@ -467,18 +505,9 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
         direction is a list or tuple of ``int`` or ``Fraction`` entries.
     A bad index or direction raises IndexOutOfRange.
     """
-    if kind == "prequantum":
-        # Points holding the same moment tuple share one form; the built-in
-        # families hand every point of a group-size vector the same tuple.
-        # Keying by identity spares hashing Fractions at every point.
-        forms: dict[int, MultiPoly] = {}
-        restrictions = {}
-        for fp in model.fixed_points:
-            form = forms.get(id(fp.moment))
-            if form is None:
-                form = forms[id(fp.moment)] = MultiPoly.linear_form(fp.moment)
-            restrictions[fp.id] = form
-        return EquivariantClass(restrictions)
+    if kind == "prequantum":  # points holding one moment tuple share one form
+        forms = model.map_moments(MultiPoly.linear_form)
+        return EquivariantClass({fp.id: form for fp, form in zip(model.fixed_points, forms)})
     if kind == "line":
         if not isinstance(direction, (list, tuple)) or len(direction) != model.rank:
             raise IndexOutOfRange(f"line class needs a direction of length {model.rank}")
@@ -543,6 +572,25 @@ def strict_int_vector(value, what: str, error: type[TorusLocError] = ModelFormat
     if isinstance(value, (list, tuple)) and all(type(a) is int for a in value):
         return tuple(value)
     raise error(f"{what} must be a list of integers, got {value!r}")
+
+
+def read_number(text: str, what: str, kind: type = int, signed: bool = True):
+    """The int, or with kind=Fraction the rational, that command-line text
+    writes; what names the option and part, as "--xi '1,x': each entry".
+    int() and Fraction() also take whitespace, '_' and digits other than
+    0-9; those, a sign unless signed, and text kind cannot read raise
+    ValueError naming what, and a number too long for int() its digit count."""
+    if text.isascii() and "_" not in text and text.split() == [text] and (signed or text.isdigit()):
+        try:
+            return kind(text)
+        except ZeroDivisionError:
+            raise ValueError(f"{what} has a zero denominator") from None
+        except ValueError:
+            digits = text[1:] if text[0] in "+-" else text
+            if digits.isdigit():  # well formed, so too long for int(); left out of the message
+                what = what.replace(text, "...")
+                raise ValueError(f"{what} has {len(digits)} digits, too many to read") from None
+    raise ValueError(f"{what} must be written in the digits 0-9")
 
 
 def read_json(source: Union[str, IO[str]], error: type[TorusLocError]):

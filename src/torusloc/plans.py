@@ -1,6 +1,5 @@
-"""Plan generation: transverse paths for rank-1 models, the built-in
-two-flag recipe for products of projective planes, and the expansion of
-an orbit model to every point.
+"""Plan generation: transverse paths for rank-1 models and the built-in
+two-flag recipe for products of projective planes.
 
 For a rank-1 model every wall is a fixed-point moment value, so a path
 from a regular value straight out of the moment image crosses exactly the
@@ -23,8 +22,7 @@ from typing import Sequence, Union
 from .errors import NotRegular, TorusLocError, Unsupported
 from .frozen import Frozen
 from .localization import OrientedFlag, Plan, PlanTerm
-from .model import FixedPoint, TorusModel, check_family_size, check_orbit_size, cp_label_id, group_walk
-from .model import orbit_types, product_factor, strict_int, strict_int_vector, strict_rational
+from .model import TorusModel, family_orbits, strict_int, strict_int_vector, strict_rational
 
 # The two oriented flags of the projective-plane recipe: cross the second
 # circle first and descend against the first circle, or the reverse.
@@ -69,29 +67,24 @@ def wall_list(model: TorusModel, xi: Sequence[int]) -> WallList:
         raise Unsupported(f"direction must have length {model.rank}")
     # Each distinct moment object is summed, and its value hashed, once;
     # equal moments held as different objects land in the same group.
-    moments = {id(fp.moment): fp.moment for fp in model.fixed_points}
     groups: dict[Fraction, list[str]] = {}
-    members: dict[int, list[str]] = {}
-    for key, m in moments.items():
-        members[key] = groups.setdefault(sum((c * x for c, x in zip(xi, m)), Fraction(0)), [])
-    for fp in model.fixed_points:
-        members[id(fp.moment)].append(fp.id)
+
+    def group_of(m):
+        return groups.setdefault(sum((c * x for c, x in zip(xi, m)), Fraction(0)), [])
+
+    for fp, ids in zip(model.fixed_points, model.map_moments(group_of)):
+        ids.append(fp.id)
     entries = tuple((value, tuple(groups[value])) for value in sorted(groups))
     return WallList(entries)
 
 
 def _plan_by_moment(model: TorusModel, flag_of) -> Plan:
     """One term per point whose moment flag_of maps to a flag, not None, in
-    point order, with the point's orbit size as coefficient.  flag_of runs
-    once per distinct moment object: the builders hand every point of a
-    size vector the same moment tuple."""
-    moments = {id(fp.moment): fp.moment for fp in model.fixed_points}
-    flags = {key: flag_of(moment) for key, moment in moments.items()}
-    make = PlanTerm._make
+    point order, with the point's orbit size as coefficient."""
     return Plan(tuple(
-        make(size, fp.id, flags[id(fp.moment)])
-        for fp, size in zip(model.fixed_points, model.orbit_sizes)
-        if flags[id(fp.moment)] is not None
+        PlanTerm(size, fp.id, flag)
+        for fp, size, flag in zip(model.fixed_points, model.orbit_sizes, model.map_moments(flag_of))
+        if flag is not None
     ))
 
 
@@ -155,33 +148,9 @@ def cp2_plan(source: Union[TorusModel, int], variant: str) -> Plan:
 
     if isinstance(source, TorusModel):
         return _plan_by_moment(source, flag_of)
-    check_orbit_size("cp2", 3, n)
     terms = []
-    for (i1, i2, _), groups, orbit_size in orbit_types(n, 3):
-        flag = flag_of((n - 3 * i1, n - 3 * i2))
+    for (i1, i2, _), fp_id, orbit_size in family_orbits(("cp", 3, n)):
+        flag = flag_of((n - 3 * i1, n - 3 * i2))  # ints: the moment without Fractions
         if flag is not None:
-            terms.append(PlanTerm._make(orbit_size, cp_label_id(groups), flag))
+            terms.append(PlanTerm(orbit_size, fp_id, flag))
     return Plan(tuple(terms))
-
-
-def expand_orbits(model: TorusModel) -> TorusModel:
-    """The per-point model of a builder's orbit model: the points in product
-    order, each with its representative's moment and sorted-weight tuples.
-    A plan for it comes from running a recipe on it.  A model without
-    orbits, such as a loaded one, comes back as it is; a size above the
-    per-point limit raises ModelTooLarge before a point is made."""
-    if not model.has_orbits:
-        return model
-    if model.family is None:
-        raise Unsupported("only the orbit models of the built-in families expand")
-    name, k, vertex_weights, _, point_id = product_factor(model.family)
-    n = model.family[-1]
-    check_family_size(name, k, n)
-    reps = {sizes: fp for (sizes, _, _), fp in zip(orbit_types(n, k), model.fixed_points)}
-    make = FixedPoint._make
-    points = []
-    for weights, groups, sizes in group_walk(n, k, vertex_weights):
-        rep = reps[sizes]
-        points.append(make(point_id(groups), rep.moment, weights, rep.sorted_weights))
-    return TorusModel(model.rank, tuple(points), model.roots, model.weyl_order,
-                      model.global_stabilizer_order, model.family)

@@ -21,6 +21,7 @@ from operator import add
 
 from .errors import EmptyStage
 from .frozen import Frozen
+from .model import read_number
 from .poly import (
     MultiPoly,
     _graded,
@@ -194,23 +195,20 @@ def fiber_integrate_power(space: WeightedSpace, i: int) -> MultiPoly:
 
 
 def parse_weighted_space(text: str) -> WeightedSpace:
-    """Parse the CLI syntax "w:r1,r2,...;w:..." into a WeightedSpace.
+    """Parse the --space syntax "w:r1,r2,...;w:..." into a WeightedSpace.
 
     A line with no residual components is written as a bare weight.  All
     lines must agree on the number of residual components.
     """
+    what = f"--space {text!r}: each weight and residual entry"
     lines = []
     residual_count = None
     for chunk in text.split(";"):
-        chunk = chunk.strip()
         if not chunk:
             raise ValueError("empty line in weighted space description")
-        if ":" in chunk:
-            head, tail = chunk.split(":", 1)
-            residual = tuple(int(part) for part in tail.split(",")) if tail.strip() else ()
-        else:
-            head, residual = chunk, ()
-        weight = int(head)
+        head, _, tail = chunk.partition(":")
+        residual = tuple(read_number(part, what) for part in tail.split(",")) if tail else ()
+        weight = read_number(head, what)
         if residual_count is None:
             residual_count = len(residual)
         elif residual_count != len(residual):

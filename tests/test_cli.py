@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import torusloc.model as model_module
-import torusloc.plans as plans_module
 from torusloc.cli import main
 from torusloc.expr import MAX_POWER
 
@@ -217,6 +216,49 @@ class TestModelSizes:
     def test_ascii_digit_sizes_still_read(self, capsys):
         assert run(capsys, "walls", "--model", "spheres:03", "--xi", "1")[:2] == (
             0, "-3: f{1,2,3}\n-1: f{2,3} f{1,3} f{1,2}\n1: f{3} f{2} f{1}\n3: f{}\n")
+
+
+class TestNumberInputs:
+    """--xi, --space, --order and the --path base point go through the reader
+    of --model sizes: int() and Fraction() took '1_0', whitespace and
+    non-ASCII digits, and ended 'abc' in a message naming no option."""
+
+    @pytest.mark.parametrize("text", ["1_0", "\u0661", " 1", "1 ", "1\t", "abc"],
+                             ids=["underscore", "arabic", "leading", "trailing", "tab", "letters"])
+    @pytest.mark.parametrize("argv, option, noun", [
+        (("walls", "--model", "spheres:3", "--xi", "TEXT"), "--xi", "each entry"),
+        (("walls", "--model", "cp2:4", "--xi", "1,TEXT"), "--xi", "each entry"),
+        (("segre", "--space", "TEXT", "--order", "1"), "--space", "each weight and residual entry"),
+        (("ring", "--space", "1:2,TEXT;2:0,1"), "--space", "each weight and residual entry"),
+        (("segre", "--space", "1", "--order", "TEXT"), "--order", "the order"),
+        (("volume", "--model", "spheres:3", "--group", "torus", "--path", "TEXT/2:+"),
+         "--path", "the base point"),
+    ], ids=["walls", "walls-rank2", "segre-space", "ring-space", "segre-order", "volume-path"])
+    def test_number_outside_the_ascii_digits_is_usage_error(self, capsys, text, argv, option, noun):
+        # '1_0' was 10, ' 1' and the Arabic-Indic one were 1
+        argv = [a.replace("TEXT", text) for a in argv]
+        value = argv[argv.index(option) + 1]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} {value!r}: {noun} must be written in the digits 0-9\n"
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() reads decimal literals of any length")
+    def test_entry_longer_than_int_reads_is_usage_error(self, capsys):
+        entry = "9" * (INT_DIGIT_LIMIT + 1)
+        code, out, err = run(capsys, "walls", "--model", "cp2:4", "--xi", f"1,{entry}")
+        assert (code, out) == (2, "")
+        assert err == f"error: --xi '1,...': each entry has {len(entry)} digits, too many to read\n"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("walls", "--model", "spheres:3", "--xi", "-1"),
+         "-3: f{}\n-1: f{3} f{2} f{1}\n1: f{2,3} f{1,3} f{1,2}\n3: f{1,2,3}\n"),
+        (("walls", "--model", "spheres:2", "--xi", "+2"), "-4: f{1,2}\n0: f{2} f{1}\n4: f{}\n"),
+        (("segre", "--space=-1:1;2:-3", "--order", "+1"), "s_0 = -1/2\ns_1 = -5/4*u\n"),
+        (("volume", "--model", "spheres:3", "--group", "torus", "--path", "1.5:+"), "9/8 * (2pi)^2\n"),
+        (("volume", "--model", "spheres:3", "--group", "torus", "--path=-1/2:-"), "11/4 * (2pi)^2\n"),
+    ])
+    def test_signed_and_decimal_numbers_still_read(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
 
 
 class TestRingSegre:
@@ -510,7 +552,6 @@ def refuse_model_builds(monkeypatch):
 
     monkeypatch.setattr(model_module, "FixedPoint", refuse)
     monkeypatch.setattr(model_module, "group_walk", refuse)
-    monkeypatch.setattr(plans_module, "group_walk", refuse)
     monkeypatch.setattr(model_module.itertools, "product", refuse)
 
 
@@ -553,7 +594,7 @@ class TestOrbitModels:
         def refuse(*args):
             raise AssertionError("group_walk was reached")
 
-        monkeypatch.setattr(plans_module, "group_walk", refuse)
+        monkeypatch.setattr(model_module, "group_walk", refuse)
 
     @pytest.mark.parametrize("argv, expected", [
         (("volume", "--model", "spheres:13", "--group", "torus", "--path", "0:+"), "20646903199/13305600 * (2pi)^12"),

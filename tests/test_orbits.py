@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusloc.model as model_module
 import torusloc.plans as plans_module
@@ -44,6 +46,7 @@ from helpers import (
     point_cp_product,
     point_sphere_product,
     ref_build_sphere_product,
+    v_monomial,
 )
 
 
@@ -126,7 +129,6 @@ class TestOrbitSizeGuard:
 
         monkeypatch.setattr(model_module, "FixedPoint", refuse)
         monkeypatch.setattr(model_module, "orbit_types", refuse)
-        monkeypatch.setattr(plans_module, "orbit_types", refuse)
         with pytest.raises(ModelTooLarge):
             build()
 
@@ -239,3 +241,34 @@ def test_large_sphere_pairings_match_the_binomial_sum(n):
     cls, m = volume_class(model, "torus")
     assert evaluate_plan(model, rank1_plan(model, 0, -1), cls) / factorial(m) == Fraction(
         sphere_torus_pairing(n), factorial(n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.integers(0, n - 1), max_size=n - 1),
+    st.integers(-n, n).map(lambda k: Fraction(2 * k + 1, 2)),
+    st.sampled_from([1, -1]),
+)))
+def test_factor_permutations_relabel_points_and_v_classes(case):
+    # Permuting the factors of spheres:n by s sends the point f{I} to f{s(I)},
+    # with factor i's weight moved to place s(i), and v<i> to v<s(i)>.  The
+    # expansion is closed under it, so the pairing of a v monomial times
+    # L^(n-1-degree) over a path plan is the pairing of its image.
+    s, factors, p0, direction = case
+    n = len(s)
+    model = point_sphere_product(n)
+
+    def relabel(fp_id):
+        subset = [s[int(i) - 1] + 1 for i in fp_id[2:-1].split(",") if i]
+        return "f{" + ",".join(map(str, sorted(subset))) + "}"
+
+    image = {(relabel(fp.id), fp.moment, tuple(fp.weights[s.index(j)] for j in range(n)))
+             for fp in model.fixed_points}
+    assert image == {(fp.id, fp.moment, fp.weights) for fp in model.fixed_points}
+    exponents = [factors.count(i) for i in range(n)]
+    permuted = [exponents[s.index(j)] for j in range(n)]
+    plan = rank1_plan(model, p0, direction)
+    L = class_generator(model, "prequantum") ** (n - 1 - len(factors))
+    assert evaluate_plan(model, plan, v_monomial(model, permuted) * L) == evaluate_plan(
+        model, plan, v_monomial(model, exponents) * L)

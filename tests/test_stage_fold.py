@@ -27,9 +27,11 @@ from torusloc import (
     PlanTerm,
     TorusModel,
     WeightedSpace,
+    class_generator,
     evaluate_plan,
     fiber_integrate_power,
     lambda_flag,
+    linear_substitute,
     load_plan,
     stage_map,
     weight_gcd,
@@ -82,13 +84,13 @@ def inverse(rows):
 
 
 @st.composite
-def flag_terms(draw):
-    """A one-point model of rank 1 to 3, a flag, and a class restricting to a
+def flag_terms(draw, min_rank=1):
+    """A one-point model of rank min_rank to 3, a flag, and a class restricting to a
     random polynomial of mixed degree whose coefficients may have
     denominators.  Half of the points get random weights, which often leave
     a stage empty; the other half get weights drawn in flag coordinates
     with every stage hit, mapped back through the inverse flag."""
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(min_rank, 3))
     stages = tuple(draw(unimodular(d)))
     small = st.integers(-3, 3)
     if draw(st.booleans()):
@@ -136,6 +138,35 @@ def test_lambda_flag_matches_reference_fold(case):
     value = lambda_flag(model, "p", flag, cls)
     assert type(value) is Fraction
     assert value == ref_lambda_flag(model, "p", flag, cls)
+
+
+def apply(matrix, vector):
+    return tuple(sum(a * x for a, x in zip(row, vector)) for row in matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flag_terms(min_rank=2), st.data())
+def test_lambda_flag_is_invariant_under_a_change_of_lattice_basis(case, data):
+    # A lattice basis change A acts on t by A and on t* by A^(-T): weights
+    # and moments map by A^(-T), flag stages by A, and a class p(u) becomes
+    # p(A^(-1) u), which is linear_substitute by the rows of A^(-T).  Every
+    # pairing <weight, stage> is kept, so every stage and line is too.
+    model, flag, cls = case
+    d, point = model.rank, model.fixed_points[0]
+    A = data.draw(unimodular(d))
+    dual = [list(column) for column in zip(*inverse(A))]  # A^(-T)
+    moment = tuple(data.draw(st.lists(mixed_coeffs, min_size=d, max_size=d)))
+    source = TorusModel(d, (FixedPoint("p", moment, point.weights),),
+                        global_stabilizer_order=model.global_stabilizer_order)
+    L = class_generator(source, "prequantum")
+    cls = cls + L ** (len(point.weights) - d)
+    image = TorusModel(d, (FixedPoint("p", apply(dual, moment), [apply(dual, w) for w in point.weights]),),
+                       global_stabilizer_order=model.global_stabilizer_order)
+    # the prequantum class of the image is the image of the prequantum class
+    assert class_generator(image, "prequantum").at("p") == linear_substitute(L.at("p"), dual)
+    image_cls = EquivariantClass({"p": linear_substitute(cls.at("p"), dual)})
+    image_flag = OrientedFlag(tuple(apply(A, stage) for stage in flag.stages))
+    assert lambda_flag(image, "p", image_flag, image_cls) == lambda_flag(source, "p", flag, cls)
 
 
 @settings(max_examples=100, deadline=None)
