@@ -52,7 +52,6 @@ from .poly import MultiPoly, linear_substitute, poly_str, series_invert
 from .weighted import (
     WeightedSpace,
     fiber_integrate_power,
-    parse_weighted_space,
     ring_relation,
     weight_gcd,
     weighted_chern,

@@ -27,14 +27,10 @@ from .errors import TorusLocError, UnknownFixedPoint, Unsupported
 from .expr import MAX_POWER, evaluate_expr, names_factor_class, parse_class_expr
 from .localization import dump_plan, evaluate_plan, load_plan, volume_class
 from .model import TorusModel, build_cp_product, build_sphere_product, check_family_size, expand_orbits
-from .model import load_model, read_number
+from .model import load_model
 from .plans import CP2_VARIANTS, cp2_plan, rank1_plan, wall_list
 from .poly import MultiPoly, poly_str
-from .weighted import (
-    parse_weighted_space,
-    ring_relation,
-    weighted_segre,
-)
+from .weighted import WeightedSpace, ring_relation, weighted_segre
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
@@ -42,6 +38,25 @@ DOMAIN_ERROR = 3
 
 # family name -> (vertices of the factor, orbit-model builder)
 FAMILIES = {"spheres": (2, build_sphere_product), "cp2": (3, lambda n: build_cp_product(3, n))}
+
+
+def read_number(text: str, what: str, kind: type = int, signed: bool = True):
+    """The int, or with kind=Fraction the rational, that command-line text
+    writes; what names the option and part, as "--xi '1,x': each entry".
+    int() and Fraction() also take whitespace, '_' and digits other than
+    0-9; those, a sign unless signed, and text kind cannot read raise
+    ValueError naming what, and a number too long for int() its digit count."""
+    if text.isascii() and "_" not in text and text.split() == [text] and (signed or text.isdigit()):
+        try:
+            return kind(text)
+        except ZeroDivisionError:
+            raise ValueError(f"{what} has a zero denominator") from None
+        except ValueError:
+            digits = text[1:] if text[0] in "+-" else text
+            if digits.isdigit():  # well formed, so too long for int(); left out of the message
+                what = what.replace(text, "...")
+                raise ValueError(f"{what} has {len(digits)} digits, too many to read") from None
+    raise ValueError(f"{what} must be written in the digits 0-9")
 
 
 def resolve_model(spec: str, per_point: bool = False) -> TorusModel:
@@ -64,6 +79,23 @@ def parse_path(text: str) -> tuple[Fraction, int]:
         raise ValueError(f"path must look like 'p0:+' or 'p0:-', got {text!r}")
     p0 = read_number(head, f"--path {text!r}: the base point", kind=Fraction)
     return p0, 1 if tail.startswith("+") else -1
+
+
+def parse_weighted_space(text: str) -> WeightedSpace:
+    """The --space text "w:r1,r2,...;w:..." as a WeightedSpace; a line with
+    no residual components is written as a bare weight.  Every error names
+    the option and its text."""
+    what = f"--space {text!r}"
+    entry = f"{what}: each weight and residual entry"
+    lines = []
+    for chunk in text.split(";"):
+        head, _, tail = chunk.partition(":")
+        residual = tuple(read_number(part, entry) for part in tail.split(",")) if tail else ()
+        lines.append((read_number(head, entry), residual))
+    try:
+        return WeightedSpace(tuple(lines), len(lines[0][1]))
+    except ValueError as err:
+        raise ValueError(f"{what}: {err}") from None
 
 
 def plan_for(args, model: TorusModel):
@@ -124,8 +156,10 @@ def cmd_volume(args) -> int:
 
 def cmd_walls(args) -> int:
     xi = tuple(read_number(part, f"--xi {args.xi!r}: each entry") for part in args.xi.split(","))
-    model = expand_orbits(resolve_model(args.model, per_point=True))
-    walls = wall_list(model, xi)
+    model = resolve_model(args.model, per_point=True)
+    walls = wall_list(model, xi)  # refuses a bad direction before the expansion
+    if model.has_orbits:
+        walls = wall_list(expand_orbits(model), xi)
     for value, ids in walls.entries:
         print(f"{value}: {' '.join(ids)}")
     return 0

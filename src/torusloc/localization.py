@@ -28,7 +28,6 @@ from .errors import (
     NoRootData,
     NotUnimodular,
     PlanFormatError,
-    TorusLocError,
     UnknownFixedPoint,
     Unsupported,
 )
@@ -286,7 +285,8 @@ def volume_class(model: TorusModel, group: str, base: Sequence = ()) -> tuple[Eq
 
     m is the quotient's complex dimension: weights per point minus the rank,
     minus the number of roots for group "weyl", where the class is also
-    Weyl-corrected; that group is supported at the origin only.  Pairing
+    Weyl-corrected; that group is supported at the origin only, and on a
+    model without roots raises NoRootData.  Pairing
     the class over a plan for p0 and dividing by m! gives the coefficient
     of (2pi)^m in the symplectic volume at p0.
     """
@@ -297,7 +297,7 @@ def volume_class(model: TorusModel, group: str, base: Sequence = ()) -> tuple[Eq
     m = model.weights_per_point - model.rank
     if group == "weyl":
         if model.roots is None:
-            raise TorusLocError("model carries no root data for --group weyl")
+            raise NoRootData("model carries no root data for the full-group volume")
         m -= len(model.roots)
     if m < 0:
         raise Unsupported("negative volume degree: quotient dimension is negative")

@@ -574,25 +574,6 @@ def strict_int_vector(value, what: str, error: type[TorusLocError] = ModelFormat
     raise error(f"{what} must be a list of integers, got {value!r}")
 
 
-def read_number(text: str, what: str, kind: type = int, signed: bool = True):
-    """The int, or with kind=Fraction the rational, that command-line text
-    writes; what names the option and part, as "--xi '1,x': each entry".
-    int() and Fraction() also take whitespace, '_' and digits other than
-    0-9; those, a sign unless signed, and text kind cannot read raise
-    ValueError naming what, and a number too long for int() its digit count."""
-    if text.isascii() and "_" not in text and text.split() == [text] and (signed or text.isdigit()):
-        try:
-            return kind(text)
-        except ZeroDivisionError:
-            raise ValueError(f"{what} has a zero denominator") from None
-        except ValueError:
-            digits = text[1:] if text[0] in "+-" else text
-            if digits.isdigit():  # well formed, so too long for int(); left out of the message
-                what = what.replace(text, "...")
-                raise ValueError(f"{what} has {len(digits)} digits, too many to read") from None
-    raise ValueError(f"{what} must be written in the digits 0-9")
-
-
 def read_json(source: Union[str, IO[str]], error: type[TorusLocError]):
     """Parse a JSON file path or open text stream; malformed text raises error."""
     try:

@@ -21,7 +21,6 @@ from operator import add
 
 from .errors import EmptyStage
 from .frozen import Frozen
-from .model import read_number
 from .poly import (
     MultiPoly,
     _graded,
@@ -193,25 +192,3 @@ def fiber_integrate_power(space: WeightedSpace, i: int) -> MultiPoly:
     out, den = _stage_fold({(i,) + (0,) * n: 1}, space.lines, n)
     return MultiPoly._make(n, out, den)
 
-
-def parse_weighted_space(text: str) -> WeightedSpace:
-    """Parse the --space syntax "w:r1,r2,...;w:..." into a WeightedSpace.
-
-    A line with no residual components is written as a bare weight.  All
-    lines must agree on the number of residual components.
-    """
-    what = f"--space {text!r}: each weight and residual entry"
-    lines = []
-    residual_count = None
-    for chunk in text.split(";"):
-        if not chunk:
-            raise ValueError("empty line in weighted space description")
-        head, _, tail = chunk.partition(":")
-        residual = tuple(read_number(part, what) for part in tail.split(",")) if tail else ()
-        weight = read_number(head, what)
-        if residual_count is None:
-            residual_count = len(residual)
-        elif residual_count != len(residual):
-            raise ValueError("all lines must have the same number of residual components")
-        lines.append((weight, residual))
-    return WeightedSpace(tuple(lines), residual_count or 0)

@@ -289,6 +289,19 @@ class TestRingSegre:
         assert out == ""
         assert "order must be nonnegative" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("1;;2", "each weight and residual entry must be written in the digits 0-9"),
+        ("1:1;2", "residual vector () has length 0, expected 1"),
+        ("1:1,2;3:4", "residual vector (4,) has length 1, expected 2"),
+        ("0", "circle weight 0: the circle must fix only the origin"),
+        ("2;0:1", "circle weight 0: the circle must fix only the origin"),
+    ])
+    @pytest.mark.parametrize("command", [("segre", "--order", "1"), ("ring",)], ids=["segre", "ring"])
+    def test_space_errors_name_the_option(self, capsys, command, text, message):
+        # the empty line, ragged lines and a zero weight named no option
+        code, out, err = run(capsys, command[0], "--space", text, *command[1:])
+        assert (code, out, err) == (2, "", f"error: --space {text!r}: {message}\n")
+
     def test_segre_order_above_max_power_is_usage_error(self, capsys, monkeypatch):
         # order 3000 used to print 5.7 MB; the pieces are allocated up front
         def refuse(*args):
@@ -616,6 +629,8 @@ class TestOrbitModels:
          "--cp2-variant applies only to cp2:N models"),
         (("pair", "--model", "cp2:12", "--class", "v1", "--cp2-variant", "swapped"),
          "v classes exist only on sphere-product models"),
+        # expanded all 531,441 points before refusing the direction's length
+        (("walls", "--model", "cp2:12", "--xi", "1"), "direction must have length 2"),
     ])
     def test_bad_requests_fail_before_the_expansion(self, capsys, monkeypatch, argv, message):
         # the plan, or the class, is made on the orbit model first

@@ -377,7 +377,7 @@ class TestVolumeClass:
     def test_errors(self):
         with pytest.raises(Unsupported, match="without fixed points"):
             volume_class(TorusModel(1, ()), "torus")
-        with pytest.raises(TorusLocError, match="no root data"):
+        with pytest.raises(NoRootData, match="no root data"):
             volume_class(build_cp_product(4, 2), "weyl")
         with pytest.raises(Unsupported, match="negative volume degree"):
             volume_class(build_cp_product(3, 2), "weyl")

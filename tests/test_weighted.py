@@ -10,13 +10,13 @@ from torusloc import (
     MultiPoly,
     WeightedSpace,
     fiber_integrate_power,
-    parse_weighted_space,
     ring_relation,
     series_invert,
     weight_gcd,
     weighted_chern,
     weighted_segre,
 )
+from torusloc.cli import parse_weighted_space
 
 from helpers import check_graded_prefix, ref_degree_part, ref_mul
 
