@@ -47,7 +47,7 @@ from .model import (
     expand_orbits,
     load_model,
 )
-from .plans import CP2_VARIANTS, WallList, cp2_plan, rank1_plan, wall_list
+from .plans import CP2_VARIANTS, cp2_plan, rank1_plan, wall_list
 from .poly import MultiPoly, linear_substitute, poly_str, series_invert
 from .weighted import (
     WeightedSpace,

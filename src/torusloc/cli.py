@@ -29,7 +29,7 @@ from .localization import dump_plan, evaluate_plan, load_plan, volume_class
 from .model import TorusModel, build_cp_product, build_sphere_product, check_family_size, expand_orbits
 from .model import load_model
 from .plans import CP2_VARIANTS, cp2_plan, rank1_plan, wall_list
-from .poly import MultiPoly, poly_str
+from .poly import MultiPoly, join_terms, poly_str
 from .weighted import WeightedSpace, ring_relation, weighted_segre
 
 USAGE_ERROR = 2
@@ -89,8 +89,8 @@ def parse_weighted_space(text: str) -> WeightedSpace:
     entry = f"{what}: each weight and residual entry"
     lines = []
     for chunk in text.split(";"):
-        head, _, tail = chunk.partition(":")
-        residual = tuple(read_number(part, entry) for part in tail.split(",")) if tail else ()
+        head, colon, tail = chunk.partition(":")
+        residual = tuple(read_number(part, entry) for part in tail.split(",")) if colon else ()
         lines.append((read_number(head, entry), residual))
     try:
         return WeightedSpace(tuple(lines), len(lines[0][1]))
@@ -160,7 +160,7 @@ def cmd_walls(args) -> int:
     walls = wall_list(model, xi)  # refuses a bad direction before the expansion
     if model.has_orbits:
         walls = wall_list(expand_orbits(model), xi)
-    for value, ids in walls.entries:
+    for value, ids in walls:
         print(f"{value}: {' '.join(ids)}")
     return 0
 
@@ -199,12 +199,7 @@ def _relation_str(coeffs: list[MultiPoly]) -> str:
                 parts.append(f"{text}*{h}")
         else:
             parts.append(f"({text})" if " " in text else text)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-    return out
+    return join_terms(parts)
 
 
 def cmd_ring(args) -> int:

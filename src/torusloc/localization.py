@@ -331,14 +331,12 @@ def plan_to_obj(plan: Plan) -> list:
 
 
 def dump_plan(plan: Plan, sink: Union[str, IO[str]]):
-    obj = plan_to_obj(plan)
-    if hasattr(sink, "write"):
-        json.dump(obj, sink, indent=1)
-        sink.write("\n")
-    else:
+    """Write a plan as JSON to an open text stream or a file path."""
+    if not hasattr(sink, "write"):
         with open(sink, "w", encoding="utf-8") as handle:
-            json.dump(obj, handle, indent=1)
-            handle.write("\n")
+            return dump_plan(plan, handle)
+    json.dump(plan_to_obj(plan), sink, indent=1)
+    sink.write("\n")
 
 
 def load_plan(source: Union[str, IO[str]]) -> Plan:

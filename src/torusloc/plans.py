@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import NotRegular, TorusLocError, Unsupported
-from .frozen import Frozen
 from .localization import OrientedFlag, Plan, PlanTerm
 from .model import TorusModel, family_orbits, strict_int, strict_int_vector, strict_rational
 
@@ -46,22 +45,10 @@ _CP2_RECIPE = {
 CP2_VARIANTS = tuple(_CP2_RECIPE)
 
 
-class WallList(Frozen):
-    """Sorted wall values of a model along a circle direction, with the
-    fixed points sitting on each wall."""
-
-    _fields = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[Fraction, tuple[str, ...]], ...]):
-        self._set(entries)
-
-    def values(self) -> list[Fraction]:
-        return [value for value, _ in self.entries]
-
-
-def wall_list(model: TorusModel, xi: Sequence[int]) -> WallList:
-    """Group the fixed points by the value of their moment against xi, a
-    list or tuple of ``int``."""
+def wall_list(model: TorusModel, xi: Sequence[int]) -> tuple[tuple[Fraction, tuple[str, ...]], ...]:
+    """The wall values of a model along the circle direction xi, a list or
+    tuple of ``int``: one (value, ids) entry per value of a moment against
+    xi, in increasing order, with the ids of the fixed points on it."""
     xi = strict_int_vector(xi, "direction", Unsupported)
     if len(xi) != model.rank:
         raise Unsupported(f"direction must have length {model.rank}")
@@ -74,8 +61,7 @@ def wall_list(model: TorusModel, xi: Sequence[int]) -> WallList:
 
     for fp, ids in zip(model.fixed_points, model.map_moments(group_of)):
         ids.append(fp.id)
-    entries = tuple((value, tuple(groups[value])) for value in sorted(groups))
-    return WallList(entries)
+    return tuple((value, tuple(groups[value])) for value in sorted(groups))
 
 
 def _plan_by_moment(model: TorusModel, flag_of) -> Plan:

@@ -389,19 +389,21 @@ def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly
     return MultiPoly._make(d, _int_substitute(p.numerators, basis), p.den)
 
 
-def _int_invert(pieces: Sequence[dict], nvars: int, order: int) -> tuple[list[dict], int]:
-    """Graded integer inverse of a graded integer series through total exponent ``order``.
+def series_invert(p: MultiPoly, order: int) -> list[MultiPoly]:
+    """Multiplicative inverse of ``p`` modulo terms of total exponent > order,
+    as its graded pieces: element n, for n = 0..order, is the homogeneous
+    part of total exponent n.
 
-    ``pieces[k]`` is the part c_k of total exponent k, for k = 0..order, and
-    c0 != 0.  The inverse sum_n s_n has s_0 = 1/c0 and
-    c0 s_n = -sum_{k=1..n} c_k s_{n-k}.  With s_n = t_n / c0^(n+1) this is
-    the integer recurrence t_n = -sum_k c0^(k-1) c_k t_{n-k}.  Returns
-    (t, c0): element n of t is the dictionary t_n of total exponent n, with
-    zeros dropped.
+    With denominators cleared, p = (c0 + c_1 + c_2 + ...) / D, c_k the
+    integer part of total exponent k.  The inverse's pieces s_n have
+    s_0 = D/c0 and c0 s_n = -sum_{k=1..n} c_k s_{n-k}; with
+    s_n = t_n D / c0^(n+1) this is the integer recurrence
+    t_n = -sum_k c0^(k-1) c_k t_{n-k}, t_0 = 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    zero = (0,) * nvars
+    pieces = _graded(p.numerators, order)
+    zero = (0,) * p.nvars
     c0 = pieces[0].get(zero, 0)
     if not c0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
@@ -415,21 +417,6 @@ def _int_invert(pieces: Sequence[dict], nvars: int, order: int) -> tuple[list[di
                 for e, v in _int_product(pieces[k], t[n - k]).items():
                     acc[e] = get(e, 0) + v * scale
         t.append({e: v for e, v in acc.items() if v})
-    return t, c0
-
-
-def series_invert(p: MultiPoly, order: int) -> list[MultiPoly]:
-    """Multiplicative inverse of ``p`` modulo terms of total exponent > order,
-    as its graded pieces: element n, for n = 0..order, is the homogeneous
-    part of total exponent n.
-
-    With denominators cleared, p = (c0 + m) / D, and the inverse is D times
-    the integer inverse of c0 + m computed by ``_int_invert``: piece n is
-    t_n D / c0^(n+1).
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    t, c0 = _int_invert(_graded(p.numerators, order), p.nvars, order)
     return [
         MultiPoly._make(p.nvars, {e: v * p.den for e, v in piece.items()}, c0 ** (n + 1))
         for n, piece in enumerate(t)
@@ -440,8 +427,6 @@ def poly_str(p: MultiPoly) -> str:
     """Render a polynomial in canonical monomial order, in the variables
     u1..ud (plain ``u`` when there is one variable)."""
     names = ["u"] if p.nvars == 1 else [f"u{i + 1}" for i in range(p.nvars)]
-    if p.is_zero():
-        return "0"
     parts = []
     for exp, coeff in p.sorted_terms():
         factors = []
@@ -460,7 +445,13 @@ def poly_str(p: MultiPoly) -> str:
         else:
             text = f"{coeff}*{mono}"
         parts.append(text)
-    out = parts[0]
-    for part in parts[1:]:
-        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-    return out
+    return join_terms(parts)
+
+
+def join_terms(parts: list[str]) -> str:
+    """Rendered terms written as their sum, a term's leading '-' as a
+    subtraction; "0" for no terms."""
+    if not parts:
+        return "0"
+    signed = (f" - {part[1:]}" if part.startswith("-") else f" + {part}" for part in parts[1:])
+    return parts[0] + "".join(signed)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import TorusLocError
+from torusloc.errors import TorusLocError
 
 Piece = list[Fraction]  # coefficients, lowest degree first
 

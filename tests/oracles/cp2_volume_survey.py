@@ -14,8 +14,9 @@ import argparse
 from math import factorial
 
 from torusloc import build_cp_product, cp2_plan, evaluate_plan, volume_class
-from torusloc.closedforms import cp2_volume_printed_double_sum
 from torusloc.plans import CP2_VARIANTS
+
+from closedforms import cp2_volume_printed_double_sum
 
 
 def main():

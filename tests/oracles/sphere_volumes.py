@@ -12,7 +12,8 @@ from math import factorial
 
 from torusloc import build_sphere_product, evaluate_plan, rank1_plan, volume_class
 from torusloc.closedforms import sphere_torus_pairing
-from torusloc.convolution import uniform_sum_density_at_zero
+
+from convolution import uniform_sum_density_at_zero
 
 
 def main():

@@ -22,18 +22,7 @@ from torusloc import (
     rank1_plan,
     weyl_correct,
 )
-from torusloc.closedforms import (
-    cp2_lambda_theta1,
-    cp2_lambda_theta2,
-    cp2_printed_summand,
-    cp2_volume_from_lambda_forms,
-    cp2_volume_monomials,
-    cp2_volume_printed_double_sum,
-    sphere_torus_pairing,
-    so3_pairing_binomial_form,
-    so3_pairing_subset_form,
-)
-from torusloc.convolution import uniform_sum_density_at_zero
+from torusloc.closedforms import sphere_torus_pairing
 from torusloc.plans import THETA1, THETA2
 from torusloc.weighted import (
     fiber_integrate_power,
@@ -42,6 +31,17 @@ from torusloc.weighted import (
     weighted_segre,
 )
 
+from oracles.closedforms import (
+    cp2_lambda_theta1,
+    cp2_lambda_theta2,
+    cp2_printed_summand,
+    cp2_volume_from_lambda_forms,
+    cp2_volume_monomials,
+    cp2_volume_printed_double_sum,
+    so3_pairing_binomial_form,
+    so3_pairing_subset_form,
+)
+from oracles.convolution import uniform_sum_density_at_zero
 from helpers import (
     all_v_monomials,
     cp2_volume_class,

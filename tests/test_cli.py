@@ -291,6 +291,10 @@ class TestRingSegre:
 
     @pytest.mark.parametrize("text, message", [
         ("1;;2", "each weight and residual entry must be written in the digits 0-9"),
+        # a trailing ':' read as no residuals: "1:;2:" printed the pieces of "1;2"
+        ("1:;2:", "each weight and residual entry must be written in the digits 0-9"),
+        ("1:", "each weight and residual entry must be written in the digits 0-9"),
+        ("2:1,0;1:", "each weight and residual entry must be written in the digits 0-9"),
         ("1:1;2", "residual vector () has length 0, expected 1"),
         ("1:1,2;3:4", "residual vector (4,) has length 1, expected 2"),
         ("0", "circle weight 0: the circle must fix only the origin"),

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from torusloc import TorusLocError
-from torusloc.convolution import (
+
+from oracles.convolution import (
     PiecewiseDensity,
     uniform_sum_density,
     uniform_sum_density_at_zero,
@@ -97,14 +98,15 @@ def test_discontinuous_density_raises_under_python_O():
     # python -O strips assert statements; the check must survive it.
     script = (
         "from torusloc import TorusLocError\n"
-        "from torusloc.convolution import PiecewiseDensity\n"
+        "from oracles.convolution import PiecewiseDensity\n"
         "try:\n"
         "    PiecewiseDensity({-1: [1], 0: [2]}).value(0)\n"
         "except TorusLocError as err:\n"
         "    print('raised', err)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )

@@ -1,9 +1,15 @@
 """The package's modules depend only downward: the polynomial and Segre
 kernels, then models, then evaluation, then the command line, the one
 module that reads option text.  Each rule is read from the import
-statements of the source, so a new upward import fails here."""
+statements of the source, so a new upward import fails here.  The
+modules that an engine import loads are pinned too: each is compiled on
+every cold start."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +58,30 @@ def test_the_reader_sees_each_import_form(tmp_path):
     source.write_text("from .model import a\nfrom . import cli\nimport torusloc.plans\n"
                       "from torusloc.expr import b\nfrom .poly import c\n")
     assert package_imports(source) == {"model", "cli", "plans", "expr", "poly"}
+
+
+# what `import torusloc.localization` loads: the package runs __init__,
+# which imports every public name
+ENGINE = {f"torusloc.{name}" for name in
+          ("errors", "frozen", "localization", "model", "plans", "poly", "weighted")} | {"torusloc"}
+
+
+def loaded_modules(statement: str) -> set[str]:
+    """The torusloc modules a fresh interpreter holds after the statement."""
+    code = (f"import json, sys\n{statement}\n"
+            "print(json.dumps([name for name in sys.modules if name.partition('.')[0] == 'torusloc']))\n")
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    return set(json.loads(out.strip().splitlines()[-1]))
+
+
+@pytest.mark.parametrize("statement, expected", [
+    ("import torusloc.localization", ENGINE),
+    ("import torusloc.cli", ENGINE | {"torusloc.cli", "torusloc.expr"}),
+], ids=["engine", "cli"])
+def test_the_import_path_loads_only_these_modules(statement, expected):
+    loaded = loaded_modules(statement)
+    assert loaded == expected
+    assert "torusloc.closedforms" not in loaded

@@ -37,12 +37,12 @@ from torusloc import (
     volume_class,
     weyl_correct,
 )
-from torusloc.convolution import uniform_sum_density
 from torusloc import localization
 from torusloc.localization import _int_det
 from torusloc.model import FixedPoint
 from torusloc.plans import THETA1, rank1_plan
 
+from oracles.convolution import uniform_sum_density
 from helpers import monomial_class, point_sphere_product, ref_cp_point_id, unimodular
 
 PLUS = OrientedFlag(((1,),))

@@ -36,10 +36,11 @@ from torusloc import (
     rank1_plan,
     volume_class,
 )
-from torusloc.closedforms import cp2_volume_from_lambda_forms, sphere_torus_pairing
+from torusloc.closedforms import sphere_torus_pairing
 from torusloc.model import MAX_FIXED_POINTS, check_orbit_size
 from torusloc.plans import CP2_VARIANTS
 
+from oracles.closedforms import cp2_volume_from_lambda_forms
 from helpers import (
     cp2_volume_class,
     point_cp2_plan,

@@ -29,16 +29,16 @@ from torusloc import (
     rank1_plan,
     wall_list,
 )
-from torusloc.closedforms import (
+from torusloc.plans import THETA1, THETA2
+
+from oracles.closedforms import (
     cp2_lambda_theta1,
     cp2_printed_summand,
     cp2_volume_from_lambda_forms,
     cp2_volume_monomials,
     cp2_volume_printed_double_sum,
 )
-from torusloc.convolution import uniform_sum_density_at_zero
-from torusloc.plans import THETA1, THETA2
-
+from oracles.convolution import uniform_sum_density_at_zero
 from helpers import (
     all_v_monomials,
     cp2_volume_class,
@@ -56,8 +56,8 @@ class TestWallList:
     def test_sphere_walls(self):
         m = point_sphere_product(3)
         walls = wall_list(m, (1,))
-        assert walls.values() == [Fraction(v) for v in (-3, -1, 1, 3)]
-        sizes = [len(ids) for _, ids in walls.entries]
+        assert [value for value, _ in walls] == [Fraction(v) for v in (-3, -1, 1, 3)]
+        sizes = [len(ids) for _, ids in walls]
         assert sizes == [1, 3, 3, 1]
 
     @pytest.mark.parametrize("xi", [(0.5,), (1.0,), (True,), ("1",), [Fraction(1)]])
@@ -69,7 +69,7 @@ class TestWallList:
     def test_cp_direction(self):
         m = build_cp_product(3, 2)
         walls = wall_list(m, (1, 0))
-        assert walls.values() == [Fraction(v) for v in (-4, -1, 2)]
+        assert [value for value, _ in walls] == [Fraction(v) for v in (-4, -1, 2)]
 
 
 # A rank-2 model file whose moment strings repeat across points, some
@@ -101,7 +101,7 @@ REPEATED_MOMENTS = {
     ],
 )
 def test_wall_list_matches_per_point_sums(model, xi):
-    entries = wall_list(model, xi).entries
+    entries = wall_list(model, xi)
     assert entries == ref_wall_entries(model, xi)
     assert all(type(value) is Fraction for value, _ in entries)
 

@@ -23,7 +23,6 @@ from torusloc import (
     Plan,
     PlanTerm,
     TorusModel,
-    WallList,
     WeightedSpace,
     build_cp_product,
     build_sphere_product,
@@ -57,7 +56,6 @@ VALUES = {
     "PlanTerm": term,
     "Plan": lambda: Plan((term(), term(-1, "q"))),
     "WeightedSpace": lambda: WeightedSpace(((2, (1,)), (-1, (0,))), 1),
-    "WallList": lambda: WallList(((Fraction(-1), ("s",)), (Fraction(1), ("n", "m")))),
     "Token": lambda: Token("int", "12", 1, 3),
 }
 
@@ -69,7 +67,6 @@ OTHERS = {
     "PlanTerm": lambda: term(3),
     "Plan": lambda: Plan((term(),)),
     "WeightedSpace": lambda: WeightedSpace(((2, (1,)), (-1, (1,))), 1),
-    "WallList": lambda: WallList(((Fraction(-1), ("s",)),)),
     "Token": lambda: Token("int", "12", 1, 4),
 }
 
@@ -81,7 +78,6 @@ FIELDS = {
     "PlanTerm": ("coefficient", "fixed_point_id", "flag"),
     "Plan": ("terms",),
     "WeightedSpace": ("lines", "residual_count"),
-    "WallList": ("entries",),
     "Token": ("kind", "text", "line", "column"),
 }
 
@@ -133,10 +129,6 @@ class TestConstruction:
     def test_weighted_space(self):
         keyword = WeightedSpace(residual_count=1, lines=[(2, [1])])
         assert fields_of(keyword) == fields_of(WeightedSpace([(2, (1,))], 1)) == (((2, (1,)),), 1)
-
-    def test_wall_list(self):
-        entries = ((Fraction(0), ("a",)),)
-        assert WallList(entries=entries).entries == WallList(entries).entries == entries
 
     def test_token(self):
         keyword = Token(column=3, line=1, text="12", kind="int")
