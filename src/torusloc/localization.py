@@ -243,7 +243,9 @@ def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fract
     multiset and the flag.  Terms are grouped by that key, their
     coefficients summed, and lambda_flag runs once per distinct key, also
     when the summed coefficient is zero, so a flag whose rank is not the
-    model's still raises.
+    model's still raises.  Each value's numerator, times the summed
+    coefficient, is added into an integer sum per denominator, so only the
+    distinct denominators become Fractions.
     """
     by_id, restrictions = model._by_id, cls.restrictions
     groups: dict[tuple, list] = {}
@@ -258,10 +260,12 @@ def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fract
             groups[key] = [fp_id, term.coefficient]
         else:
             group[1] += term.coefficient
-    total = Fraction(0)
+    sums: dict[int, int] = {}  # numerator sums by denominator: one Fraction each
     for (_, _, flag), (fp_id, coefficient) in groups.items():
-        total += coefficient * lambda_flag(model, fp_id, flag, cls)
-    return total
+        value = lambda_flag(model, fp_id, flag, cls)
+        den = value.denominator
+        sums[den] = sums.get(den, 0) + coefficient * value.numerator
+    return sum((Fraction(n, den) for den, n in sums.items()), Fraction(0))
 
 
 def weyl_correct(model: TorusModel, cls: EquivariantClass) -> EquivariantClass:

@@ -162,9 +162,15 @@ class MultiPoly:
 
     @classmethod
     def linear_form(cls, coeffs: Sequence[Scalar]) -> "MultiPoly":
-        """The polynomial sum_i coeffs[i] * u_i; zero entries are checked too."""
+        """The polynomial sum_i coeffs[i] * u_i; zero entries are checked too.
+        Entries that are all ``int`` or ``Fraction`` go over the lcm of their
+        denominators directly; any other entry meets the constructor's check."""
         n = len(coeffs)
-        return cls(n, {(0,) * i + (1,) + (0,) * (n - i - 1): c for i, c in enumerate(coeffs)})
+        units = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+        if all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
+            den = lcm(*(c.denominator for c in coeffs))
+            return cls._make(n, {e: c.numerator * (den // c.denominator) for e, c in zip(units, coeffs)}, den)
+        return cls(n, dict(zip(units, coeffs)))
 
     # ------------------------------------------------------------------
     # queries

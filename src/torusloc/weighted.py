@@ -142,13 +142,18 @@ def _stage_fold(numerators: dict, lines: tuple[Line, ...], residual_count: int) 
     their circle weights and s the integer numerators of their weighted
     Segre pieces.  Returns the nonzero numerators of the result and the
     Segre denominator, by which the input's denominator must be multiplied.
+    When only s_0 = 1/c is needed, c the product of the circle weights, the
+    result is read off the input with no Segre table.
     """
     r = len(lines)
     top = max((e[0] for e in numerators), default=-1) - r + 1
     if top < 0:
         return {}, 1
-    pieces, den = _segre_numerators(lines, residual_count, top)
     k = math.gcd(*(w for w, _ in lines))
+    if top == 0:
+        c = math.prod(w for w, _ in lines)
+        return {exp[1:]: v * k for exp, v in numerators.items() if exp[0] == r - 1}, c
+    pieces, den = _segre_numerators(lines, residual_count, top)
     out: dict[tuple, int] = {}
     get = out.get
     for exp, c in numerators.items():

@@ -2,8 +2,12 @@
 (``oracles.lattice``), which shares no code with torusloc, and the
 oracle's own counts by hand."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,7 @@ from torusloc import (
     volume_class,
 )
 
-from oracles.lattice import dilate, lattice_count, lattice_volume
+from oracles.lattice import dilate, lattice_count, lattice_volume, leading_coefficient
 
 
 def engine_volume(model, plan, base) -> Fraction:
@@ -63,3 +67,30 @@ def test_dilates_hold_every_lattice_point(k):
 ])
 def test_counts_by_hand(family, n, k, target, expected):
     assert lattice_count(family, n, k, target) == expected
+
+
+def test_a_step_off_the_denominator_raises():
+    # p0 = 1/3 at step 1 rounds k * p0 down, so L is no polynomial there
+    with pytest.raises(ArithmeticError, match="not a polynomial of degree 3 at step 1"):
+        leading_coefficient("spheres", 4, (Fraction(1, 3),), 1)
+
+
+def test_a_step_off_the_denominator_raises_under_python_O():
+    # python -O strips assert statements; the check must survive it
+    # (with asserts, this call returned 22/3 under -O, not 277/54).
+    script = (
+        "from fractions import Fraction\n"
+        "from oracles.lattice import leading_coefficient\n"
+        "try:\n"
+        "    print('returned', leading_coefficient('spheres', 4, (Fraction(1, 3),), 1))\n"
+        "except ArithmeticError as err:\n"
+        "    print('raised', err)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), str(root / "tests"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised"), proc.stdout

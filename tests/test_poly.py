@@ -413,6 +413,26 @@ class TestCoefficientTypes:
         with pytest.raises(TypeError, match=r"coefficient of \(1, 0\)"):
             MultiPoly.linear_form((0.0, 1))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.just(0), st.just(Fraction(0)), mixed_coeffs), max_size=4))
+    def test_linear_form_stores_what_the_checking_constructor_stores(self, coeffs):
+        # int, Fraction and 0 entries take the integer path, straight to _make
+        n = len(coeffs)
+        form = MultiPoly.linear_form(coeffs)
+        expected = MultiPoly(n, {(0,) * i + (1,) + (0,) * (n - i - 1): c for i, c in enumerate(coeffs)})
+        assert dict(form.numerators) == dict(expected.numerators)
+        assert form.den == expected.den
+        assert hash(form) == hash(expected)
+        assert is_canonical(form)
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_linear_form_refuses_any_other_entry(self, bad):
+        message = rf"coefficient of \(0, 1\) must be an int or a Fraction, got {re.escape(repr(bad))}"
+        with pytest.raises(TypeError, match=message):
+            MultiPoly.linear_form((Fraction(1, 2), bad))
+        with pytest.raises(TypeError, match=message):
+            MultiPoly.linear_form((0, bad))
+
     def test_public_accessors_return_fraction(self):
         for p in (MultiPoly.const(2, 3), MultiPoly.const(2, Fraction(1, 3)), MultiPoly.zero(2)):
             assert type(p.constant_term()) is Fraction

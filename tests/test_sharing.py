@@ -47,7 +47,9 @@ FLAGS = {
 @st.composite
 def cases(draw, rank):
     """A small model whose points repeat a few (moment, weight multiset)
-    types in shuffled weight order, a class and a plan over it."""
+    types in shuffled weight order, with a global stabilizer of order 1 to
+    3, a class and a plan of up to 20 terms over it, some of whose
+    coefficients may cancel."""
     n_weights = draw(st.integers(rank, rank + 2))
     weight = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
     moment = st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * rank)
@@ -60,15 +62,19 @@ def cases(draw, rank):
         FixedPoint(f"p{i}", m, tuple(ws[j] for j in perm))
         for i, ((m, ws), perm) in enumerate(points)
     ]
-    model = TorusModel(rank=rank, fixed_points=tuple(fixed_points))
+    model = TorusModel(rank=rank, fixed_points=tuple(fixed_points),
+                       global_stabilizer_order=draw(st.sampled_from((1, 2, 3))))
     direction = draw(st.tuples(*[st.integers(-2, 2)] * rank))
     cls = (class_generator(model, "prequantum")
            + class_generator(model, "line", direction=direction)) ** (n_weights - rank)
     terms = draw(st.lists(
         st.tuples(st.integers(-3, 3), st.sampled_from(fixed_points),
                   st.sampled_from(FLAGS[rank])),
-        min_size=1, max_size=8,
+        min_size=1, max_size=20,
     ))
+    # negated copies of some terms, so that groups, or the whole plan, cancel to 0
+    cancelled = draw(st.lists(st.sampled_from(terms), max_size=20 - len(terms)))
+    terms += [(-c, fp, flag) for c, fp, flag in cancelled]
     plan = Plan(tuple(PlanTerm(c, fp.id, OrientedFlag(flag)) for c, fp, flag in terms))
     return model, cls, plan
 
@@ -99,7 +105,8 @@ def test_permuting_each_points_weights(case, rng):
         weights = list(fp.weights)
         rng.shuffle(weights)
         permuted.append(FixedPoint(fp.id, fp.moment, tuple(weights)))
-    other = TorusModel(rank=model.rank, fixed_points=tuple(permuted))
+    other = TorusModel(rank=model.rank, fixed_points=tuple(permuted),
+                       global_stabilizer_order=model.global_stabilizer_order)
     assert evaluate_plan(other, plan, cls) == evaluate_plan(model, plan, cls)
 
 

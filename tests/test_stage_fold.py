@@ -214,6 +214,41 @@ def test_stage_fold_drops_cancelled_terms():
     assert _stage_fold({(0, 1): 1, (1, 0): 1}, ((1, (1,)),), 1) == ({}, 1)
 
 
+@st.composite
+def s0_folds(draw):
+    """A space of r lines and integer numerators over a den whose highest
+    stage-variable power is r - 1, so the fold needs only s_0."""
+    space = draw(spaces())
+    r, n = space.rank, space.residual_count
+    numerator = st.integers(-6, 6).filter(bool)
+    exponents = st.tuples(st.integers(0, r - 1), *([st.integers(0, 3)] * n))
+    numerators = draw(st.dictionaries(exponents, numerator, max_size=6))
+    top = (r - 1,) + draw(st.tuples(*([st.integers(0, 3)] * n)))
+    numerators[top] = draw(numerator)
+    return space, numerators, draw(st.integers(1, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(s0_folds())
+def test_stage_fold_at_the_top_power_reads_s0_without_a_segre_table(case):
+    from torusloc.weighted import _segre_numerators, _stage_fold
+
+    space, numerators, den = case
+    before = _segre_numerators.cache_info()
+    out, stage_den = _stage_fold(numerators, space.lines, space.residual_count)
+    assert _segre_numerators.cache_info() == before
+    assert all(type(v) is int and v for v in out.values())
+    p = MultiPoly._make(space.residual_count + 1, numerators, den)
+    assert MultiPoly._make(space.residual_count, out, den * stage_den) == ref_stage_map(p, space)
+
+
+def test_stage_fold_at_the_top_power_by_hand():
+    from torusloc.weighted import _stage_fold
+
+    # lines -2 and 4: k = 2, s_0 = 1/-8; x * 3 keeps 3 * 2 = 6, u * 5 is below x^1
+    assert _stage_fold({(1, 0): 3, (0, 1): 5}, ((-2, (1,)), (4, (0,))), 1) == ({(0,): 6}, -8)
+
+
 def test_load_plan_shares_equal_flags_and_checks_each_evaluation():
     good, other = [[0, 1], [-1, 0]], [[1, 0], [0, 1]]
     entries = [
