@@ -46,6 +46,7 @@ from .poly import MultiPoly, _int_substitute, affine_product
 from .poly import linear_substitute  # noqa: F401  re-exported; instrumentation wraps it by this name
 from .weighted import (
     WeightedSpace,
+    _finish_fold,
     _stage_fold,
     weighted_segre,  # noqa: F401  re-exported; instrumentation wraps it by this name
 )
@@ -215,25 +216,39 @@ def lambda_flag(
     """Evaluate the localization of a class at one (fixed point, flag) pair.
 
     The path runs on ints: ``_int_substitute`` rewrites the restriction's
-    numerators in flag coordinates over its one denominator, and
-    ``_stage_fold`` folds the line tuples of ``_stage_lines`` stage by
-    stage, each Segre denominator joining the one denominator.  Only the
-    final constant, scaled by the model's global stabilizer order, becomes
-    a Fraction.  Inadmissible pairs (an empty stage) evaluate to 0.
+    numerators in flag coordinates over its one denominator, skipping the
+    terms the first stage folds to 0.  ``_stage_fold`` folds the line
+    tuples of ``_stage_lines`` stage by stage up to the last two, each
+    Segre denominator joining the one denominator, and ``_finish_fold``
+    folds the last two (the one stage at rank 1).  Only the final
+    constant, scaled by the model's global stabilizer order, becomes a
+    Fraction.  Inadmissible pairs (an empty stage) evaluate to 0.  A class
+    with no restriction at the point raises UnknownFixedPoint, and one
+    whose restriction's variable count is not the flag's rank, which
+    ``_stage_lines`` has checked against the point's weights, raises
+    DimensionMismatch, also on an inadmissible pair.
     """
     if not model.has_fixed_point(fp_id):
         raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
     stages = _stage_lines(model.fixed_point(fp_id), flag.stages)
+    p = cls.restrictions.get(fp_id)
+    if p is None:
+        raise UnknownFixedPoint(f"class has no restriction at fixed point {fp_id!r}")
+    if p.nvars != flag.rank:
+        raise DimensionMismatch(
+            f"class restriction at fixed point {fp_id!r} has {p.nvars} variables,"
+            f" but the flag has rank {flag.rank}"
+        )
     if not all(stages):
         return Fraction(0)
-    p = cls.at(fp_id)
-    numerators, den = _int_substitute(p.numerators, flag.stages), p.den
-    for j, lines in enumerate(stages):
+    numerators, den = _int_substitute(p.numerators, flag.stages, len(stages[0]) - 1), p.den
+    for j, lines in enumerate(stages[:-2]):
         numerators, stage_den = _stage_fold(numerators, lines, flag.rank - j - 1)
         if not numerators:
             return Fraction(0)
         den *= stage_den
-    return Fraction(numerators[()] * model.global_stabilizer_order, den)
+    value, stage_den = _finish_fold(numerators, stages[-2:])
+    return Fraction(value * model.global_stabilizer_order, den * stage_den)
 
 
 def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fraction:
@@ -254,7 +269,10 @@ def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fract
         point = by_id.get(fp_id)
         if point is None:
             raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
-        key = (restrictions[fp_id], point.sorted_weights, term.flag)
+        restriction = restrictions.get(fp_id)
+        if restriction is None:
+            raise UnknownFixedPoint(f"class has no restriction at fixed point {fp_id!r}")
+        key = (restriction, point.sorted_weights, term.flag)
         group = groups.get(key)
         if group is None:
             groups[key] = [fp_id, term.coefficient]

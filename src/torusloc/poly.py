@@ -350,7 +350,8 @@ def affine_product(nvars: int, factors: Iterable[tuple[int, Sequence[int]]]) -> 
 
 @lru_cache(maxsize=4096)
 def _monomial_image(exp: Exponent, forms: tuple[Exponent, ...]) -> tuple:
-    """Integer (exponent, coefficient) pairs of prod_j (sum_i forms[j][i] * u_i)^exp[j].
+    """Integer (exponent, coefficient) pairs of prod_j (sum_i forms[j][i] * u_i)^exp[j],
+    in descending order of exponent, so of the exponent of u_0 first.
 
     Each power is a multinomial expansion, so a deep monomial costs no
     recursion and no squaring; a tuple, so no caller can alter the cache.
@@ -360,17 +361,25 @@ def _monomial_image(exp: Exponent, forms: tuple[Exponent, ...]) -> tuple:
         if e:
             terms = _affine_terms(0, form)
             image = _int_product(image, _linear_power(terms, e) if terms else {})
-    return tuple(image.items())
+    return tuple(sorted(image.items(), reverse=True))
 
 
-def _int_substitute(numerators: dict, basis: Sequence[Sequence[int]]) -> dict:
+def _int_substitute(numerators: dict, basis: Sequence[Sequence[int]], low: int) -> dict:
     """Integer core of ``linear_substitute``: the nonzero integer terms of
-    the image of integer terms under u_j -> sum_i basis[i][j] * u'_i."""
+    the image of integer terms under u_j -> sum_i basis[i][j] * u'_i.
+
+    Image terms whose exponent of u'_0 is below ``low`` are skipped: a
+    first flag stage of r lines folds them to 0, so ``lambda_flag`` passes
+    r - 1, and ``linear_substitute`` passes 0.
+    """
     forms = tuple(zip(*basis))
+    floor = (low,) if forms else ()  # e < (low,) is e[0] < low; () has no u'_0
     out: dict[Exponent, int] = {}
     get = out.get
     for exp, coeff in numerators.items():
         for e, v in _monomial_image(exp, forms):
+            if e < floor:
+                break
             out[e] = get(e, 0) + coeff * v
     return {e: v for e, v in out.items() if v}
 
@@ -392,7 +401,7 @@ def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly
         raise PlanFormatError(f"basis entries must be integers in list or tuple rows, got {basis!r}")
     if len(basis) != d or any(len(xi) != d for xi in basis):
         raise DimensionMismatch(f"basis must consist of {d} vectors of length {d}")
-    return MultiPoly._make(d, _int_substitute(p.numerators, basis), p.den)
+    return MultiPoly._make(d, _int_substitute(p.numerators, basis, 0), p.den)
 
 
 def series_invert(p: MultiPoly, order: int) -> list[MultiPoly]:

@@ -91,6 +91,8 @@ def _segre_numerators(lines: tuple[Line, ...], residual_count: int, order: int) 
     (a, b) gives pieces N_n / (c a)^(n+1) with
     N_n = a^n P_n - c <b,u> N_(n-1), from (a + <b,u>) S_new = S_old.
     At the end N_n times c0^(order-n) puts every piece over den.
+    ``_finish_fold`` runs the same recurrence on plain ints for a stage
+    with one residual variable, where each piece is one number.
     """
     pieces: list[dict] = [{(0,) * residual_count: 1}] + [{} for _ in range(order)]
     c = 1
@@ -132,8 +134,9 @@ def weight_gcd(space: WeightedSpace) -> int:
 
 
 def _stage_fold(numerators: dict, lines: tuple[Line, ...], residual_count: int) -> tuple[dict, int]:
-    """Integrate out the stage variable on integer numerators: the one kernel
-    behind stage_map, lambda_flag and fiber_integrate_power.
+    """Integrate out the stage variable on integer numerators: the kernel
+    behind stage_map and fiber_integrate_power, and lambda_flag's for every
+    stage but the last two, which ``_finish_fold`` folds.
 
     ``lines`` are the nonempty stage's (circle weight, residual vector)
     pairs, as in WeightedSpace.  Variable 0 of each exponent is the stage
@@ -166,6 +169,52 @@ def _stage_fold(numerators: dict, lines: tuple[Line, ...], residual_count: int) 
             e = tuple(map(add, rest, e))
             out[e] = get(e, 0) + ck * v
     return {e: v for e, v in out.items() if v}, den
+
+
+def _finish_fold(numerators: dict, stages: tuple) -> tuple[int, int]:
+    """Fold the last two stages of a key on plain integers, or the one stage
+    of a rank-1 key: the value's numerator, and the denominator by which the
+    input's must be multiplied.
+
+    ``stages`` holds the line tuples of those stages, and the exponents of
+    ``numerators`` are (e0, e1), or (e1,) at rank 1.  The last stage has no
+    residual variable, so of its Segre class only s_0 = 1/c1 is nonzero,
+    times the gcd k1 of its circle weights, and only e1 + n = r1 - 1 is
+    kept, with n the Segre index of the stage before.  That stage has one
+    residual variable, so its piece n is one integer N_n over c0^(n+1),
+    from the recurrence of ``_segre_numerators``: each line (a, (b,)) makes
+    N_n = a^n P_n - c b N_(n-1).  A term (e0, e1) with n = e0 - r0 + 1 >= 0
+    adds its numerator times k0 N_n c0^(top-n), over c0^(top+1) c1, with
+    top the largest n kept.
+    """
+    *before, last = stages
+    r1 = len(last)
+    k1 = math.gcd(*(w for w, _ in last))
+    c1 = math.prod(w for w, _ in last)
+    if not before:
+        return numerators.get((r1 - 1,), 0) * k1, c1
+    (lines,) = before
+    r0 = len(lines)
+    kept = [
+        (e0 - r0 + 1, v)
+        for (e0, e1), v in numerators.items()
+        if e0 >= r0 - 1 and e0 + e1 == r0 + r1 - 2
+    ]
+    if not kept:
+        return 0, 1
+    top = max(n for n, _ in kept)
+    segre = [1] + [0] * top
+    c = 1
+    for a, (b,) in lines:
+        cb = c * b
+        scale = 1
+        for n in range(1, top + 1):  # upwards, so segre[n-1] is already N_(n-1)
+            scale *= a
+            segre[n] = scale * segre[n] - cb * segre[n - 1]
+        c *= a
+    k0 = math.gcd(*(w for w, _ in lines))
+    value = sum(v * segre[n] * c ** (top - n) for n, v in kept)
+    return value * k0 * k1, c ** (top + 1) * c1
 
 
 def ring_relation(space: WeightedSpace) -> list[MultiPoly]:

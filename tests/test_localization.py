@@ -296,6 +296,46 @@ class TestEvaluatePlan:
             assert evaluate_plan(m, Plan(tuple(shuffled)), L**4) == reference
 
 
+class TestClassMustFitTheModel:
+    """A class that does not fit the model is refused by name, per distinct key."""
+
+    # rank 2; under the identity flag the stages hold two lines and one
+    WEIGHTS = ((1, 0), (0, 1), (1, 1))
+    FLAG = OrientedFlag(((1, 0), (0, 1)))
+    EMPTY = OrientedFlag(((1, 1), (0, 1)))  # stage 1 gets no weight
+
+    def model(self):
+        points = tuple(FixedPoint(i, (Fraction(0), Fraction(0)), self.WEIGHTS) for i in "pq")
+        return TorusModel(rank=2, fixed_points=points)
+
+    def test_fitting_class_has_a_value(self):
+        cls = EquivariantClass({i: MultiPoly(2, {(1, 0): 1}) for i in "pq"})
+        assert lambda_flag(self.model(), "p", self.FLAG, cls) != 0
+
+    @pytest.mark.parametrize("nvars", [1, 3])
+    def test_restriction_with_another_variable_count(self, nvars):
+        # one variable used to raise a bare IndexError, three to give 0
+        m = self.model()
+        cls = EquivariantClass({i: MultiPoly(nvars, {(1,) + (0,) * (nvars - 1): 1}) for i in "pq"})
+        message = f"^class restriction at fixed point 'p' has {nvars} variables"
+        for flag in (self.FLAG, self.EMPTY):
+            with pytest.raises(DimensionMismatch, match=message):
+                lambda_flag(m, "p", flag, cls)
+        with pytest.raises(DimensionMismatch, match="variables, but the flag has rank 2$"):
+            evaluate_plan(m, Plan((PlanTerm(1, "q", self.FLAG),)), cls)
+
+    def test_missing_restriction(self):
+        # used to raise a bare KeyError from evaluate_plan
+        m = self.model()
+        cls = EquivariantClass({"p": MultiPoly(2, {(1, 0): 1})})
+        message = "^class has no restriction at fixed point 'q'$"
+        plan = Plan((PlanTerm(1, "p", self.FLAG), PlanTerm(1, "q", self.FLAG)))
+        with pytest.raises(UnknownFixedPoint, match=message):
+            evaluate_plan(m, plan, cls)
+        with pytest.raises(UnknownFixedPoint, match=message):
+            lambda_flag(m, "q", self.EMPTY, cls)
+
+
 class TestWeylCorrect:
     def test_sphere_constant(self):
         m = build_sphere_product(3)

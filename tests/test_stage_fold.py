@@ -1,11 +1,12 @@
-"""The integer stage fold against the per-power MultiPoly reference.
+"""The integer stage folds against the per-power MultiPoly reference.
 
-``stage_map``, ``lambda_flag`` and ``fiber_integrate_power`` all run the
-integer kernel ``weighted._stage_fold`` over the integer Segre numerators.
-The references in ``helpers`` fold one product per stage-variable power, as
-the engine did before the kernel, against a Segre class formed from the
-full Chern product and inverted in Fractions, so they share no Segre code
-with the engine.
+``stage_map`` and ``fiber_integrate_power`` run the integer kernel
+``weighted._stage_fold`` over the integer Segre numerators; ``lambda_flag``
+runs it on every stage but the last two, and ``weighted._finish_fold`` on
+those.  The references in ``helpers`` fold one product per stage-variable
+power, as the engine did before the kernels, against a Segre class formed
+from the full Chern product and inverted in Fractions, so they share no
+Segre code with the engine.
 """
 
 import io
@@ -140,6 +141,64 @@ def test_lambda_flag_matches_reference_fold(case):
     assert value == ref_lambda_flag(model, "p", flag, cls)
 
 
+@st.composite
+def repeated_line_terms(draw):
+    """A one-point model of rank 2 or 3 whose 8-16 weights are copies of 2-4
+    line types, as on cp2:n, so the last two stages reach high Segre
+    orders; a flag; and two classes of the quotient degree N - d, N the
+    weight count, plus terms of other degrees."""
+    d = draw(st.integers(2, 3))
+    stages = tuple(draw(unimodular(d)))
+    back = inverse(stages)
+    small = st.integers(-3, 3)
+    hit = list(range(d)) + draw(st.lists(st.integers(0, d - 1), max_size=4 - d))
+    types = []
+    for j in hit:  # every stage gets a type, so every pair is admissible
+        tail = draw(st.lists(small, min_size=d - j - 1, max_size=d - j - 1))
+        coords = [0] * j + [draw(small.filter(bool))] + tail
+        types.append(tuple(sum(g * c for g, c in zip(row, coords)) for row in back))
+    copies = [1] * len(types)
+    for _ in range(draw(st.integers(8, 16)) - len(types)):
+        copies[draw(st.integers(0, len(types) - 1))] += 1
+    weights = tuple(w for w, m in zip(types, copies) for _ in range(m))
+    model = TorusModel(
+        rank=d,
+        fixed_points=(FixedPoint("p", (Fraction(0),) * d, weights),),
+        global_stabilizer_order=draw(st.integers(1, 3)),
+    )
+    degree = len(weights) - d
+    classes = []
+    for _ in range(2):
+        top = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exp, rest = [], degree
+            for _ in range(d - 1):
+                exp.append(draw(st.integers(0, rest)))
+                rest -= exp[-1]
+            top[tuple(exp) + (rest,)] = draw(mixed_coeffs)
+        off = draw(mixed_polys(d, max_exp=degree + 2, max_terms=4))
+        classes.append(MultiPoly(d, top) + off)
+    return model, OrientedFlag(stages), classes
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_line_terms())
+def test_lambda_flag_on_repeated_line_types_matches_reference_fold(case):
+    from torusloc.weighted import _segre_numerators
+
+    model, flag, (p, q) = case
+    before = _segre_numerators.cache_info()
+    value = lambda_flag(model, "p", flag, EquivariantClass({"p": p}))
+    if model.rank == 2:  # both stages fold in _finish_fold, with no Segre table
+        assert _segre_numerators.cache_info() == before
+    assert type(value) is Fraction
+    assert value == ref_lambda_flag(model, "p", flag, EquivariantClass({"p": p}))
+    # q * lambda(p) - p * lambda(q) pairs to 0 exactly, though its terms do not vanish
+    other = ref_lambda_flag(model, "p", flag, EquivariantClass({"p": q}))
+    cancelling = EquivariantClass({"p": q * value - p * other})
+    assert lambda_flag(model, "p", flag, cancelling) == 0
+
+
 def apply(matrix, vector):
     return tuple(sum(a * x for a, x in zip(row, vector)) for row in matrix)
 
@@ -247,6 +306,21 @@ def test_stage_fold_at_the_top_power_by_hand():
 
     # lines -2 and 4: k = 2, s_0 = 1/-8; x * 3 keeps 3 * 2 = 6, u * 5 is below x^1
     assert _stage_fold({(1, 0): 3, (0, 1): 5}, ((-2, (1,)), (4, (0,))), 1) == ({(0,): 6}, -8)
+
+
+def test_finish_fold_by_hand():
+    from torusloc.weighted import _finish_fold
+
+    # stage 0: 1/((1 + u) 2) = 1/2 - u/2 + ..., N = [1, -2] over 2^(n+1), k0 = 1;
+    # stage 1: lines 3 and -3, k1 = 3, s_0 = 1/-9, so e0 + e1 = 2 is kept.
+    # 5 x0 x1 -> 5/2 x1 and 7 x0^2 -> -7/2 x1; -x1 -> -3/-9 = 1/3 = -12/-36.
+    # 11 x1^2 is below x0^1, 13 x0^2 x1 off the degree.
+    numerators = {(1, 1): 5, (2, 0): 7, (0, 2): 11, (2, 1): 13}
+    stages = (((1, (1,)), (2, (0,))), ((3, ()), (-3, ())))
+    assert _finish_fold(numerators, stages) == (-12, -36)
+    # rank 1: only the one stage, read at x^(r-1)
+    assert _finish_fold({(1,): 4, (0,): 9}, stages[1:]) == (12, -9)
+    assert _finish_fold({(0,): 9}, stages[1:]) == (0, -9)
 
 
 def test_load_plan_shares_equal_flags_and_checks_each_evaluation():
