@@ -85,6 +85,17 @@ def inverse(rows):
 
 
 @st.composite
+def stage_weight(draw, j, back):
+    """A weight that the flag with inverse ``back`` places in stage j: flag
+    coordinates in [-3, 3], zero before j and nonzero at j, mapped back."""
+    small = st.integers(-3, 3)
+    d = len(back)
+    tail = draw(st.lists(small, min_size=d - j - 1, max_size=d - j - 1))
+    coords = [0] * j + [draw(small.filter(bool))] + tail
+    return tuple(sum(g * c for g, c in zip(row, coords)) for row in back)
+
+
+@st.composite
 def flag_terms(draw, min_rank=1):
     """A one-point model of rank min_rank to 3, a flag, and a class restricting to a
     random polynomial of mixed degree whose coefficients may have
@@ -99,11 +110,7 @@ def flag_terms(draw, min_rank=1):
     else:
         hit = list(range(d)) + draw(st.lists(st.integers(0, d - 1), max_size=6 - d))
         back = inverse(stages)
-        weights = []
-        for j in hit:
-            tail = draw(st.lists(small, min_size=d - j - 1, max_size=d - j - 1))
-            coords = [0] * j + [draw(small.filter(bool))] + tail
-            weights.append(tuple(sum(g * c for g, c in zip(row, coords)) for row in back))
+        weights = [draw(stage_weight(j, back)) for j in hit]
     model = TorusModel(
         rank=d,
         fixed_points=(FixedPoint("p", (Fraction(0),) * d, tuple(weights)),),
@@ -150,13 +157,9 @@ def repeated_line_terms(draw):
     d = draw(st.integers(2, 3))
     stages = tuple(draw(unimodular(d)))
     back = inverse(stages)
-    small = st.integers(-3, 3)
+    # every stage gets a type, so every pair is admissible
     hit = list(range(d)) + draw(st.lists(st.integers(0, d - 1), max_size=4 - d))
-    types = []
-    for j in hit:  # every stage gets a type, so every pair is admissible
-        tail = draw(st.lists(small, min_size=d - j - 1, max_size=d - j - 1))
-        coords = [0] * j + [draw(small.filter(bool))] + tail
-        types.append(tuple(sum(g * c for g, c in zip(row, coords)) for row in back))
+    types = [draw(stage_weight(j, back)) for j in hit]
     copies = [1] * len(types)
     for _ in range(draw(st.integers(8, 16)) - len(types)):
         copies[draw(st.integers(0, len(types) - 1))] += 1
