@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 from typing import IO, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
     EmptyStage,
+    ModelFormatError,
     NoRootData,
     NotUnimodular,
     PlanFormatError,
@@ -86,6 +86,14 @@ class OrientedFlag(Frozen):
     string or boolean entry, ragged stages, a non-sequence) raises
     PlanFormatError.  A square matrix whose determinant is not +1 or -1
     raises NotUnimodular, so every flag that exists is a lattice basis.
+
+    A flag also owns two tables that are not fields and do not take part
+    in equality, hashing, pickling or copying: ``_lines`` maps a weight to
+    its stage and line (``_stage_lines``), and ``_images`` an exponent to
+    its monomial image in flag coordinates (``_int_substitute``).  Both
+    depend on the stages alone, so every key evaluated with the flag
+    shares them, and ``lambda_flag`` reaches them through the flag object
+    it already holds.  They live as long as the flag does.
     """
 
     _fields = ("stages",)
@@ -105,9 +113,14 @@ class OrientedFlag(Frozen):
         self._set(stages)
         # evaluate_plan hashes one flag per plan term
         object.__setattr__(self, "_hash", hash(stages))
+        object.__setattr__(self, "_lines", {})
+        object.__setattr__(self, "_images", {})
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return (OrientedFlag, (self.stages,))  # a copy starts with empty tables
 
     @property
     def rank(self) -> int:
@@ -142,38 +155,48 @@ class Plan(Frozen):
         return len(self.terms)
 
 
-@lru_cache(maxsize=4096)
 def _flag_line(weight: tuple[int, ...], stages: tuple[tuple[int, ...], ...]) -> tuple:
-    """The stage index and line of one weight in flag coordinates.
+    """The stage index and line of one nonzero weight of the flag's rank in
+    flag coordinates.
 
     The weight a is rewritten as a'_i = <a, stage_i> and goes to the first
     stage j with a'_j nonzero, as the line (a'_j, (a'_{j+1}, ..., a'_d)).
     The flag is a lattice basis and the weight is nonzero, so such a j
-    exists.  Cached, so each (weight, flag) pair is rewritten once.
+    exists.  ``_stage_lines`` stores the result in the flag's own table,
+    so each (weight, flag) pair is rewritten once.
     """
     coords = [sum(map(mul, weight, stage)) for stage in stages]
     j = next(j for j, c in enumerate(coords) if c)
     return j, (coords[j], tuple(coords[j + 1 :]))
 
 
-def _stage_lines(point: FixedPoint, stages: tuple[tuple[int, ...], ...]) -> list[tuple]:
+def _stage_lines(point: FixedPoint, flag: OrientedFlag) -> list[tuple]:
     """Group the tangent weights of a fixed point by flag stage, as plain
     (circle weight, residual vector) line tuples placed by ``_flag_line``.
 
-    A weight whose length is not the flag's rank raises DimensionMismatch
-    on every call.  It is the one check of a plan's flag against the
-    model, which is why ``evaluate_plan`` evaluates every distinct key.
+    The placements are looked up in the flag's ``_lines`` table, which the
+    flag owns, and a weight missing from it is checked, placed and stored.
+    Only weights of the flag's rank that are nonzero are stored, so a
+    weight whose length is not the rank raises DimensionMismatch, and a
+    zero weight ModelFormatError, on every call.  This is the one check of
+    a plan's flag against the model, which is why ``evaluate_plan``
+    evaluates every distinct key.
     """
-    d = len(stages)
+    table, stages = flag._lines, flag.stages
+    get, d = table.get, len(stages)
     stage_lines: list[list] = [[] for _ in range(d)]
     for weight in point.weights:
-        if len(weight) != d:
-            raise DimensionMismatch(
-                f"weight {weight} of fixed point {point.id!r} has length {len(weight)},"
-                f" but the flag has rank {d}"
-            )
-        j, line = _flag_line(weight, stages)
-        stage_lines[j].append(line)
+        placed = get(weight)
+        if placed is None:
+            if len(weight) != d:
+                raise DimensionMismatch(
+                    f"weight {weight} of fixed point {point.id!r} has length {len(weight)},"
+                    f" but the flag has rank {d}"
+                )
+            if not any(weight):
+                raise ModelFormatError(f"fixed point {point.id!r}: zero tangent weight")
+            placed = table[weight] = _flag_line(weight, stages)
+        stage_lines[placed[0]].append(placed[1])
     return [tuple(lines) for lines in stage_lines]
 
 
@@ -183,7 +206,7 @@ def flag_split(point: FixedPoint, flag: OrientedFlag) -> tuple[list[WeightedSpac
     empty stage makes the pair inadmissible and every evaluation zero."""
     spaces = [
         WeightedSpace(lines, residual_count=flag.rank - j - 1)
-        for j, lines in enumerate(_stage_lines(point, flag.stages))
+        for j, lines in enumerate(_stage_lines(point, flag))
     ]
     return spaces, flag.stages
 
@@ -217,10 +240,13 @@ def lambda_flag(
 
     The path runs on ints: ``_int_substitute`` rewrites the restriction's
     numerators in flag coordinates over its one denominator, skipping the
-    terms the first stage folds to 0.  ``_stage_fold`` folds the line
-    tuples of ``_stage_lines`` stage by stage up to the last two, each
-    Segre denominator joining the one denominator, and ``_finish_fold``
-    folds the last two (the one stage at rank 1).  Only the final
+    terms the first stage folds to 0.  Both coordinate tables the path
+    reads, weight to line and exponent to monomial image, are the flag's
+    own (``OrientedFlag._lines`` and ``_images``), found through the flag.
+    ``_stage_fold`` folds the line tuples of ``_stage_lines`` stage by
+    stage up to the last two, each Segre denominator joining the one
+    denominator, and ``_finish_fold`` folds the last two (the one stage at
+    rank 1).  Only the final
     constant, scaled by the model's global stabilizer order, becomes a
     Fraction.  Inadmissible pairs (an empty stage) evaluate to 0.  A class
     with no restriction at the point raises UnknownFixedPoint, and one
@@ -230,7 +256,7 @@ def lambda_flag(
     """
     if not model.has_fixed_point(fp_id):
         raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
-    stages = _stage_lines(model.fixed_point(fp_id), flag.stages)
+    stages = _stage_lines(model.fixed_point(fp_id), flag)
     p = cls.restrictions.get(fp_id)
     if p is None:
         raise UnknownFixedPoint(f"class has no restriction at fixed point {fp_id!r}")
@@ -241,7 +267,8 @@ def lambda_flag(
         )
     if not all(stages):
         return Fraction(0)
-    numerators, den = _int_substitute(p.numerators, flag.stages, len(stages[0]) - 1), p.den
+    low = len(stages[0]) - 1
+    numerators, den = _int_substitute(p.numerators, flag.stages, low, flag._images), p.den
     for j, lines in enumerate(stages[:-2]):
         numerators, stage_den = _stage_fold(numerators, lines, flag.rank - j - 1)
         if not numerators:
@@ -272,12 +299,9 @@ def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fract
         restriction = restrictions.get(fp_id)
         if restriction is None:
             raise UnknownFixedPoint(f"class has no restriction at fixed point {fp_id!r}")
+        # one hash of the key per term; the group keeps its first term's point
         key = (restriction, point.sorted_weights, term.flag)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [fp_id, term.coefficient]
-        else:
-            group[1] += term.coefficient
+        groups.setdefault(key, [fp_id, 0])[1] += term.coefficient
     sums: dict[int, int] = {}  # numerator sums by denominator: one Fraction each
     for (_, _, flag), (fp_id, coefficient) in groups.items():
         value = lambda_flag(model, fp_id, flag, cls)

@@ -48,6 +48,21 @@ Moment = tuple[Fraction, ...]
 MAX_FIXED_POINTS = 2**20
 
 
+class _SortedWeights:
+    """``FixedPoint.sorted_weights``: the weights as a canonical multiset;
+    flag evaluations depend only on it.  The builders set it when they
+    make a point, once per size vector.  A loaded point computes it on
+    its first read and keeps it in its instance dict, which shadows this
+    descriptor from then on; unlike ``cached_property`` no lock is taken.
+    """
+
+    def __get__(self, fp, owner=None):
+        if fp is None:
+            return self
+        value = fp.__dict__["sorted_weights"] = tuple(sorted(fp.weights))
+        return value
+
+
 class FixedPoint(Frozen):
     """An isolated fixed point: identifier, moment image, tangent weights.
 
@@ -103,11 +118,7 @@ class FixedPoint(Frozen):
         object.__setattr__(obj, "sorted_weights", sorted_weights)
         return obj
 
-    @cached_property
-    def sorted_weights(self) -> tuple[Weight, ...]:
-        """The weights as a canonical multiset; flag evaluations depend only on it.
-        The builders set it when they make a point, once per size vector."""
-        return tuple(sorted(self.weights))
+    sorted_weights = _SortedWeights()
 
 
 class TorusModel(Frozen):
@@ -160,6 +171,14 @@ class TorusModel(Frozen):
                     raise ModelFormatError(f"root {r} has length {len(r)}, expected {rank}")
                 if tuple(-a for a in r) not in roots:
                     raise ModelFormatError(f"root list is not closed under negation: {r}")
+
+    @classmethod
+    def _make(cls, *fields) -> "TorusModel":
+        """Internal constructor for fields in ``_fields`` order that are
+        already checked, such as a builder's points: no point is scanned."""
+        obj = object.__new__(cls)
+        obj._set(*fields)
+        return obj
 
     def _scan_points(self):
         """Raise ModelFormatError naming the first fixed point that fails a check."""
@@ -430,8 +449,9 @@ def expand_orbits(model: TorusModel) -> TorusModel:
     for weights, groups, sizes in group_walk(n, k, vertex_weights):
         rep = reps[sizes]
         points.append(make(point_id(groups), rep.moment, weights, rep.sorted_weights))
-    return TorusModel(model.rank, tuple(points), model.roots, model.weyl_order,
-                      model.global_stabilizer_order, model.family)
+    # the builder made every point, and the orbit model's fields are checked
+    return TorusModel._make(model.rank, tuple(points), model.roots, model.weyl_order,
+                            model.global_stabilizer_order, model.family, (1,) * len(points))
 
 
 def build_sphere_product(n: int) -> TorusModel:

@@ -27,9 +27,9 @@ and copy through the internal constructor.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate, repeat
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -60,26 +60,32 @@ def _affine_terms(constant: Scalar, coeffs: Sequence[Scalar]) -> dict:
     return terms
 
 
-def _linear_power(form: dict, m: int) -> dict:
-    """Integer terms of (sum_i a_i u_i)^m for a nonzero integer linear form
-    {unit exponent: a_i} and m >= 1, by the multinomial theorem: prod_i u_i^j_i
-    has coefficient m!/prod_i j_i! * prod_i a_i^j_i, built as binomials
-    C(rest, j_i) over the variables in turn; the last variable takes the rest.
+def _linear_power(coeffs: Sequence[int], m: int) -> dict:
+    """Integer terms of (sum_i coeffs[i] * u_i)^m for integer coefficients,
+    not all zero, and m >= 1, by the multinomial theorem: prod_i u_i^j_i has
+    coefficient m!/prod_i j_i! * prod_i a_i^j_i, built as binomials
+    C(rest, j_i) times a running power a_i^j_i over the nonzero
+    coefficients in turn; the last takes the rest, from one power list
+    a^0..a^m.  Each exponent tuple is built once, by extending its prefix
+    with the zeros of the skipped variables and j_i.  No term is zero.
     """
-    (*first, last) = form.items()
-    partial = [((0,) * len(last[0]), 1, m)]
-    for unit, a in first:
-        i = unit.index(1)
+    present = [i for i, a in enumerate(coeffs) if a]
+    last = present.pop()
+    partial = [((), 1, m)]
+    done = 0  # exponent positions the prefixes fill
+    for i in present:
+        a, pad = coeffs[i], (0,) * (i - done)
         grown = []
+        add = grown.append
         for exp, c, rest in partial:
-            power = 1
             for j in range(rest + 1):
-                grown.append((exp[:i] + (j,) + exp[i + 1 :], c * comb(rest, j) * power, rest - j))
-                power *= a
+                add((exp + pad + (j,), c * comb(rest, j), rest - j))
+                c *= a
         partial = grown
-    unit, a = last
-    i = unit.index(1)
-    return {exp[:i] + (rest,) + exp[i + 1 :]: c * a**rest for exp, c, rest in partial}
+        done = i + 1
+    powers = list(accumulate(repeat(coeffs[last], m), mul, initial=1))
+    pad, tail = (0,) * (last - done), (0,) * (len(coeffs) - last - 1)
+    return {exp + pad + (rest,) + tail: c * powers[rest] for exp, c, rest in partial}
 
 
 class MultiPoly:
@@ -138,6 +144,17 @@ class MultiPoly:
         obj._store(nvars, numerators, den)
         return obj
 
+    @classmethod
+    def _canonical(cls, nvars: int, numerators: dict, den: int) -> "MultiPoly":
+        """Internal constructor for storage already canonical: no zero
+        numerator, den >= 1 and gcd(den, *numerators) == 1.  The callers
+        (``linear_form`` and the power of a linear form) prove it."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "nvars", nvars)
+        object.__setattr__(obj, "numerators", MappingProxyType(numerators))
+        object.__setattr__(obj, "den", den)
+        return obj
+
     def __reduce__(self):
         return (MultiPoly._make, (self.nvars, dict(self.numerators), self.den))
 
@@ -163,13 +180,22 @@ class MultiPoly:
     @classmethod
     def linear_form(cls, coeffs: Sequence[Scalar]) -> "MultiPoly":
         """The polynomial sum_i coeffs[i] * u_i; zero entries are checked too.
-        Entries that are all ``int`` or ``Fraction`` go over the lcm of their
-        denominators directly; any other entry meets the constructor's check."""
+
+        Entries that are all ``int`` or ``Fraction`` are stored directly, in
+        canonical form: den is the lcm of their denominators, each nonzero
+        entry a/q has numerator a * (den // q), and zero entries are left
+        out.  Then gcd(den, *numerators) == 1: a prime p dividing den
+        divides, to the full power it has in den, the denominator q of
+        some entry, and neither a nor den // q is divisible by p.  Any
+        other entry meets the constructor's check.
+        """
         n = len(coeffs)
         units = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
         if all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
             den = lcm(*(c.denominator for c in coeffs))
-            return cls._make(n, {e: c.numerator * (den // c.denominator) for e, c in zip(units, coeffs)}, den)
+            return cls._canonical(
+                n, {e: c.numerator * (den // c.denominator) for e, c in zip(units, coeffs) if c}, den
+            )
         return cls(n, dict(zip(units, coeffs)))
 
     # ------------------------------------------------------------------
@@ -263,12 +289,24 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         """The n-th power on integer numerators over den^n: a homogeneous
         linear form by the multinomial theorem (``_linear_power``), any
-        other polynomial by repeated squaring."""
+        other polynomial by repeated squaring.
+
+        The power of a linear form sum_i a_i u_i / den (n >= 1) is stored
+        as built, because it is canonical already.  Its terms are
+        multinomial(n; j) * prod_i a_i^j_i, one per exponent j, and none is
+        zero, since canonical storage holds no zero a_i.  And
+        gcd(den^n, *numerators) == 1: a prime p dividing den^n divides den,
+        so it misses some a_i, and then it misses the term a_i^n of u_i^n.
+        Every other power goes through ``_make``'s normalisation.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         base, den = self.numerators, self.den**n
         if n and base and all(sum(e) == 1 for e in base):
-            return MultiPoly._make(self.nvars, _linear_power(base, n), den)
+            coeffs = [0] * self.nvars
+            for e, v in base.items():
+                coeffs[e.index(1)] = v
+            return MultiPoly._canonical(self.nvars, _linear_power(coeffs, n), den)
         result = {(0,) * self.nvars: 1}
         while n:
             if n & 1:
@@ -348,36 +386,44 @@ def affine_product(nvars: int, factors: Iterable[tuple[int, Sequence[int]]]) -> 
     return MultiPoly._make(nvars, terms)
 
 
-@lru_cache(maxsize=4096)
-def _monomial_image(exp: Exponent, forms: tuple[Exponent, ...]) -> tuple:
-    """Integer (exponent, coefficient) pairs of prod_j (sum_i forms[j][i] * u_i)^exp[j],
-    in descending order of exponent, so of the exponent of u_0 first.
+def _monomial_image(exp: Exponent, basis: Sequence[Sequence[int]]) -> tuple:
+    """Integer (exponent, coefficient) pairs of the image of prod_j u_j^exp[j]
+    under u_j -> sum_i basis[i][j] * u'_i, in descending order of exponent,
+    so of the exponent of u'_0 first.
 
-    Each power is a multinomial expansion, so a deep monomial costs no
-    recursion and no squaring; a tuple, so no caller can alter the cache.
+    Each power of a form is a multinomial expansion, so a deep monomial
+    costs no recursion and no squaring; a tuple, so no holder of a table
+    of images can alter one.
     """
     image = {(0,) * len(exp): 1}
-    for form, e in zip(forms, exp):
+    for form, e in zip(zip(*basis), exp):
         if e:
-            terms = _affine_terms(0, form)
-            image = _int_product(image, _linear_power(terms, e) if terms else {})
+            image = _int_product(image, _linear_power(form, e) if any(form) else {})
     return tuple(sorted(image.items(), reverse=True))
 
 
-def _int_substitute(numerators: dict, basis: Sequence[Sequence[int]], low: int) -> dict:
+def _int_substitute(numerators: dict, basis: Sequence[Sequence[int]], low: int, images: dict) -> dict:
     """Integer core of ``linear_substitute``: the nonzero integer terms of
     the image of integer terms under u_j -> sum_i basis[i][j] * u'_i.
 
     Image terms whose exponent of u'_0 is below ``low`` are skipped: a
     first flag stage of r lines folds them to 0, so ``lambda_flag`` passes
     r - 1, and ``linear_substitute`` passes 0.
+
+    ``images`` maps an exponent to its ``_monomial_image`` under this
+    basis; a missing one is computed and stored.  The caller owns the
+    table: ``lambda_flag`` passes the flag's own, which lives as long as
+    the flag and serves every key with that flag, and ``linear_substitute``
+    a new dict per call.
     """
-    forms = tuple(zip(*basis))
-    floor = (low,) if forms else ()  # e < (low,) is e[0] < low; () has no u'_0
+    floor = (low,) if basis else ()  # e < (low,) is e[0] < low; () has no u'_0
     out: dict[Exponent, int] = {}
     get = out.get
     for exp, coeff in numerators.items():
-        for e, v in _monomial_image(exp, forms):
+        image = images.get(exp)
+        if image is None:
+            image = images[exp] = _monomial_image(exp, basis)
+        for e, v in image:
             if e < floor:
                 break
             out[e] = get(e, 0) + coeff * v
@@ -401,7 +447,7 @@ def linear_substitute(p: MultiPoly, basis: Sequence[Sequence[int]]) -> MultiPoly
         raise PlanFormatError(f"basis entries must be integers in list or tuple rows, got {basis!r}")
     if len(basis) != d or any(len(xi) != d for xi in basis):
         raise DimensionMismatch(f"basis must consist of {d} vectors of length {d}")
-    return MultiPoly._make(d, _int_substitute(p.numerators, basis, 0), p.den)
+    return MultiPoly._make(d, _int_substitute(p.numerators, basis, 0, {}), p.den)
 
 
 def series_invert(p: MultiPoly, order: int) -> list[MultiPoly]:

@@ -185,26 +185,32 @@ def _finish_fold(numerators: dict, stages: tuple) -> tuple[int, int]:
     from the recurrence of ``_segre_numerators``: each line (a, (b,)) makes
     N_n = a^n P_n - c b N_(n-1).  A term (e0, e1) with n = e0 - r0 + 1 >= 0
     adds its numerator times k0 N_n c0^(top-n), over c0^(top+1) c1, with
-    top the largest n kept.
+    top the largest n kept.  One pass over the terms gathers the kept ones
+    and top, one over the last stage gives k1 and c1, and the recurrence's
+    pass over the lines gives k0 and c0.
     """
     *before, last = stages
     r1 = len(last)
-    k1 = math.gcd(*(w for w, _ in last))
-    c1 = math.prod(w for w, _ in last)
+    k1, c1 = 0, 1
+    for w, _ in last:
+        k1 = math.gcd(k1, w)
+        c1 *= w
     if not before:
         return numerators.get((r1 - 1,), 0) * k1, c1
     (lines,) = before
-    r0 = len(lines)
-    kept = [
-        (e0 - r0 + 1, v)
-        for (e0, e1), v in numerators.items()
-        if e0 >= r0 - 1 and e0 + e1 == r0 + r1 - 2
-    ]
+    low = len(lines) - 1
+    total = low + r1 - 1
+    kept, top = [], -1
+    for (e0, e1), v in numerators.items():
+        if e0 >= low and e0 + e1 == total:
+            n = e0 - low
+            kept.append((n, v))
+            if n > top:
+                top = n
     if not kept:
         return 0, 1
-    top = max(n for n, _ in kept)
     segre = [1] + [0] * top
-    c = 1
+    c, k0 = 1, 0
     for a, (b,) in lines:
         cb = c * b
         scale = 1
@@ -212,7 +218,7 @@ def _finish_fold(numerators: dict, stages: tuple) -> tuple[int, int]:
             scale *= a
             segre[n] = scale * segre[n] - cb * segre[n - 1]
         c *= a
-    k0 = math.gcd(*(w for w, _ in lines))
+        k0 = math.gcd(k0, a)
     value = sum(v * segre[n] * c ** (top - n) for n, v in kept)
     return value * k0 * k1, c ** (top + 1) * c1
 

@@ -1,5 +1,8 @@
+import copy
 import io
+import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import factorial
@@ -43,7 +46,7 @@ from torusloc.model import FixedPoint
 from torusloc.plans import THETA1, rank1_plan
 
 from oracles.convolution import uniform_sum_density
-from helpers import monomial_class, point_sphere_product, ref_cp_point_id, unimodular
+from helpers import monomial_class, point_sphere_product, ref_cp_point_id, ref_lambda_flag, unimodular
 
 PLUS = OrientedFlag(((1,),))
 MINUS = OrientedFlag(((-1,),))
@@ -497,7 +500,7 @@ class TestStrictFlag:
 
 
 class TestStageLinesCheckEveryCall:
-    """Flag coordinates are cached per (weight, flag); the length check is not."""
+    """Flag coordinates are kept in the flag's table; the length check is not."""
 
     def test_zero_and_wrong_length_weights_raise_on_every_call(self):
         origin = (Fraction(0), Fraction(0))
@@ -521,6 +524,98 @@ class TestStageLinesCheckEveryCall:
             lambda_flag(model, "a", flag, cls)
             with pytest.raises(DimensionMismatch, match="flag has rank"):
                 lambda_flag(model, "s", flag, cls)
+
+
+def random_model(rank: int, points: int, seed: int, weights: int = 5, radius: int = 2) -> TorusModel:
+    """Points with nonzero weights drawn from [-radius, radius]^rank and rational moments."""
+    rng = random.Random(seed)
+    box = [w for w in itertools.product(range(-radius, radius + 1), repeat=rank) if any(w)]
+    return TorusModel(rank, [
+        FixedPoint(
+            f"p{i}",
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rank)],
+            [rng.choice(box) for _ in range(weights)],
+        )
+        for i in range(points)
+    ])
+
+
+class TestFlagOwnedTables:
+    """A flag owns its weight-to-line and exponent-to-image tables; one flag
+    object used across points and models must give what fresh flags give,
+    and what the table-free reference fold gives."""
+
+    FLAGS = {
+        2: [((0, 1), (-1, 0)), ((1, 1), (0, 1)), ((2, -1), (1, 0))],
+        3: [
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((1, 1, 0), (0, 1, 0), (0, -1, 1)),
+            ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+        ],
+    }
+    MODELS = {
+        2: lambda: [build_cp_product(3, 3), random_model(2, 40, 7), build_cp_product(3, 2)],
+        3: lambda: [build_cp_product(4, 2), random_model(3, 40, 11, weights=8, radius=1)],
+    }
+
+    @staticmethod
+    def classes(model):
+        L = class_generator(model, "prequantum")
+        m = model.weights_per_point - model.rank
+        return [L**m, L ** (m - 1) * class_generator(model, "line", direction=[1] * model.rank), L ** (m + 1)]
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_shared_flag_matches_fresh_flags(self, rank):
+        for stages in self.FLAGS[rank]:
+            shared = OrientedFlag(stages)
+            for model in self.MODELS[rank]():
+                for cls in self.classes(model):
+                    for fp in model.fixed_points:
+                        value = lambda_flag(model, fp.id, shared, cls)
+                        assert value == lambda_flag(model, fp.id, OrientedFlag(stages), cls)
+                        assert value == ref_lambda_flag(model, fp.id, shared, cls)
+                    fresh = Plan(tuple(PlanTerm(1, fp.id, OrientedFlag(stages)) for fp in model.fixed_points))
+                    plan = Plan(tuple(PlanTerm(1, fp.id, shared) for fp in model.fixed_points))
+                    assert evaluate_plan(model, plan, cls) == evaluate_plan(model, fresh, cls)
+            assert shared._lines and shared._images
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_bad_weights_raise_after_the_table_holds_the_others(self, rank):
+        flag = OrientedFlag(self.FLAGS[rank][1])
+        good = random_model(rank, 1, 3).fixed_points[0]
+        origin = (Fraction(0),) * rank
+        points = {
+            "a": good,
+            "s": FixedPoint._make("s", origin, good.weights + ((1,) * (rank + 1),), ()),
+            "z": FixedPoint._make("z", origin, good.weights + ((0,) * rank,), ()),
+        }
+        # the parts of a TorusModel that lambda_flag reads, without its weight checks
+        model = SimpleNamespace(
+            has_fixed_point=points.__contains__, fixed_point=points.__getitem__, global_stabilizer_order=1
+        )
+        cls = EquivariantClass({i: MultiPoly.variable(rank, 0) ** (rank + 2) for i in points})
+        lambda_flag(model, "a", flag, cls)
+        assert set(good.weights) == flag._lines.keys()
+        for _ in range(3):
+            with pytest.raises(DimensionMismatch, match="flag has rank"):
+                lambda_flag(model, "s", flag, cls)
+            with pytest.raises(ModelFormatError, match="^fixed point 'z': zero tangent weight$"):
+                lambda_flag(model, "z", flag, cls)
+        assert set(good.weights) == flag._lines.keys()
+
+    def test_filled_flag_keeps_equality_hash_and_round_trips(self):
+        model = random_model(2, 20, 5)
+        cls = self.classes(model)[0]
+        flag = OrientedFlag(self.FLAGS[2][2])
+        values = [lambda_flag(model, fp.id, flag, cls) for fp in model.fixed_points]
+        assert flag._lines and flag._images
+        fresh = OrientedFlag(self.FLAGS[2][2])
+        assert flag == fresh and hash(flag) == hash(fresh)
+        for back in (pickle.loads(pickle.dumps(flag)), copy.copy(flag), copy.deepcopy(flag)):
+            assert type(back) is OrientedFlag and back == flag and hash(back) == hash(flag)
+            assert [lambda_flag(model, fp.id, back, cls) for fp in model.fixed_points] == values
+            with pytest.raises(AttributeError):
+                back.stages = ()
 
 
 class TestStrictPlanTerm:

@@ -89,6 +89,15 @@ class TestOrbitModel:
         assert cp.fixed_point("F{1,2}|{3}|{4}").moment == (Fraction(-2), Fraction(1))
         assert cp.orbit_sizes[cp.fixed_points.index(cp.fixed_point("F{1,2}|{3}|{4}"))] == 12
 
+    @pytest.mark.parametrize("k, n", [(2, 6), (3, 4), (4, 3)])
+    def test_expansion_passes_the_checks_it_skips(self, k, n):
+        # expand_orbits builds its model without scanning the points again;
+        # the checking constructor takes the same fields and keeps them
+        expanded = expand_orbits(build_sphere_product(n) if k == 2 else build_cp_product(k, n))
+        fields = expanded._values()
+        checked = TorusModel(*fields)
+        assert checked._values() == fields
+
     def test_loaded_and_expanded_models_have_orbit_size_one(self):
         model = load_model(io.StringIO(json.dumps(
             {"rank": 1, "fixed_points": [{"id": "a", "moment": [1], "weights": [[1]]}]}

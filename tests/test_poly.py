@@ -17,7 +17,7 @@ from torusloc import (
     poly_str,
     series_invert,
 )
-from torusloc.poly import _graded
+from torusloc.poly import _graded, _int_product
 
 from helpers import (
     check_graded_prefix,
@@ -248,6 +248,28 @@ def test_linear_form_power_is_the_repeated_product(form, m):
         product = product * form
     power = form**m
     assert power == product and exact_shape(power)
+
+
+def same_storage(p: MultiPoly, q: MultiPoly) -> bool:
+    return (p.nvars, dict(p.numerators), p.den, hash(p)) == (q.nvars, dict(q.numerators), q.den, hash(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.just(0), mixed_coeffs), min_size=1, max_size=3), st.integers(0, 40))
+def test_linear_form_and_its_power_are_stored_canonical(coeffs, m):
+    # linear_form and the power of a linear form skip _store's normalisation;
+    # both must store what the checking constructor stores, zeros dropped
+    # and the denominator reduced
+    n = len(coeffs)
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    form = MultiPoly.linear_form(coeffs)
+    assert same_storage(form, MultiPoly(n, dict(zip(units, coeffs))))
+    raw = {(0,) * n: 1}
+    for _ in range(m):
+        raw = _int_product(raw, dict(form.numerators))
+    den = form.den**m
+    checked = MultiPoly(n, {e: Fraction(v, den) for e, v in raw.items()})
+    assert same_storage(form**m, checked)
 
 
 @settings(max_examples=60, deadline=None)
