@@ -220,7 +220,11 @@ def cmd_segre(args) -> int:
 
 
 def _add_plan_source(parser: argparse.ArgumentParser):
-    parser.add_argument("--path", help="transverse path 'p0:+' or 'p0:-' (rank-1 models)")
+    parser.add_argument(
+        "--path",
+        help="transverse path 'p0:+' or 'p0:-' (rank-1 models); a negative base point"
+        " takes the form --path=-1/2:+",
+    )
     parser.add_argument("--plan", help="plan file emitted by the plan subcommand")
     parser.add_argument(
         "--cp2-variant",

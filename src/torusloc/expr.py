@@ -158,8 +158,8 @@ class _Parser:
 
     def parse_term(self) -> Evaluator:
         # Start from the first factor rather than the unit class, and scale
-        # only by a written coefficient other than 1: each skipped step is a
-        # pass over every restriction.
+        # only by a written coefficient other than 1: each skipped step is
+        # one more operation at every point a pairing reads.
         scale = None
         if self.peek().kind == "int":
             scale = self.parse_rational()

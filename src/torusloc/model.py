@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, prod
@@ -37,7 +38,7 @@ from .errors import (
     Unsupported,
 )
 from .frozen import Frozen
-from .poly import MultiPoly
+from .poly import MultiPoly, check_exponent
 
 Weight = tuple[int, ...]
 Moment = tuple[Fraction, ...]
@@ -234,18 +235,92 @@ class TorusModel(Frozen):
         return len(self.fixed_points[0].weights) if self.fixed_points else 0
 
 
+class _Restrictions(Mapping):
+    """A class's restrictions by fixed point id, each worked out by
+    ``compute(fp_id)`` on its first read and kept.
+
+    ``ids`` is the keys view of the dict the ids come from (a dict class's
+    restrictions or a model's id index), so it is shared down a chain of
+    operations and compared at C speed.  A restriction is never None.
+    ``mixed`` says whether the inputs hold restrictions in different
+    numbers of variables (see ``_mixed``).
+    """
+
+    __slots__ = ("_ids", "_compute", "_values", "mixed")
+
+    def __init__(self, ids, compute, mixed: bool):
+        self._ids, self._compute, self._values, self.mixed = ids, compute, {}, mixed
+
+    def get(self, fp_id, default=None):
+        value = self._values.get(fp_id)
+        if value is None:
+            if fp_id not in self._ids:
+                return default
+            value = self._values[fp_id] = self._compute(fp_id)
+        return value
+
+    def __getitem__(self, fp_id):
+        value = self.get(fp_id)
+        if value is None:
+            raise KeyError(fp_id)
+        return value
+
+    def keys(self):
+        return self._ids
+
+    def __contains__(self, fp_id):
+        return fp_id in self._ids
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self):
+        return len(self._ids)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+def _mixed(restrictions) -> bool:
+    """Whether restrictions may hold polynomials in different numbers of
+    variables: counted over a dict's values, and inherited from the inputs
+    of a class worked out on read."""
+    if type(restrictions) is _Restrictions:
+        return restrictions.mixed
+    return len({getattr(p, "nvars", None) for p in restrictions.values()}) > 1
+
+
 class EquivariantClass(Frozen):
     """A cohomology class stored as one polynomial restriction per fixed point.
 
-    Arithmetic is computed once per distinct restriction (or distinct pair
-    of restrictions) and points with equal inputs share the result object;
-    the symmetric families have far fewer distinct restrictions than points.
+    A class given as a dict keeps a copy of it.  The generators and the
+    arithmetic return classes whose restrictions are worked out when a
+    point is first read (``_Restrictions``), so a pairing computes only
+    the restrictions at the points its plan names.  Arithmetic runs once
+    per distinct restriction (or tuple of restrictions), and points with
+    equal inputs share the result object.  Each operator still raises at
+    its call on operands that do not fit: ``**`` checks its exponent, and
+    ``+``, ``-``, ``*`` and ``weyl_correct`` work out their first point at
+    once, or every point when the restrictions they start from differ in
+    their number of variables.  Equality, ``repr``, pickling and copying
+    read every restriction; a pickle or copy holds a plain dict.
     """
 
     _fields = ("restrictions",)
 
     def __init__(self, restrictions: dict[str, MultiPoly]):
         self._set(dict(restrictions))
+
+    @classmethod
+    def _lazy(cls, ids, compute, mixed: bool) -> "EquivariantClass":
+        """The class whose restriction at each id in the keys view ``ids``
+        is ``compute(id)``, worked out on first read."""
+        obj = object.__new__(cls)
+        obj._set(_Restrictions(ids, compute, mixed))
+        return obj
+
+    def __reduce__(self):
+        return (EquivariantClass, (dict(self.restrictions),))
 
     @classmethod
     def constant(cls, model: TorusModel, value) -> "EquivariantClass":
@@ -258,40 +333,58 @@ class EquivariantClass(Frozen):
     def pointwise(self, op, *others: "EquivariantClass") -> "EquivariantClass":
         """The class restricting to op(self.at(F), *(c.at(F) for c in others)).
 
-        op runs once per distinct tuple of input polynomials; the memo
-        lives only for this call.
+        Only the fixed-point sets are compared at the call (ValueError if
+        they differ); op runs when a point is first read, once per
+        distinct tuple of input polynomials, keyed by value, and each
+        result is kept.  The operators call ``_checked`` on the result
+        so that their errors are raised at their own call.
         """
+        ids = self.restrictions.keys()
         for other in others:
-            if other.restrictions.keys() != self.restrictions.keys():
+            if other.restrictions.keys() != ids:
                 raise ValueError("classes restrict to different fixed-point sets")
-        memo: dict[tuple, MultiPoly] = {}
-        out = {}
-        for key, p in self.restrictions.items():
-            args = (p, *(other.restrictions[key] for other in others))
-            value = memo.get(args)
+        first, rest = self.restrictions, [other.restrictions for other in others]
+        mixed = _mixed(first) or any(map(_mixed, rest))
+        memo: dict = {}  # by the input, or the tuple of inputs when there are several
+
+        def compute(fp_id):
+            args = (first[fp_id], *[source[fp_id] for source in rest])
+            key = args if rest else args[0]
+            value = memo.get(key)
             if value is None:
-                value = memo[args] = op(*args)
-            out[key] = value
-        return EquivariantClass(out)
+                value = memo[key] = op(*args)
+            return value
+
+        return EquivariantClass._lazy(ids, compute, mixed)
+
+    def _checked(self) -> "EquivariantClass":
+        """This class, with its first restriction worked out, or all of
+        them if its inputs are ``mixed``, so that an operation whose
+        operands do not fit raises now, at the point where it first fails."""
+        restrictions = self.restrictions
+        for _ in itertools.islice(restrictions.values(), None if restrictions.mixed else 1):
+            pass
+        return self
 
     def __add__(self, other):
         if isinstance(other, EquivariantClass):
-            return self.pointwise(operator.add, other)
-        return self.pointwise(lambda p: p + other)
+            return self.pointwise(operator.add, other)._checked()
+        return self.pointwise(lambda p: p + other)._checked()
 
     def __sub__(self, other):
         if isinstance(other, EquivariantClass):
-            return self.pointwise(operator.sub, other)
-        return self.pointwise(lambda p: p - other)
+            return self.pointwise(operator.sub, other)._checked()
+        return self.pointwise(lambda p: p - other)._checked()
 
     def __mul__(self, other):
         if isinstance(other, EquivariantClass):
-            return self.pointwise(operator.mul, other)
-        return self.pointwise(lambda p: p * other)
+            return self.pointwise(operator.mul, other)._checked()
+        return self.pointwise(lambda p: p * other)._checked()
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        check_exponent(n)
         return self.pointwise(lambda p: p**n)
 
 
@@ -525,9 +618,18 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
         direction is a list or tuple of ``int`` or ``Fraction`` entries.
     A bad index or direction raises IndexOutOfRange.
     """
-    if kind == "prequantum":  # points holding one moment tuple share one form
-        forms = model.map_moments(MultiPoly.linear_form)
-        return EquivariantClass({fp.id: form for fp, form in zip(model.fixed_points, forms)})
+    if kind == "prequantum":
+        by_id = model._by_id
+        forms: dict[int, MultiPoly] = {}  # by moment object: points holding one share a form
+
+        def form(fp_id):
+            moment = by_id[fp_id].moment
+            value = forms.get(id(moment))
+            if value is None:
+                value = forms[id(moment)] = MultiPoly.linear_form(moment)
+            return value
+
+        return EquivariantClass._lazy(by_id.keys(), form, False)
     if kind == "line":
         if not isinstance(direction, (list, tuple)) or len(direction) != model.rank:
             raise IndexOutOfRange(f"line class needs a direction of length {model.rank}")

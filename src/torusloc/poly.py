@@ -27,7 +27,8 @@ and copy through the internal constructor.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from functools import lru_cache
+from itertools import accumulate, compress, repeat
 from math import comb, gcd, lcm
 from operator import add, mul
 from types import MappingProxyType
@@ -60,32 +61,63 @@ def _affine_terms(constant: Scalar, coeffs: Sequence[Scalar]) -> dict:
     return terms
 
 
+@lru_cache(maxsize=None)
+def _units(n: int) -> dict:
+    """The unit exponents of n variables in variable order, as the keys of
+    a dict so that they compare as a set: one tuple per variable, shared
+    by every linear form in n variables."""
+    return dict.fromkeys((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
+
+
+@lru_cache(maxsize=64)
+def _power_table(nvars: int, support: tuple, m: int) -> tuple:
+    """The terms of (sum of u_i over the nonempty increasing index tuple
+    ``support``)^m in nvars variables, as three tuples: the exponents j,
+    with sum m on the support and 0 elsewhere; their multinomials
+    m!/prod_i j_i!; and the columns of the exponents, j_i over the terms
+    for each variable i.
+
+    The multinomials are built as binomials C(rest, j_i) over the support
+    in turn; the last index takes the rest.  Each exponent tuple is built
+    once, by extending its prefix with the zeros of the skipped variables
+    and j_i.  Every power of a linear form with this support and degree
+    reads one table and shares its tuples.
+    """
+    *lead, last = support
+    partial = [((), 1, m)]
+    done = 0  # exponent positions the prefixes fill
+    for i in lead:
+        pad = (0,) * (i - done)
+        partial = [(exp + pad + (j,), c * comb(rest, j), rest - j)
+                   for exp, c, rest in partial for j in range(rest + 1)]
+        done = i + 1
+    pad, tail = (0,) * (last - done), (0,) * (nvars - last - 1)
+    exps = tuple(exp + pad + (rest,) + tail for exp, _, rest in partial)
+    return exps, tuple(c for _, c, _ in partial), tuple(zip(*exps))
+
+
 def _linear_power(coeffs: Sequence[int], m: int) -> dict:
     """Integer terms of (sum_i coeffs[i] * u_i)^m for integer coefficients,
     not all zero, and m >= 1, by the multinomial theorem: prod_i u_i^j_i has
-    coefficient m!/prod_i j_i! * prod_i a_i^j_i, built as binomials
-    C(rest, j_i) times a running power a_i^j_i over the nonzero
-    coefficients in turn; the last takes the rest, from one power list
-    a^0..a^m.  Each exponent tuple is built once, by extending its prefix
-    with the zeros of the skipped variables and j_i.  No term is zero.
+    coefficient m!/prod_i j_i! * prod_i a_i^j_i.  The exponents,
+    multinomials and exponent columns come from ``_power_table`` for the
+    nonzero coefficients, and each a_i^j_i from one power list
+    a_i^0..a_i^m, a column at a time.  No term is zero.
     """
-    present = [i for i, a in enumerate(coeffs) if a]
-    last = present.pop()
-    partial = [((), 1, m)]
-    done = 0  # exponent positions the prefixes fill
-    for i in present:
-        a, pad = coeffs[i], (0,) * (i - done)
-        grown = []
-        add = grown.append
-        for exp, c, rest in partial:
-            for j in range(rest + 1):
-                add((exp + pad + (j,), c * comb(rest, j), rest - j))
-                c *= a
-        partial = grown
-        done = i + 1
-    powers = list(accumulate(repeat(coeffs[last], m), mul, initial=1))
-    pad, tail = (0,) * (last - done), (0,) * (len(coeffs) - last - 1)
-    return {exp + pad + (rest,) + tail: c * powers[rest] for exp, c, rest in partial}
+    n = len(coeffs)
+    exps, values, columns = _power_table(n, tuple(compress(range(n), coeffs)), m)
+    for a, column in zip(coeffs, columns):
+        if a:
+            powers = list(accumulate(repeat(a, m), mul, initial=1))
+            values = map(mul, values, map(powers.__getitem__, column))
+    return dict(zip(exps, values))
+
+
+def check_exponent(n) -> None:
+    """Raise ValueError unless n is a nonnegative ``int``, as every power
+    does, of a polynomial or of a class, before it computes anything."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
 
 
 class MultiPoly:
@@ -190,7 +222,7 @@ class MultiPoly:
         other entry meets the constructor's check.
         """
         n = len(coeffs)
-        units = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+        units = _units(n)
         if all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
             den = lcm(*(c.denominator for c in coeffs))
             return cls._canonical(
@@ -299,13 +331,11 @@ class MultiPoly:
         so it misses some a_i, and then it misses the term a_i^n of u_i^n.
         Every other power goes through ``_make``'s normalisation.
         """
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        check_exponent(n)
         base, den = self.numerators, self.den**n
-        if n and base and all(sum(e) == 1 for e in base):
-            coeffs = [0] * self.nvars
-            for e, v in base.items():
-                coeffs[e.index(1)] = v
+        units = _units(self.nvars)
+        if n and base and base.keys() <= units.keys():
+            coeffs = [base.get(e, 0) for e in units]
             return MultiPoly._canonical(self.nvars, _linear_power(coeffs, n), den)
         result = {(0,) * self.nvars: 1}
         while n:

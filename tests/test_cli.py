@@ -114,6 +114,19 @@ class TestVolume:
         assert code == 0
         assert out == "11/4 * (2pi)^2\n"
 
+    @pytest.mark.parametrize("command, expected", [
+        ("volume", "11/4 * (2pi)^2\n"),
+        ("pair", "6\n"),  # pair takes L itself, not L - <p0, u>
+    ])
+    def test_negative_base_point_is_written_with_an_equals_sign(self, capsys, command, expected):
+        what = ("--group", "torus") if command == "volume" else ("--class", "L^2")
+        assert run(capsys, command, "--model", "spheres:3", *what, "--path=-1/2:+") == (0, expected, "")
+        # after a space, argparse reads "-1/2:+" as an option: a usage error
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--model", "spheres:3", *what, "--path", "-1/2:+"])
+        assert exit_info.value.code == 2
+        assert "argument --path: expected one argument" in capsys.readouterr().err
+
     def test_weyl_away_from_the_origin_is_domain_error(self, capsys):
         code, out, err = run(capsys, "volume", "--model", "spheres:5", "--group", "weyl",
                              "--path", "1/2:+")
