@@ -235,21 +235,30 @@ class TorusModel(Frozen):
         return len(self.fixed_points[0].weights) if self.fixed_points else 0
 
 
+# A class worked out on read reads its inputs' restrictions at the same
+# point, three Python frames per operation down the chain.  An operation
+# whose input is this many operations deep reads out every restriction of
+# that input first, so a long sum or product such as L + L + ... + L stays
+# far below the recursion limit.
+MAX_LAZY_DEPTH = 64
+
+
 class _Restrictions(Mapping):
     """A class's restrictions by fixed point id, each worked out by
     ``compute(fp_id)`` on its first read and kept.
 
-    ``ids`` is the keys view of the dict the ids come from (a dict class's
-    restrictions or a model's id index), so it is shared down a chain of
-    operations and compared at C speed.  A restriction is never None.
-    ``mixed`` says whether the inputs hold restrictions in different
-    numbers of variables (see ``_mixed``).
+    ``ids`` is the keys view of the dict the ids come from, so it is
+    shared down a chain of operations and compared at C speed.  A
+    restriction is never None.  ``mixed`` says whether the inputs hold
+    restrictions in different numbers of variables (see ``_mixed``), and
+    ``depth`` is the number of operations down to a dict class.
     """
 
-    __slots__ = ("_ids", "_compute", "_values", "mixed")
+    __slots__ = ("_ids", "_compute", "_values", "mixed", "depth")
 
-    def __init__(self, ids, compute, mixed: bool):
-        self._ids, self._compute, self._values, self.mixed = ids, compute, {}, mixed
+    def __init__(self, ids, compute, mixed: bool, depth: int):
+        self._ids, self._compute, self._values = ids, compute, {}
+        self.mixed, self.depth = mixed, depth
 
     def get(self, fp_id, default=None):
         value = self._values.get(fp_id)
@@ -290,13 +299,21 @@ def _mixed(restrictions) -> bool:
     return len({getattr(p, "nvars", None) for p in restrictions.values()}) > 1
 
 
+def _shallow(restrictions):
+    """The restrictions as they are, or read out into a dict if they are
+    MAX_LAZY_DEPTH operations deep."""
+    if type(restrictions) is _Restrictions and restrictions.depth >= MAX_LAZY_DEPTH:
+        return dict(restrictions)
+    return restrictions
+
+
 class EquivariantClass(Frozen):
     """A cohomology class stored as one polynomial restriction per fixed point.
 
-    A class given as a dict keeps a copy of it.  The generators and the
-    arithmetic return classes whose restrictions are worked out when a
-    point is first read (``_Restrictions``), so a pairing computes only
-    the restrictions at the points its plan names.  Arithmetic runs once
+    A class given as a dict, as the generators give theirs, keeps a copy
+    of it.  The arithmetic returns classes whose restrictions are worked
+    out when a point is first read (``_Restrictions``), so a pairing
+    computes only the restrictions at the points its plan names.  Arithmetic runs once
     per distinct restriction (or tuple of restrictions), and points with
     equal inputs share the result object.  Each operator still raises at
     its call on operands that do not fit: ``**`` checks its exponent, and
@@ -310,14 +327,6 @@ class EquivariantClass(Frozen):
 
     def __init__(self, restrictions: dict[str, MultiPoly]):
         self._set(dict(restrictions))
-
-    @classmethod
-    def _lazy(cls, ids, compute, mixed: bool) -> "EquivariantClass":
-        """The class whose restriction at each id in the keys view ``ids``
-        is ``compute(id)``, worked out on first read."""
-        obj = object.__new__(cls)
-        obj._set(_Restrictions(ids, compute, mixed))
-        return obj
 
     def __reduce__(self):
         return (EquivariantClass, (dict(self.restrictions),))
@@ -336,15 +345,17 @@ class EquivariantClass(Frozen):
         Only the fixed-point sets are compared at the call (ValueError if
         they differ); op runs when a point is first read, once per
         distinct tuple of input polynomials, keyed by value, and each
-        result is kept.  The operators call ``_checked`` on the result
+        result is kept.  An input MAX_LAZY_DEPTH operations deep is read
+        out at the call.  The operators call ``_checked`` on the result
         so that their errors are raised at their own call.
         """
         ids = self.restrictions.keys()
         for other in others:
             if other.restrictions.keys() != ids:
                 raise ValueError("classes restrict to different fixed-point sets")
-        first, rest = self.restrictions, [other.restrictions for other in others]
-        mixed = _mixed(first) or any(map(_mixed, rest))
+        first, *rest = sources = [_shallow(c.restrictions) for c in (self, *others)]
+        mixed = any(map(_mixed, sources))
+        depth = 1 + max(getattr(source, "depth", 0) for source in sources)
         memo: dict = {}  # by the input, or the tuple of inputs when there are several
 
         def compute(fp_id):
@@ -355,7 +366,9 @@ class EquivariantClass(Frozen):
                 value = memo[key] = op(*args)
             return value
 
-        return EquivariantClass._lazy(ids, compute, mixed)
+        obj = object.__new__(EquivariantClass)
+        obj._set(_Restrictions(ids, compute, mixed, depth))
+        return obj
 
     def _checked(self) -> "EquivariantClass":
         """This class, with its first restriction worked out, or all of
@@ -618,18 +631,9 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
         direction is a list or tuple of ``int`` or ``Fraction`` entries.
     A bad index or direction raises IndexOutOfRange.
     """
-    if kind == "prequantum":
-        by_id = model._by_id
-        forms: dict[int, MultiPoly] = {}  # by moment object: points holding one share a form
-
-        def form(fp_id):
-            moment = by_id[fp_id].moment
-            value = forms.get(id(moment))
-            if value is None:
-                value = forms[id(moment)] = MultiPoly.linear_form(moment)
-            return value
-
-        return EquivariantClass._lazy(by_id.keys(), form, False)
+    if kind == "prequantum":  # points holding one moment tuple share one form
+        forms = model.map_moments(MultiPoly.linear_form)
+        return EquivariantClass({fp.id: form for fp, form in zip(model.fixed_points, forms)})
     if kind == "line":
         if not isinstance(direction, (list, tuple)) or len(direction) != model.rank:
             raise IndexOutOfRange(f"line class needs a direction of length {model.rank}")

@@ -69,6 +69,10 @@ def _units(n: int) -> dict:
     return dict.fromkeys((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
 
 
+# A pairing reads one table per degree of its class power: one in each
+# benchmark workload.  The bound keeps a long session that raises forms
+# to many degrees from keeping every table, each of C(m + s - 1, s - 1)
+# terms for degree m and s variables.
 @lru_cache(maxsize=64)
 def _power_table(nvars: int, support: tuple, m: int) -> tuple:
     """The terms of (sum of u_i over the nonempty increasing index tuple
@@ -99,13 +103,18 @@ def _power_table(nvars: int, support: tuple, m: int) -> tuple:
 def _linear_power(coeffs: Sequence[int], m: int) -> dict:
     """Integer terms of (sum_i coeffs[i] * u_i)^m for integer coefficients,
     not all zero, and m >= 1, by the multinomial theorem: prod_i u_i^j_i has
-    coefficient m!/prod_i j_i! * prod_i a_i^j_i.  The exponents,
+    coefficient m!/prod_i j_i! * prod_i a_i^j_i.  A single nonzero
+    coefficient a_i gives the one term a_i^m u_i^m.  Otherwise the exponents,
     multinomials and exponent columns come from ``_power_table`` for the
     nonzero coefficients, and each a_i^j_i from one power list
     a_i^0..a_i^m, a column at a time.  No term is zero.
     """
     n = len(coeffs)
-    exps, values, columns = _power_table(n, tuple(compress(range(n), coeffs)), m)
+    support = tuple(compress(range(n), coeffs))
+    if len(support) == 1:  # one term, with no multinomial to share
+        i = support[0]
+        return {(0,) * i + (m,) + (0,) * (n - i - 1): coeffs[i] ** m}
+    exps, values, columns = _power_table(n, support, m)
     for a, column in zip(coeffs, columns):
         if a:
             powers = list(accumulate(repeat(a, m), mul, initial=1))

@@ -546,6 +546,18 @@ class TestDeepInput:
                              "--cp2-variant", "swapped")
         assert (code, out, err) == (0, "0\n", "")
 
+    @pytest.mark.parametrize("model, text, source, value", [
+        ("spheres:3", " + ".join(["L"] * 500), ("--path", "0:+"), "0"),
+        ("spheres:3", "*".join(["L"] * 500), ("--path", "0:+"), "0"),
+        ("spheres:3", " + ".join(["L*L"] * 500), ("--path", "0:+"), "3000"),
+        ("spheres:3", "(" + " + ".join(["L"] * 500) + ")^2", ("--path", "0:+"), "1500000"),
+        ("cp2:5", "weyl(" + " + ".join(["L^2"] * 500) + ")", ("--cp2-variant", "swapped"), "2500"),
+    ], ids=["sum", "product", "sum of products", "power of a sum", "weyl of a sum"])
+    def test_long_expression_pairs(self, capsys, model, text, source, value):
+        # 500 terms or factors used to end in a RecursionError traceback
+        code, out, err = run(capsys, "pair", "--model", model, "--class", text, *source)
+        assert (code, out, err) == (0, value + "\n", "")
+
     def test_deep_nesting_is_syntax_error(self, capsys):
         # 400 nested parentheses used to end in a RecursionError traceback
         text = "(" * 400 + "L" + ")" * 400

@@ -31,7 +31,7 @@ from torusloc import (
     volume_class,
     weyl_correct,
 )
-from torusloc.model import FixedPoint
+from torusloc.model import MAX_LAZY_DEPTH, FixedPoint
 from torusloc.poly import affine_product
 
 from helpers import mixed_polys
@@ -159,6 +159,35 @@ def test_weyl_volume_computes_powers_only_at_the_plan_points(monkeypatch):
     expected = {MultiPoly.linear_form(model.fixed_point(fp_id).moment) for fp_id in plan_points}
     assert len(powered) == len(set(powered)) <= len(plan_points) + 1
     assert set(powered) == expected | {MultiPoly.linear_form(first.moment)}
+
+
+SPHERE_ROOTS = affine_product(1, ((0, (1,)), (0, (-1,)))) * Fraction(1, 2)  # over the Weyl order
+
+CHAINS = {  # one step, and the restriction after n - 1 steps from the form
+    "sum": (lambda cls, start, model: cls + start, lambda form, n: form * n),
+    "product": (lambda cls, start, model: cls * start, lambda form, n: form**n),
+    "scalar": (lambda cls, start, model: 2 * cls, lambda form, n: form * 2 ** (n - 1)),
+    "weyl": (lambda cls, start, model: weyl_correct(model, cls),
+             lambda form, n: form * SPHERE_ROOTS ** (n - 1)),
+}
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_long_chains_read_every_point(name):
+    # 500 operations used to exceed the recursion limit at every point but
+    # the first; an input MAX_LAZY_DEPTH operations deep is read out instead
+    step, per_point = CHAINS[name]
+    model = build_sphere_product(3)
+    start = cls = class_generator(model, "prequantum")
+    for _ in range(499):
+        cls = step(cls, start, model)
+        assert cls.restrictions.depth <= MAX_LAZY_DEPTH
+    expected = EquivariantClass({fp.id: per_point(MultiPoly.linear_form(fp.moment), 500)
+                                 for fp in model.fixed_points})
+    plan = rank1_plan(model, 0, 1)
+    assert evaluate_plan(model, plan, cls) == evaluate_plan(model, plan, expected)
+    assert cls == expected and repr(cls) == repr(expected)
+    assert pickle.loads(pickle.dumps(cls)) == expected
 
 
 def test_rank1_plan_reads_half_the_sphere_points(monkeypatch):

@@ -17,6 +17,7 @@ from torusloc import (
     poly_str,
     series_invert,
 )
+from torusloc import poly
 from torusloc.poly import _graded, _int_product
 
 from helpers import (
@@ -248,6 +249,15 @@ def test_linear_form_power_is_the_repeated_product(form, m):
         product = product * form
     power = form**m
     assert power == product and exact_shape(power)
+
+
+def test_power_of_one_variable_reads_no_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a power of one variable read a power table")
+
+    monkeypatch.setattr(poly, "_power_table", no_table)
+    power = MultiPoly.linear_form([0, Fraction(3, 2), 0]) ** 5
+    assert power == MultiPoly(3, {(0, 5, 0): Fraction(243, 32)}) and exact_shape(power)
 
 
 def same_storage(p: MultiPoly, q: MultiPoly) -> bool:
