@@ -24,7 +24,6 @@ from typing import IO, Sequence, Union
 from .errors import (
     DimensionMismatch,
     EmptyStage,
-    ModelFormatError,
     NoRootData,
     NotUnimodular,
     PlanFormatError,
@@ -175,27 +174,16 @@ def _stage_lines(point: FixedPoint, flag: OrientedFlag) -> list[tuple]:
     (circle weight, residual vector) line tuples placed by ``_flag_line``.
 
     The placements are looked up in the flag's ``_lines`` table, which the
-    flag owns, and a weight missing from it is checked, placed and stored.
-    Only weights of the flag's rank that are nonzero are stored, so a
-    weight whose length is not the rank raises DimensionMismatch, and a
-    zero weight ModelFormatError, on every call.  This is the one check of
-    a plan's flag against the model, which is why ``evaluate_plan``
-    evaluates every distinct key.
+    flag owns, and a weight missing from it is placed and stored.  The
+    callers have checked the weights' length against the flag's rank, and
+    a FixedPoint has no zero weight.
     """
-    table, stages = flag._lines, flag.stages
-    get, d = table.get, len(stages)
-    stage_lines: list[list] = [[] for _ in range(d)]
+    get, stages = flag._lines.get, flag.stages
+    stage_lines: list[list] = [[] for _ in stages]
     for weight in point.weights:
         placed = get(weight)
         if placed is None:
-            if len(weight) != d:
-                raise DimensionMismatch(
-                    f"weight {weight} of fixed point {point.id!r} has length {len(weight)},"
-                    f" but the flag has rank {d}"
-                )
-            if not any(weight):
-                raise ModelFormatError(f"fixed point {point.id!r}: zero tangent weight")
-            placed = table[weight] = _flag_line(weight, stages)
+            placed = flag._lines[weight] = _flag_line(weight, stages)
         stage_lines[placed[0]].append(placed[1])
     return [tuple(lines) for lines in stage_lines]
 
@@ -203,7 +191,12 @@ def _stage_lines(point: FixedPoint, flag: OrientedFlag) -> list[tuple]:
 def flag_split(point: FixedPoint, flag: OrientedFlag) -> tuple[list[WeightedSpace], tuple]:
     """The stages of ``_stage_lines`` as validated WeightedSpaces, and the
     substitution basis for rewriting classes in the same coordinates.  An
-    empty stage makes the pair inadmissible and every evaluation zero."""
+    empty stage makes the pair inadmissible and every evaluation zero.  A
+    weight whose length is not the flag's rank raises DimensionMismatch."""
+    for weight in point.weights:
+        if len(weight) != flag.rank:
+            raise DimensionMismatch(f"weight {weight} of fixed point {point.id!r} has length"
+                                    f" {len(weight)}, but the flag has rank {flag.rank}")
     spaces = [
         WeightedSpace(lines, residual_count=flag.rank - j - 1)
         for j, lines in enumerate(_stage_lines(point, flag))
@@ -248,14 +241,16 @@ def lambda_flag(
     denominator, and ``_finish_fold`` folds the last two (the one stage at
     rank 1).  Only the final
     constant, scaled by the model's global stabilizer order, becomes a
-    Fraction.  Inadmissible pairs (an empty stage) evaluate to 0.  A class
-    with no restriction at the point raises UnknownFixedPoint, and one
-    whose restriction's variable count is not the flag's rank, which
-    ``_stage_lines`` has checked against the point's weights, raises
-    DimensionMismatch, also on an inadmissible pair.
+    Fraction.  Inadmissible pairs (an empty stage) evaluate to 0.  A flag
+    whose rank is not the model's raises DimensionMismatch, once per call,
+    and so does a class whose restriction's variable count is not the
+    flag's rank, also on an inadmissible pair; a class with no restriction
+    at the point raises UnknownFixedPoint.
     """
     if not model.has_fixed_point(fp_id):
         raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
+    if flag.rank != model.rank:
+        raise DimensionMismatch(f"the flag has rank {flag.rank}, but the model has rank {model.rank}")
     stages = _stage_lines(model.fixed_point(fp_id), flag)
     p = cls.restrictions.get(fp_id)
     if p is None:

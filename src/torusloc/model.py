@@ -30,6 +30,7 @@ from math import comb, factorial, prod
 from typing import IO, Sequence, Union
 
 from .errors import (
+    DimensionMismatch,
     IndexOutOfRange,
     ModelFormatError,
     ModelTooLarge,
@@ -249,16 +250,14 @@ class _Restrictions(Mapping):
 
     ``ids`` is the keys view of the dict the ids come from, so it is
     shared down a chain of operations and compared at C speed.  A
-    restriction is never None.  ``mixed`` says whether the inputs hold
-    restrictions in different numbers of variables (see ``_mixed``), and
-    ``depth`` is the number of operations down to a dict class.
+    restriction is never None, and ``depth`` is the number of operations
+    down to a dict class.
     """
 
-    __slots__ = ("_ids", "_compute", "_values", "mixed", "depth")
+    __slots__ = ("_ids", "_compute", "_values", "depth")
 
-    def __init__(self, ids, compute, mixed: bool, depth: int):
-        self._ids, self._compute, self._values = ids, compute, {}
-        self.mixed, self.depth = mixed, depth
+    def __init__(self, ids, compute, depth: int):
+        self._ids, self._compute, self._values, self.depth = ids, compute, {}, depth
 
     def get(self, fp_id, default=None):
         value = self._values.get(fp_id)
@@ -290,15 +289,6 @@ class _Restrictions(Mapping):
         return repr(dict(self))
 
 
-def _mixed(restrictions) -> bool:
-    """Whether restrictions may hold polynomials in different numbers of
-    variables: counted over a dict's values, and inherited from the inputs
-    of a class worked out on read."""
-    if type(restrictions) is _Restrictions:
-        return restrictions.mixed
-    return len({getattr(p, "nvars", None) for p in restrictions.values()}) > 1
-
-
 def _shallow(restrictions):
     """The restrictions as they are, or read out into a dict if they are
     MAX_LAZY_DEPTH operations deep."""
@@ -311,22 +301,35 @@ class EquivariantClass(Frozen):
     """A cohomology class stored as one polynomial restriction per fixed point.
 
     A class given as a dict, as the generators give theirs, keeps a copy
-    of it.  The arithmetic returns classes whose restrictions are worked
-    out when a point is first read (``_Restrictions``), so a pairing
-    computes only the restrictions at the points its plan names.  Arithmetic runs once
-    per distinct restriction (or tuple of restrictions), and points with
-    equal inputs share the result object.  Each operator still raises at
-    its call on operands that do not fit: ``**`` checks its exponent, and
-    ``+``, ``-``, ``*`` and ``weyl_correct`` work out their first point at
-    once, or every point when the restrictions they start from differ in
-    their number of variables.  Equality, ``repr``, pickling and copying
-    read every restriction; a pickle or copy holds a plain dict.
+    of it, checked once, here: a restriction that is not a MultiPoly
+    raises TypeError, and restrictions in more than one number of
+    variables DimensionMismatch.  The arithmetic returns classes whose
+    restrictions are worked out when a point is first read
+    (``_Restrictions``), so a pairing computes only the restrictions at
+    the points its plan names.  Arithmetic runs once per distinct
+    restriction (or pair of them), and points with equal inputs share the
+    result object.  Each operator still raises at its call on operands
+    that do not fit: ``**`` checks its exponent, and ``+``, ``-``, ``*``
+    and ``weyl_correct`` work out their first point at once, which fails
+    if any point does.  Equality, ``repr``, pickling and copying read
+    every restriction; a pickle or copy holds a plain dict.
     """
 
     _fields = ("restrictions",)
 
     def __init__(self, restrictions: dict[str, MultiPoly]):
-        self._set(dict(restrictions))
+        restrictions = dict(restrictions)
+        values = restrictions.values()
+        # two passes at C speed; only a failing class pays the loop naming its first bad point
+        if {*map(type, values)} - {MultiPoly} or len({*map(operator.attrgetter("nvars"), values)}) > 1:
+            first = next(iter(values))
+            for fp_id, p in restrictions.items():
+                if not isinstance(p, MultiPoly):
+                    raise TypeError(f"restriction at fixed point {fp_id!r} must be a MultiPoly, got {p!r}")
+                if p.nvars != first.nvars:
+                    raise DimensionMismatch(f"restriction at fixed point {fp_id!r} has {p.nvars} variables,"
+                                            f" but the first restriction has {first.nvars}")
+        self._set(restrictions)
 
     def __reduce__(self):
         return (EquivariantClass, (dict(self.restrictions),))
@@ -339,44 +342,39 @@ class EquivariantClass(Frozen):
     def at(self, fp_id: str) -> MultiPoly:
         return self.restrictions[fp_id]
 
-    def pointwise(self, op, *others: "EquivariantClass") -> "EquivariantClass":
-        """The class restricting to op(self.at(F), *(c.at(F) for c in others)).
+    def pointwise(self, op, other: "EquivariantClass | None" = None) -> "EquivariantClass":
+        """The class restricting to op(self.at(F)), or op(self.at(F), other.at(F)).
 
         Only the fixed-point sets are compared at the call (ValueError if
         they differ); op runs when a point is first read, once per
-        distinct tuple of input polynomials, keyed by value, and each
+        distinct input polynomial or pair of them, keyed by value, and each
         result is kept.  An input MAX_LAZY_DEPTH operations deep is read
         out at the call.  The operators call ``_checked`` on the result
         so that their errors are raised at their own call.
         """
         ids = self.restrictions.keys()
-        for other in others:
-            if other.restrictions.keys() != ids:
-                raise ValueError("classes restrict to different fixed-point sets")
-        first, *rest = sources = [_shallow(c.restrictions) for c in (self, *others)]
-        mixed = any(map(_mixed, sources))
-        depth = 1 + max(getattr(source, "depth", 0) for source in sources)
-        memo: dict = {}  # by the input, or the tuple of inputs when there are several
+        if other is not None and other.restrictions.keys() != ids:
+            raise ValueError("classes restrict to different fixed-point sets")
+        first = _shallow(self.restrictions)
+        second = None if other is None else _shallow(other.restrictions)
+        depth = 1 + max(getattr(first, "depth", 0), getattr(second, "depth", 0))
+        memo: dict = {}  # by the input, or the pair of inputs
 
         def compute(fp_id):
-            args = (first[fp_id], *[source[fp_id] for source in rest])
-            key = args if rest else args[0]
+            key = first[fp_id] if second is None else (first[fp_id], second[fp_id])
             value = memo.get(key)
             if value is None:
-                value = memo[key] = op(*args)
+                value = memo[key] = op(key) if second is None else op(*key)
             return value
 
         obj = object.__new__(EquivariantClass)
-        obj._set(_Restrictions(ids, compute, mixed, depth))
+        obj._set(_Restrictions(ids, compute, depth))
         return obj
 
     def _checked(self) -> "EquivariantClass":
-        """This class, with its first restriction worked out, or all of
-        them if its inputs are ``mixed``, so that an operation whose
-        operands do not fit raises now, at the point where it first fails."""
-        restrictions = self.restrictions
-        for _ in itertools.islice(restrictions.values(), None if restrictions.mixed else 1):
-            pass
+        """This class, with its first restriction worked out, so that an
+        operation whose operands do not fit raises now, at its call."""
+        next(iter(self.restrictions.values()), None)
         return self
 
     def __add__(self, other):
@@ -521,9 +519,10 @@ def family_orbits(family: tuple):
     return ((sizes, point_id(groups), orbit_size) for sizes, groups, orbit_size in orbit_types(n, k))
 
 
-def _build_orbits(family: tuple, **model_fields) -> TorusModel:
-    """The orbit model of a family tag, with model_fields: per size vector,
-    the first point of its orbit in product order, with its orbit size."""
+def _build_orbits(family: tuple, rank: int, roots, weyl_order) -> TorusModel:
+    """The orbit model of a family tag, with these model fields: per size
+    vector, the first point of its orbit in product order, with its orbit
+    size.  The builder makes every field checked, so no point is scanned."""
     _, _, vertex_weights, moment_of_sizes, _ = product_factor(family)
     points, orbit_sizes = [], []
     for sizes, fp_id, orbit_size in family_orbits(family):
@@ -532,8 +531,7 @@ def _build_orbits(family: tuple, **model_fields) -> TorusModel:
         ))
         points.append(FixedPoint._make(fp_id, moment_of_sizes(sizes), weights, tuple(sorted(weights))))
         orbit_sizes.append(orbit_size)
-    return TorusModel(fixed_points=tuple(points), family=family, orbit_sizes=tuple(orbit_sizes),
-                      **model_fields)
+    return TorusModel._make(rank, tuple(points), roots, weyl_order, 1, family, tuple(orbit_sizes))
 
 
 def expand_orbits(model: TorusModel) -> TorusModel:
@@ -572,7 +570,7 @@ def build_sphere_product(n: int) -> TorusModel:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return _build_orbits(("sphere", n), rank=1, roots=((1,), (-1,)), weyl_order=2)
+    return _build_orbits(("sphere", n), 1, ((1,), (-1,)), 2)
 
 
 def cp_vertex_weights(k: int) -> list[tuple[Weight, ...]]:
@@ -612,7 +610,7 @@ def build_cp_product(k: int, n: int) -> TorusModel:
     if k == 3:
         roots = ((1, -1), (-1, 1), (1, 0), (-1, 0), (0, 1), (0, -1))
         weyl = 6
-    return _build_orbits(("cp", k, n), rank=k - 1, roots=roots, weyl_order=weyl)
+    return _build_orbits(("cp", k, n), k - 1, roots, weyl)
 
 
 # ----------------------------------------------------------------------

@@ -48,10 +48,13 @@ CP2_VARIANTS = tuple(_CP2_RECIPE)
 def wall_list(model: TorusModel, xi: Sequence[int]) -> tuple[tuple[Fraction, tuple[str, ...]], ...]:
     """The wall values of a model along the circle direction xi, a list or
     tuple of ``int``: one (value, ids) entry per value of a moment against
-    xi, in increasing order, with the ids of the fixed points on it."""
+    xi, in increasing order, with the ids of the fixed points on it.  A
+    zero direction, all one wall, raises Unsupported."""
     xi = strict_int_vector(xi, "direction", Unsupported)
     if len(xi) != model.rank:
         raise Unsupported(f"direction must have length {model.rank}")
+    if not any(xi):
+        raise Unsupported("direction must be nonzero")
     # Each distinct moment object is summed, and its value hashed, once;
     # equal moments held as different objects land in the same group.
     groups: dict[Fraction, list[str]] = {}

@@ -75,6 +75,21 @@ class TestPair:
         assert out == ""
         assert "at most 2000" in err and "column 3" in err
 
+    def test_path_without_a_direction_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "pair", "--model", "spheres:3", "--class", "L^2", "--path", "0:x")
+        assert (code, out) == (2, "")
+        assert err == "error: path must look like 'p0:+' or 'p0:-', got '0:x'\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected a generator, found 'end of input' (line 1, column 1)"),
+        ("line(a)", "expected an integer (line 1, column 6)"),
+        ("2/x*L", "expected a positive integer denominator (line 1, column 3)"),
+        ("line(1", "expected ')', found 'end of input' (line 1, column 7)"),
+    ])
+    def test_class_text_errors_name_their_position(self, capsys, text, message):
+        code, out, err = run(capsys, "pair", "--model", "spheres:3", "--class", text, "--path", "0:+")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_zero_denominator_path_is_usage_error(self, capsys):
         code, out, err = run(capsys, "pair", "--model", "spheres:3", "--class", "L^2",
                              "--path", "1/0:+")
@@ -148,6 +163,11 @@ class TestWalls:
         code, out, _ = run(capsys, "walls", "--model", "cp2:2", "--xi", "1,0")
         assert code == 0
         assert [line.split(":")[0] for line in out.strip().splitlines()] == ["-4", "-1", "2"]
+
+    @pytest.mark.parametrize("spec, xi", [("spheres:3", "0"), ("cp2:2", "0,0")])
+    def test_zero_direction_is_domain_error(self, capsys, spec, xi):
+        # it used to exit 0, listing every point on one wall at 0
+        assert run(capsys, "walls", "--model", spec, "--xi", xi) == (3, "", "error: direction must be nonzero\n")
 
 
 class TestPlanCommand:
@@ -361,6 +381,27 @@ class TestModelFiles:
                            "--path", "0:+")
         assert code == 3
         assert "n" in err
+
+    POINTS = [{"id": "n", "moment": [1], "weights": [[1]]}, {"id": "s", "moment": [-1], "weights": [[-1]]}]
+
+    @pytest.mark.parametrize("model, message", [
+        ([], "model file must contain a JSON object"),
+        ({"rank": 1}, "model file is missing field 'fixed_points'"),
+        ({"rank": 1, "fixed_points": {}}, "fixed_points must be a list"),
+        ({"rank": 1, "fixed_points": [{"moment": [1], "weights": [[1]]}]},
+         "each fixed point needs an 'id' field"),
+        ({"rank": 0, "fixed_points": POINTS}, "rank must be a positive integer"),
+        ({"rank": 1, "fixed_points": POINTS, "global_stabilizer_order": 0},
+         "global_stabilizer_order must be positive"),
+        ({"rank": 1, "fixed_points": POINTS, "roots": [[1], [-1], [1]]}, "root list must have even length"),
+        ({"rank": 1, "fixed_points": POINTS, "roots": [[1, 0], [-1, 0]]}, "root (1, 0) has length 2, expected 1"),
+    ], ids=["not-an-object", "no-fixed-points", "fixed-points-not-a-list", "entry-without-id",
+            "rank-0", "stabilizer-order-0", "odd-root-list", "root-length"])
+    def test_model_file_errors_are_domain_errors(self, capsys, tmp_path, model, message):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(model))
+        code, out, err = run(capsys, "pair", "--model", str(model_file), "--class", "L", "--path", "0:+")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 SPHERE_MODEL = {

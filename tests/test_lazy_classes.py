@@ -248,26 +248,17 @@ def test_weyl_correction_of_a_class_in_other_variables_raises_at_the_call():
         weyl_correct(model, two_variables(model) + 0)
 
 
-def mixed_class(model):
-    """The prequantum class as a dict, with the restriction at the last
-    point in two variables instead of one."""
-    restrictions = {fp.id: MultiPoly.linear_form(fp.moment) for fp in model.fixed_points}
-    restrictions[model.fixed_points[-1].id] = MultiPoly.variable(2, 0)
-    return EquivariantClass(restrictions)
-
-
-@pytest.mark.parametrize("operation", [
-    lambda cls, model: cls + class_generator(model, "prequantum"),
-    lambda cls, model: class_generator(model, "line", direction=[1]) - cls,
-    lambda cls, model: cls**2 * class_generator(model, "prequantum"),
-    lambda cls, model: cls * 2 + MultiPoly.variable(1, 0),
-    lambda cls, model: weyl_correct(model, cls - 1),
-])
-def test_a_class_mixing_variable_counts_raises_at_the_call(operation):
-    # the first point fits; the operation still raises where the last does not
+@pytest.mark.parametrize("odd, named", [(0, "'f{3}' has 1 variables, but the first restriction has 2"),
+                                        (-1, "'f{1,2,3}' has 2 variables, but the first restriction has 1")],
+                         ids=["first point", "last point"])
+def test_a_class_mixing_variable_counts_is_refused_when_made(odd, named):
+    # it used to be made, and refused only by each operator and by lambda_flag
     model = build_sphere_product(3)
-    with pytest.raises(DimensionMismatch, match="mixing polynomials in (2 and 1|1 and 2) variables"):
-        operation(mixed_class(model), model)
+    restrictions = {fp.id: MultiPoly.linear_form(fp.moment) for fp in model.fixed_points}
+    restrictions[model.fixed_points[odd].id] = MultiPoly.variable(2, 0)
+    with pytest.raises(DimensionMismatch) as raised:
+        EquivariantClass(restrictions)
+    assert str(raised.value) == f"restriction at fixed point {named}"
 
 
 def test_classes_on_other_fixed_point_sets_raise_at_the_call():

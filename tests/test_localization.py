@@ -6,7 +6,6 @@ import pickle
 import random
 from fractions import Fraction
 from math import factorial
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -499,33 +498,6 @@ class TestStrictFlag:
             OrientedFlag(bad)
 
 
-class TestStageLinesCheckEveryCall:
-    """Flag coordinates are kept in the flag's table; the length check is not."""
-
-    def test_zero_and_wrong_length_weights_raise_on_every_call(self):
-        origin = (Fraction(0), Fraction(0))
-        points = {
-            "a": FixedPoint("a", origin, ((1, 0), (0, 1), (1, 1))),
-            "s": FixedPoint("s", origin, ((1, 0), (1,), (0, 1))),
-        }
-        # a zero weight is refused when the point is made
-        with pytest.raises(ModelFormatError, match="^fixed point 'z': zero tangent weight$"):
-            FixedPoint("z", origin, ((1, 0), (0, 0), (0, 1)))
-        # the parts of a TorusModel that lambda_flag reads, without its weight checks
-        model = SimpleNamespace(
-            has_fixed_point=points.__contains__,
-            fixed_point=points.__getitem__,
-            global_stabilizer_order=1,
-        )
-        flag = OrientedFlag(((0, 1), (1, 0)))
-        cls = EquivariantClass({i: MultiPoly(2, {(1, 0): 1}) for i in points})
-        for _ in range(3):
-            # the good point fills the cache for (1, 0) and (0, 1) under this flag
-            lambda_flag(model, "a", flag, cls)
-            with pytest.raises(DimensionMismatch, match="flag has rank"):
-                lambda_flag(model, "s", flag, cls)
-
-
 def random_model(rank: int, points: int, seed: int, weights: int = 5, radius: int = 2) -> TorusModel:
     """Points with nonzero weights drawn from [-radius, radius]^rank and rational moments."""
     rng = random.Random(seed)
@@ -580,28 +552,22 @@ class TestFlagOwnedTables:
             assert shared._lines and shared._images
 
     @pytest.mark.parametrize("rank", [2, 3])
-    def test_bad_weights_raise_after_the_table_holds_the_others(self, rank):
+    def test_a_flag_of_another_rank_raises_before_and_after_its_table_fills(self, rank):
         flag = OrientedFlag(self.FLAGS[rank][1])
-        good = random_model(rank, 1, 3).fixed_points[0]
-        origin = (Fraction(0),) * rank
-        points = {
-            "a": good,
-            "s": FixedPoint._make("s", origin, good.weights + ((1,) * (rank + 1),), ()),
-            "z": FixedPoint._make("z", origin, good.weights + ((0,) * rank,), ()),
-        }
-        # the parts of a TorusModel that lambda_flag reads, without its weight checks
-        model = SimpleNamespace(
-            has_fixed_point=points.__contains__, fixed_point=points.__getitem__, global_stabilizer_order=1
-        )
-        cls = EquivariantClass({i: MultiPoly.variable(rank, 0) ** (rank + 2) for i in points})
-        lambda_flag(model, "a", flag, cls)
-        assert set(good.weights) == flag._lines.keys()
+        model = random_model(rank, 1, 3)
+        other = random_model(rank - 1, 1, 3)
+        cls = class_generator(other, "prequantum")
+        message = f"flag has rank {rank}"
         for _ in range(3):
-            with pytest.raises(DimensionMismatch, match="flag has rank"):
-                lambda_flag(model, "s", flag, cls)
-            with pytest.raises(ModelFormatError, match="^fixed point 'z': zero tangent weight$"):
-                lambda_flag(model, "z", flag, cls)
-        assert set(good.weights) == flag._lines.keys()
+            with pytest.raises(DimensionMismatch, match=message):
+                lambda_flag(other, "p0", flag, cls)
+        assert not flag._lines
+        lambda_flag(model, "p0", flag, class_generator(model, "prequantum"))
+        assert set(model.fixed_points[0].weights) == flag._lines.keys()
+        for _ in range(3):
+            with pytest.raises(DimensionMismatch, match=message):
+                lambda_flag(other, "p0", flag, cls)
+        assert set(model.fixed_points[0].weights) == flag._lines.keys()
 
     def test_filled_flag_keeps_equality_hash_and_round_trips(self):
         model = random_model(2, 20, 5)

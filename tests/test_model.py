@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -165,6 +166,17 @@ class TestBuilderPointsMatchPublicConstructor:
             keys = ["id", "moment", "weights", "sorted_weights"]
             assert list(vars(fp)) == list(vars(checked)) == keys
             assert fp == checked
+
+    @pytest.mark.parametrize(
+        "model",
+        [build_cp_product(3, n) for n in range(1, 6)] + [build_sphere_product(n) for n in range(1, 8)]
+        + [build_cp_product(4, n) for n in range(1, 4)],
+    )
+    def test_models_equal_checked_models(self, model):
+        # the builders make their models without the checking constructor's
+        # scan of the points; it takes the same fields and keeps them
+        fields = model._values()
+        assert TorusModel(*fields)._values() == fields
 
 
 PAIR = ((1, 0), (0, 1))
@@ -358,6 +370,32 @@ class TestEquivariantClassOps:
         m = build_sphere_product(2)
         one = EquivariantClass.constant(m, 1)
         assert (one * Fraction(1, 2)).at("f{}") == MultiPoly.const(1, Fraction(1, 2))
+
+
+class TestClassChecksWhenMade:
+    """A class made from a dict is checked once, when it is made; a bad
+    restriction used to surface only when a pairing read it."""
+
+    @pytest.mark.parametrize("bad", [5, "x", None])
+    def test_restriction_that_is_not_a_polynomial_is_refused(self, bad):
+        # 5 used to end in a bare AttributeError in lambda_flag, and None
+        # to be reported as UnknownFixedPoint
+        u = MultiPoly.variable(1, 0)
+        message = f"restriction at fixed point 'f{{3}}' must be a MultiPoly, got {bad!r}"
+        for restrictions in ({"f{}": u, "f{3}": bad, "f{2,3}": u}, {"f{3}": bad}):
+            with pytest.raises(TypeError) as raised:
+                EquivariantClass(restrictions=restrictions)
+            assert str(raised.value) == message
+
+    def test_dict_class_round_trips_through_pickle(self):
+        m = build_sphere_product(3)
+        cls = EquivariantClass(dict((class_generator(m, "prequantum") ** 2).restrictions))
+        back = pickle.loads(pickle.dumps(cls))
+        assert type(back) is EquivariantClass and back == cls
+        assert list(back.restrictions) == [fp.id for fp in m.fixed_points]
+
+    def test_empty_class_is_made(self):
+        assert EquivariantClass({}).restrictions == {}
 
 
 class TestCheckRegular:

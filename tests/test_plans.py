@@ -71,6 +71,12 @@ class TestWallList:
         walls = wall_list(m, (1, 0))
         assert [value for value, _ in walls] == [Fraction(v) for v in (-4, -1, 2)]
 
+    @pytest.mark.parametrize("model, xi", [(build_sphere_product(3), (0,)), (build_cp_product(3, 2), [0, 0])])
+    def test_zero_direction_is_refused(self, model, xi):
+        # it used to put every point on one wall at 0
+        with pytest.raises(Unsupported, match="^direction must be nonzero$"):
+            wall_list(model, xi)
+
 
 # A rank-2 model file whose moment strings repeat across points, some
 # written differently for the same value.
