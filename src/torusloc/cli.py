@@ -27,7 +27,7 @@ from .errors import TorusLocError, UnknownFixedPoint, Unsupported
 from .expr import MAX_POWER, evaluate_expr, names_factor_class, parse_class_expr
 from .localization import dump_plan, evaluate_plan, load_plan, volume_class
 from .model import TorusModel, build_cp_product, build_sphere_product, check_family_size, expand_orbits
-from .model import load_model
+from .model import load_model, read_number
 from .plans import CP2_VARIANTS, cp2_plan, rank1_plan, wall_list
 from .poly import MultiPoly, join_terms, poly_str
 from .weighted import WeightedSpace, ring_relation, weighted_segre
@@ -38,25 +38,6 @@ DOMAIN_ERROR = 3
 
 # family name -> (vertices of the factor, orbit-model builder)
 FAMILIES = {"spheres": (2, build_sphere_product), "cp2": (3, lambda n: build_cp_product(3, n))}
-
-
-def read_number(text: str, what: str, kind: type = int, signed: bool = True):
-    """The int, or with kind=Fraction the rational, that command-line text
-    writes; what names the option and part, as "--xi '1,x': each entry".
-    int() and Fraction() also take whitespace, '_' and digits other than
-    0-9; those, a sign unless signed, and text kind cannot read raise
-    ValueError naming what, and a number too long for int() its digit count."""
-    if text.isascii() and "_" not in text and text.split() == [text] and (signed or text.isdigit()):
-        try:
-            return kind(text)
-        except ZeroDivisionError:
-            raise ValueError(f"{what} has a zero denominator") from None
-        except ValueError:
-            digits = text[1:] if text[0] in "+-" else text
-            if digits.isdigit():  # well formed, so too long for int(); left out of the message
-                what = what.replace(text, "...")
-                raise ValueError(f"{what} has {len(digits)} digits, too many to read") from None
-    raise ValueError(f"{what} must be written in the digits 0-9")
 
 
 def resolve_model(spec: str, per_point: bool = False) -> TorusModel:

@@ -8,10 +8,12 @@ Grammar:
     gen      := 'L' | 'v' uint | 'line(' int (',' int)* ')'
     rational := int ['/' uint]
 
-Exponents are nonnegative and at most MAX_POWER; 'weyl' may appear at
-most once and only as the outermost factor of the whole expression (a
-leading rational scale is allowed).  Parentheses and 'weyl(' nest at most
-MAX_NESTING deep.  Syntax errors carry 1-based line and column positions.
+Integers are written in the ASCII digits 0-9, as on the command line;
+any other digit is a syntax error at its position.  Exponents are
+nonnegative and at most MAX_POWER; 'weyl' may appear at most once and
+only as the outermost factor of the whole expression (a leading rational
+scale is allowed).  Parentheses and 'weyl(' nest at most MAX_NESTING
+deep.  Syntax errors carry 1-based line and column positions.
 """
 
 from __future__ import annotations
@@ -41,14 +43,14 @@ MAX_POWER = 2000
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<int>\d+)
+      | (?P<int>[0-9]+)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<op>[-+*/^(),])
     """,
     re.VERBOSE,
 )
 
-_V_NAME = re.compile(r"v(\d+)")
+_V_NAME = re.compile(r"v([0-9]+)")
 
 
 class Token(Frozen):

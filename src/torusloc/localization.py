@@ -58,8 +58,6 @@ def _int_det(rows: tuple[tuple[int, ...], ...]) -> int:
     """
     mat = [list(row) for row in rows]
     n = len(mat)
-    if n == 0:
-        return 1
     sign, previous = 1, 1
     for k in range(n - 1):
         if not mat[k][k]:
@@ -82,8 +80,8 @@ class OrientedFlag(Frozen):
     vector, which negates both the stage weights and the stage variable.
     Stages must be a list or tuple of stage vectors with ``int`` entries,
     as many entries per stage as there are stages; anything else (a float,
-    string or boolean entry, ragged stages, a non-sequence) raises
-    PlanFormatError.  A square matrix whose determinant is not +1 or -1
+    string or boolean entry, ragged stages, no stage, a non-sequence)
+    raises PlanFormatError.  A square matrix whose determinant is not +1 or -1
     raises NotUnimodular, so every flag that exists is a lattice basis.
 
     A flag also owns two tables that are not fields and do not take part
@@ -102,6 +100,8 @@ class OrientedFlag(Frozen):
             raise PlanFormatError(f"flag must be a list of stage vectors, got {stages!r}")
         stages = tuple(strict_int_vector(s, "flag stage", PlanFormatError) for s in stages)
         d = len(stages)
+        if not d:
+            raise PlanFormatError("flag must have at least one stage")
         if any(len(s) != d for s in stages):
             raise PlanFormatError(
                 f"flag stage vectors must all have length equal to the rank, got {stages!r}"
@@ -363,23 +363,14 @@ def volume_class(model: TorusModel, group: str, base: Sequence = ()) -> tuple[Eq
 # plan files
 
 
-def plan_to_obj(plan: Plan) -> list:
-    return [
-        {
-            "coefficient": term.coefficient,
-            "fixed_point": term.fixed_point_id,
-            "flag": [list(stage) for stage in term.flag.stages],
-        }
-        for term in plan.terms
-    ]
-
-
 def dump_plan(plan: Plan, sink: Union[str, IO[str]]):
     """Write a plan as JSON to an open text stream or a file path."""
     if not hasattr(sink, "write"):
         with open(sink, "w", encoding="utf-8") as handle:
             return dump_plan(plan, handle)
-    json.dump(plan_to_obj(plan), sink, indent=1)
+    terms = [{"coefficient": term.coefficient, "fixed_point": term.fixed_point_id,
+              "flag": [list(stage) for stage in term.flag.stages]} for term in plan.terms]
+    json.dump(terms, sink, indent=1)
     sink.write("\n")
 
 

@@ -72,8 +72,8 @@ class FixedPoint(Frozen):
     ``int``; a float, string or boolean entry raises ModelFormatError
     instead of being truncated, and so does a zero weight, since the point
     would not be isolated.  Moment entries go through _parse_rational: a
-    float or boolean, a "p/0" or other non-rational string or any other
-    type raises too.
+    float or boolean, a string read_number does not read as a rational
+    ("p/0", "x", " 3", "1_000") or any other type raises too.
     """
 
     _fields = ("id", "moment", "weights")
@@ -334,11 +334,6 @@ class EquivariantClass(Frozen):
     def __reduce__(self):
         return (EquivariantClass, (dict(self.restrictions),))
 
-    @classmethod
-    def constant(cls, model: TorusModel, value) -> "EquivariantClass":
-        c = MultiPoly.const(model.rank, value)
-        return cls({fp.id: c for fp in model.fixed_points})
-
     def at(self, fp_id: str) -> MultiPoly:
         return self.restrictions[fp_id]
 
@@ -348,7 +343,8 @@ class EquivariantClass(Frozen):
         Only the fixed-point sets are compared at the call (ValueError if
         they differ); op runs when a point is first read, once per
         distinct input polynomial or pair of them, keyed by value, and each
-        result is kept.  An input MAX_LAZY_DEPTH operations deep is read
+        result is kept; a result that is not a MultiPoly raises TypeError
+        naming the point.  An input MAX_LAZY_DEPTH operations deep is read
         out at the call.  The operators call ``_checked`` on the result
         so that their errors are raised at their own call.
         """
@@ -364,7 +360,10 @@ class EquivariantClass(Frozen):
             key = first[fp_id] if second is None else (first[fp_id], second[fp_id])
             value = memo.get(key)
             if value is None:
-                value = memo[key] = op(key) if second is None else op(*key)
+                value = op(key) if second is None else op(*key)
+                if not isinstance(value, MultiPoly):
+                    raise TypeError(f"op result at fixed point {fp_id!r} must be a MultiPoly, got {value!r}")
+                memo[key] = value
             return value
 
         obj = object.__new__(EquivariantClass)
@@ -664,16 +663,31 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
 
 
 def _parse_rational(value) -> Fraction:
-    """An int, Fraction or "p/q" string as a Fraction; "p/0", a string that
-    is not a rational and any other type raise ModelFormatError."""
-    if type(value) is int or isinstance(value, (str, Fraction)):
+    """An int or Fraction, or a string read_number reads as a rational, as a
+    Fraction; any other value or text raises ModelFormatError."""
+    if isinstance(value, str):
+        return read_number(value, f"rational value {value!r}", Fraction, error=ModelFormatError)
+    return strict_rational(value, "rational value", ModelFormatError)
+
+
+def read_number(text: str, what: str, kind: type = int, signed: bool = True,
+                error: type[Exception] = ValueError):
+    """The int, or with kind=Fraction the rational ("p/q" or a decimal), that
+    text writes; what names the text, as "--xi '1,x': each entry".  int()
+    and Fraction() also take whitespace, '_' and digits other than 0-9;
+    those, a sign unless signed, and text kind cannot read raise error
+    naming what, and a number too long for int() its digit count."""
+    if text.isascii() and "_" not in text and text.split() == [text] and (signed or text.isdigit()):
         try:
-            return Fraction(value)
+            return kind(text)
         except ZeroDivisionError:
-            raise ModelFormatError(f"rational value {value!r} has a zero denominator") from None
-        except ValueError as err:
-            raise ModelFormatError(str(err)) from None
-    raise ModelFormatError(f"rational values must be integers or 'p/q' strings, got {value!r}")
+            raise error(f"{what} has a zero denominator") from None
+        except ValueError:
+            digits = text[1:] if text[0] in "+-" else text
+            if digits.isdigit():  # well formed, so too long for int(); left out of the message
+                what = what.replace(text, "...")
+                raise error(f"{what} has {len(digits)} digits, too many to read") from None
+    raise error(f"{what} must be written in the digits 0-9")
 
 
 def strict_int(value, what: str, error: type[TorusLocError] = ModelFormatError) -> int:
@@ -699,13 +713,15 @@ def strict_int_vector(value, what: str, error: type[TorusLocError] = ModelFormat
 
 
 def read_json(source: Union[str, IO[str]], error: type[TorusLocError]):
-    """Parse a JSON file path or open text stream; malformed text raises error."""
+    """Parse a JSON file path or open text stream; text that is not UTF-8
+    JSON, nests deeper than the interpreter recurses or holds an integer
+    longer than int() reads raises error."""
     try:
         if hasattr(source, "read"):
             return json.load(source)
         with open(source, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (ValueError, RecursionError) as err:
         raise error(f"malformed JSON: {err}") from None
 
 

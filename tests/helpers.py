@@ -51,6 +51,22 @@ def point_cp2_plan(n: int, variant: str) -> Plan:
     return cp2_plan(point_cp_product(3, n), variant)
 
 
+def constant_class(model: TorusModel, value) -> EquivariantClass:
+    """The class restricting to the constant value at every fixed point."""
+    c = MultiPoly.const(model.rank, value)
+    return EquivariantClass({fp.id: c for fp in model.fixed_points})
+
+
+def truncate(p: MultiPoly, order: int) -> MultiPoly:
+    """p without its terms of total exponent greater than order."""
+    return MultiPoly(p.nvars, {e: c for e, c in p.terms.items() if sum(e) <= order})
+
+
+def total_degree(p: MultiPoly) -> int:
+    """The largest total exponent of a term of p, or -1 for the zero polynomial."""
+    return max((sum(e) for e in p.terms), default=-1)
+
+
 def monomial_class(model: TorusModel, j1: int, j2: int) -> EquivariantClass:
     """The class restricting to u1^j1 u2^j2 at every fixed point of a rank-2 model."""
     poly = MultiPoly(2, {(j1, j2): 1})
@@ -59,7 +75,7 @@ def monomial_class(model: TorusModel, j1: int, j2: int) -> EquivariantClass:
 
 def v_monomial(model: TorusModel, exponents) -> EquivariantClass:
     """Product of factor classes v_i^(exponents[i-1]) on a sphere-product model."""
-    cls = EquivariantClass.constant(model, 1)
+    cls = constant_class(model, 1)
     for i, power in enumerate(exponents, start=1):
         if power:
             cls = cls * class_generator(model, "v", index=i) ** power

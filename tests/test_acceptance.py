@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import factorial
 
 from torusloc import (
-    EquivariantClass,
     MultiPoly,
     build_cp_product,
     build_sphere_product,
@@ -44,10 +43,12 @@ from oracles.closedforms import (
 from oracles.convolution import uniform_sum_density_at_zero
 from helpers import (
     all_v_monomials,
+    constant_class,
     cp2_volume_class,
     monomial_class,
     point_sphere_product,
     sizes_of,
+    truncate,
     v_monomial,
 )
 from test_weighted import random_space
@@ -90,7 +91,7 @@ def test_criterion_3_so3_pairings_match_both_closed_forms():
     # spot values worked out by hand
     m3 = point_sphere_product(3)
     assert evaluate_plan(
-        m3, rank1_plan(m3, 0, 1), weyl_correct(m3, EquivariantClass.constant(m3, 1))
+        m3, rank1_plan(m3, 0, 1), weyl_correct(m3, constant_class(m3, 1))
     ) == 1
     m5 = point_sphere_product(5)
     assert evaluate_plan(
@@ -212,7 +213,7 @@ def test_criterion_8_weighted_class_suite():
         v = random_space(rng)
         order = rng.randrange(7)
         series = weighted_segre(v, order)
-        product = (weighted_chern(v) * sum(series)).truncate(order)
+        product = truncate(weighted_chern(v) * sum(series), order)
         assert product == MultiPoly.const(v.residual_count, 1)
     for _ in range(100):
         v = random_space(rng)

@@ -18,7 +18,6 @@ from helpers import (
     ref_wall_entries,
 )
 from torusloc.closedforms import sphere_torus_pairing
-from torusloc.localization import plan_to_obj
 
 
 def run(capsys, *argv):
@@ -85,6 +84,11 @@ class TestPair:
         ("line(a)", "expected an integer (line 1, column 6)"),
         ("2/x*L", "expected a positive integer denominator (line 1, column 3)"),
         ("line(1", "expected ')', found 'end of input' (line 1, column 7)"),
+        # digits other than 0-9 printed 6, 18 and 6 while the tokenizer took any Unicode digit
+        ("L^\u0662", "unexpected character '\u0662' (line 1, column 3)"),
+        ("\u0663*L^2", "unexpected character '\u0663' (line 1, column 1)"),
+        ("L^\uff12", "unexpected character '\uff12' (line 1, column 3)"),
+        ("line(\u0661,0)", "unexpected character '\u0661' (line 1, column 6)"),
     ])
     def test_class_text_errors_name_their_position(self, capsys, text, message):
         code, out, err = run(capsys, "pair", "--model", "spheres:3", "--class", text, "--path", "0:+")
@@ -496,6 +500,30 @@ class TestStrictFiles:
         assert out == ""
         assert "malformed JSON" in err
 
+    @pytest.mark.parametrize("kind", ["model", "plan"])
+    def test_deeply_nested_json_is_domain_error(self, capsys, tmp_path, kind):
+        # used to end in a RecursionError traceback with exit code 1
+        nested = "[" * 100_000 + "]" * 100_000
+        model = nested if kind == "model" else SPHERE_MODEL
+        plan = nested if kind == "plan" else SPHERE_PLAN
+        code, out, err = _pair_files(capsys, tmp_path, model, plan)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: malformed JSON: ") and "Traceback" not in err
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="json reads integers of any length here")
+    @pytest.mark.parametrize("kind", ["model", "plan"])
+    def test_oversized_json_integer_is_domain_error(self, capsys, tmp_path, kind):
+        # used to exit 2 with the interpreter's own digit-limit message
+        big = "9" * max(5000, INT_DIGIT_LIMIT + 1)
+        model, plan = json.dumps(SPHERE_MODEL), json.dumps(SPHERE_PLAN)
+        if kind == "model":
+            model = model.replace('"moment": [1]', f'"moment": [{big}]')
+        else:
+            plan = plan.replace('"coefficient": 1', f'"coefficient": {big}')
+        code, out, err = _pair_files(capsys, tmp_path, model, plan)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: malformed JSON: ") and "Traceback" not in err
+
 
 RANK2_MODEL = {
     "rank": 2,
@@ -554,6 +582,21 @@ class TestLooseModelFields:
         assert code == 3
         assert out == ""
         assert "zero denominator" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["\u0663", " 3", "1_000"], ids=["arabic", "space", "underscore"])
+    def test_moment_text_outside_the_ascii_digits_is_domain_error(self, capsys, tmp_path, bad):
+        # Fraction() read these as 3, 3 and 1000, and the model loaded
+        model = _with(SPHERE_MODEL, ("fixed_points", 0, "moment"), [bad])
+        code, out, err = _pair_files(capsys, tmp_path, model, SPHERE_PLAN)
+        assert (code, out) == (3, "")
+        assert err == f"error: fixed point 'n': rational value {bad!r} must be written in the digits 0-9\n"
+
+    def test_empty_flag_is_refused_at_load(self, capsys, tmp_path):
+        # a rank-0 flag used to load and fail only when its term was evaluated
+        plan = [{"coefficient": 1, "fixed_point": "n", "flag": []}]
+        code, out, err = _pair_files(capsys, tmp_path, SPHERE_MODEL, plan)
+        assert (code, out) == (3, "")
+        assert "flag must have at least one stage" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("bad", [5, None])
     def test_non_string_id_is_domain_error(self, capsys, tmp_path, bad):
@@ -751,7 +794,9 @@ class TestOrbitModels:
             expected = ref_cp2_plan(int(n), source[1])
         code, out, _ = run(capsys, "plan", "--model", spec, "=".join(source))
         assert code == 0
-        assert out == json.dumps(plan_to_obj(expected), indent=1) + "\n"
+        terms = [{"coefficient": term.coefficient, "fixed_point": term.fixed_point_id,
+                  "flag": [list(stage) for stage in term.flag.stages]} for term in expected.terms]
+        assert out == json.dumps(terms, indent=1) + "\n"
 
 
 def readme_examples():

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import INT_DIGIT_LIMIT, line_column, misplaced_weyl, point_sphere_product, render_expr
+from helpers import INT_DIGIT_LIMIT, constant_class, line_column, misplaced_weyl, point_sphere_product, render_expr
 from torusloc import (
     ClassSyntaxError,
-    EquivariantClass,
     MultiPoly,
     build_cp_product,
     build_sphere_product,
@@ -70,6 +69,23 @@ class TestParsing:
     def test_zero_denominator(self):
         with pytest.raises(ClassSyntaxError):
             parse_class_expr("1/0*L")
+
+
+class TestAsciiDigits:
+    """Integers are written in 0-9 only: the tokenizer's \\d took any Unicode
+    digit, so "L^\u0662" was L^2 and "\u0663*L" was 3*L."""
+
+    @pytest.mark.parametrize("text, column", [
+        ("L^\u0662", 3),
+        ("\u0663*L", 1),
+        ("L^\uff12", 3),
+        ("line(\u0661,0)", 6),
+        ("L + v\u0661", 6),
+    ], ids=["arabic-power", "arabic-coefficient", "fullwidth-power", "arabic-line", "arabic-v"])
+    def test_other_digits_are_refused_at_their_column(self, text, column):
+        with pytest.raises(ClassSyntaxError, match="unexpected character") as err:
+            parse_class_expr(text)
+        assert (err.value.line, err.value.column) == (1, column)
 
 
 class TestWeylPlacement:
@@ -158,7 +174,7 @@ class TestPowerLimit:
     def test_leading_zeros_keep_their_value(self):
         m = point_sphere_product(3)
         assert evaluate("L^0002", m) == evaluate("L^2", m)
-        assert evaluate("v1^000", m) == EquivariantClass.constant(m, 1)
+        assert evaluate("v1^000", m) == constant_class(m, 1)
 
     @pytest.mark.parametrize(
         "text, column",
@@ -300,9 +316,9 @@ separators = st.sampled_from(["", " ", "\n  "])
 def expected_class(expr, m):
     """The class of an expression tree, built with class_generator and
     class arithmetic."""
-    total = EquivariantClass.constant(m, 0)
+    total = constant_class(m, 0)
     for op, (coefficient, factors) in expr:
-        value = EquivariantClass.constant(m, 1)
+        value = constant_class(m, 1)
         for factor in factors:
             if factor[0] == "gen":
                 _, _, power, kind, index, direction = factor

@@ -45,7 +45,7 @@ from torusloc.model import FixedPoint
 from torusloc.plans import THETA1, rank1_plan
 
 from oracles.convolution import uniform_sum_density
-from helpers import monomial_class, point_sphere_product, ref_cp_point_id, ref_lambda_flag, unimodular
+from helpers import INT_DIGIT_LIMIT, constant_class, monomial_class, point_sphere_product, ref_cp_point_id, ref_lambda_flag, unimodular
 
 PLUS = OrientedFlag(((1,),))
 MINUS = OrientedFlag(((-1,),))
@@ -193,7 +193,7 @@ class TestLambdaFlag:
 
     def test_below_degree_zero(self):
         m = build_sphere_product(3)
-        assert lambda_flag(m, "f{}", PLUS, EquivariantClass.constant(m, 1)) == 0
+        assert lambda_flag(m, "f{}", PLUS, constant_class(m, 1)) == 0
 
     def test_degree_bookkeeping(self):
         # nonzero only in the single degree weights-minus-rank
@@ -252,7 +252,7 @@ class TestLambdaFlag:
     def test_unknown_fixed_point(self):
         m = build_sphere_product(2)
         with pytest.raises(UnknownFixedPoint):
-            lambda_flag(m, "nope", PLUS, EquivariantClass.constant(m, 1))
+            lambda_flag(m, "nope", PLUS, constant_class(m, 1))
 
 
 class TestEvaluatePlan:
@@ -268,7 +268,7 @@ class TestEvaluatePlan:
 
     def test_empty_plan(self):
         m = build_sphere_product(3)
-        assert evaluate_plan(m, Plan(()), EquivariantClass.constant(m, 1)) == 0
+        assert evaluate_plan(m, Plan(()), constant_class(m, 1)) == 0
 
     def test_unknown_fixed_point_in_plan(self):
         m = build_sphere_product(3)
@@ -341,13 +341,13 @@ class TestClassMustFitTheModel:
 class TestWeylCorrect:
     def test_sphere_constant(self):
         m = build_sphere_product(3)
-        corrected = weyl_correct(m, EquivariantClass.constant(m, 1))
+        corrected = weyl_correct(m, constant_class(m, 1))
         expected = MultiPoly(1, {(2,): Fraction(-1, 2)})
         assert all(p == expected for p in corrected.restrictions.values())
 
     def test_cp_root_product(self):
         m = build_cp_product(3, 1)
-        corrected = weyl_correct(m, EquivariantClass.constant(m, 1))
+        corrected = weyl_correct(m, constant_class(m, 1))
         expected = MultiPoly(
             2,
             {
@@ -361,7 +361,7 @@ class TestWeylCorrect:
     def test_no_root_data(self):
         m = build_cp_product(4, 1)  # no roots attached for k = 4
         with pytest.raises(NoRootData):
-            weyl_correct(m, EquivariantClass.constant(m, 1))
+            weyl_correct(m, constant_class(m, 1))
 
 
 class TestVolumeClass:
@@ -445,6 +445,22 @@ class TestPlanFiles:
         with pytest.raises(PlanFormatError):
             load_plan(io.StringIO('[{"coefficient": 1}]'))
 
+    def test_empty_flag_is_refused_at_load(self):
+        with pytest.raises(PlanFormatError, match="bad plan term .*at least one stage"):
+            load_plan(io.StringIO('[{"coefficient": 1, "fixed_point": "f{}", "flag": []}]'))
+
+    def test_deeply_nested_file_is_plan_error(self):
+        # used to end in a RecursionError
+        with pytest.raises(PlanFormatError, match="malformed JSON"):
+            load_plan(io.StringIO("[" * 100_000 + "]" * 100_000))
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="json reads integers of any length here")
+    def test_oversized_integer_is_plan_error(self):
+        # used to be the interpreter's own ValueError
+        big = "9" * max(5000, INT_DIGIT_LIMIT + 1)
+        with pytest.raises(PlanFormatError, match="malformed JSON"):
+            load_plan(io.StringIO(f'[{{"coefficient": {big}, "fixed_point": "f{{}}", "flag": [[1]]}}]'))
+
     def test_plan_terms_validate_flag(self):
         with pytest.raises(NotUnimodular, match="has determinant 2"):
             load_plan(io.StringIO('[{"coefficient": 1, "fixed_point": "f{}", "flag": [[2]]}]'))
@@ -490,6 +506,12 @@ class TestStrictFlag:
         # used to end in a bare ValueError
         with pytest.raises(PlanFormatError, match="length equal to the rank"):
             OrientedFlag(((1, 0), (0,)))
+
+    @pytest.mark.parametrize("empty", [(), []])
+    def test_flag_without_stages_is_rejected(self, empty):
+        # the empty determinant is 1, so a rank-0 flag used to be made
+        with pytest.raises(PlanFormatError, match="at least one stage"):
+            OrientedFlag(empty)
 
     @pytest.mark.parametrize("bad", [5, None, "10"])
     def test_non_sequence_flag_is_rejected(self, bad):

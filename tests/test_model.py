@@ -25,6 +25,7 @@ from torusloc import (
     build_sphere_product,
     class_generator,
     cp2_plan,
+    evaluate_plan,
     load_model,
     rank1_plan,
 )
@@ -38,6 +39,8 @@ from torusloc.model import (
 )
 
 from helpers import (
+    INT_DIGIT_LIMIT,
+    constant_class,
     point_cp_product,
     point_sphere_product,
     ref_build_cp_product,
@@ -366,9 +369,19 @@ class TestEquivariantClassOps:
         combo = L * L - L**2
         assert all(p.is_zero() for p in combo.restrictions.values())
 
+    @pytest.mark.parametrize("bad", [5, None, Fraction(1, 2)])
+    def test_pointwise_result_that_is_not_a_polynomial_names_its_point(self, bad):
+        # 5 used to end in a bare AttributeError inside lambda_flag
+        m = build_sphere_product(3)
+        cls = class_generator(m, "prequantum").pointwise(lambda p: bad)
+        message = f"op result at fixed point 'f{{}}' must be a MultiPoly, got {bad!r}"
+        with pytest.raises(TypeError) as raised:
+            evaluate_plan(m, rank1_plan(m, 0, 1), cls)
+        assert str(raised.value) == message
+
     def test_scalar(self):
         m = build_sphere_product(2)
-        one = EquivariantClass.constant(m, 1)
+        one = constant_class(m, 1)
         assert (one * Fraction(1, 2)).at("f{}") == MultiPoly.const(1, Fraction(1, 2))
 
 
@@ -493,6 +506,34 @@ class TestModelFile:
             (Fraction(1, 2), Fraction(-1, 3))] * 3 + [(Fraction(7), Fraction(-1, 3))]
         assert {type(x) for fp in m.fixed_points for x in fp.moment} == {Fraction}
 
+    @pytest.mark.parametrize("bad", ["\u0663", " 3", "1_000", "\uff13"], ids=["arabic", "space", "underscore", "fullwidth"])
+    def test_moment_text_outside_the_ascii_digits_names_its_point(self, bad):
+        # Fraction() read these as 3, 3, 1000 and 3
+        points = [{"id": fp_id, "moment": [moment], "weights": [[1]]} for fp_id, moment in (("a", "1"), ("b", bad))]
+        message = f"fixed point 'b': rational value {bad!r} must be written in the digits 0-9"
+        with pytest.raises(ModelFormatError) as raised:
+            load_model(io.StringIO(json.dumps({"rank": 1, "fixed_points": points})))
+        assert str(raised.value) == message
+
+    def test_fractions_signs_and_decimals_still_load(self):
+        points = [{"id": fp_id, "moment": [moment], "weights": [[1]]}
+                  for fp_id, moment in zip("abcde", ["1/2", "-3", "0.5", "+4", "-6/4"])]
+        m = load_model(io.StringIO(json.dumps({"rank": 1, "fixed_points": points})))
+        assert [fp.moment for fp in m.fixed_points] == [
+            (Fraction(1, 2),), (Fraction(-3),), (Fraction(1, 2),), (Fraction(4),), (Fraction(-3, 2),)]
+
+    def test_deeply_nested_file_is_model_error(self):
+        # used to end in a RecursionError
+        with pytest.raises(ModelFormatError, match="malformed JSON"):
+            load_model(io.StringIO("[" * 100_000 + "]" * 100_000))
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="json reads integers of any length here")
+    def test_oversized_integer_is_model_error(self):
+        # used to be the interpreter's own ValueError
+        big = "9" * max(5000, INT_DIGIT_LIMIT + 1)
+        with pytest.raises(ModelFormatError, match="malformed JSON"):
+            load_model(io.StringIO(f'{{"rank": 1, "fixed_points": [{{"id": "a", "moment": [{big}], "weights": [[1]]}}]}}'))
+
     def test_roots_not_negation_closed(self):
         bad = json.loads(json.dumps(self.GOOD))
         bad["roots"] = [[1], [1]]
@@ -541,7 +582,8 @@ class TestStrictFixedPoint:
     def test_zero_denominator_moment_is_model_error(self):
         # used to be a bare ZeroDivisionError ("1/0") or ValueError ("x",
         # "1/x"); only load_model mapped them
-        for bad, reason in (("1/0", "zero denominator"), ("x", "Invalid literal"), ("1/x", "Invalid literal")):
+        digits = "must be written in the digits 0-9"
+        for bad, reason in (("1/0", "zero denominator"), ("x", digits), ("1/x", digits)):
             with pytest.raises(ModelFormatError, match=f"fixed point 'a': .*{reason}"):
                 FixedPoint("a", (bad,), ((1,),))
 
