@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
@@ -676,17 +677,18 @@ def read_number(text: str, what: str, kind: type = int, signed: bool = True,
     text writes; what names the text, as "--xi '1,x': each entry".  int()
     and Fraction() also take whitespace, '_' and digits other than 0-9;
     those, a sign unless signed, and text kind cannot read raise error
-    naming what, and a number too long for int() its digit count."""
+    naming what, and a number with a part too long for int() the digit
+    count of its longest part."""
     if text.isascii() and "_" not in text and text.split() == [text] and (signed or text.isdigit()):
         try:
             return kind(text)
         except ZeroDivisionError:
             raise error(f"{what} has a zero denominator") from None
         except ValueError:
-            digits = text[1:] if text[0] in "+-" else text
-            if digits.isdigit():  # well formed, so too long for int(); left out of the message
-                what = what.replace(text, "...")
-                raise error(f"{what} has {len(digits)} digits, too many to read") from None
+            shape = "[0-9]+" if kind is int else r"(?=\.?[0-9])[0-9]*(/[0-9]+|\.?[0-9]*(e[+-]?[0-9]+)?)"
+            if re.fullmatch("[+-]?" + shape, text, re.IGNORECASE):  # well formed, so a part is too long
+                digits = max(map(len, re.findall("[0-9]+", text)))  # for int(); left out of the message
+                raise error(f"{what.replace(text, '...')} has {digits} digits, too many to read") from None
     raise error(f"{what} must be written in the digits 0-9")
 
 

@@ -266,10 +266,6 @@ class MultiPoly:
             raise ValueError(f"polynomial is not constant: {self}")
         return self.constant_term()
 
-    def total_degree(self) -> int:
-        """Maximal total exponent present, or -1 for the zero polynomial."""
-        return max((sum(exp) for exp in self.numerators), default=-1)
-
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -381,12 +377,6 @@ class MultiPoly:
 
     # ------------------------------------------------------------------
     # structure
-
-    def truncate(self, order: int) -> "MultiPoly":
-        """Drop all terms of total exponent greater than ``order``."""
-        return MultiPoly._make(
-            self.nvars, {e: v for e, v in self.numerators.items() if sum(e) <= order}, self.den
-        )
 
     def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in canonical order: by total degree, then earlier variables first."""

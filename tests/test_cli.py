@@ -286,6 +286,16 @@ class TestNumberInputs:
         assert (code, out) == (2, "")
         assert err == f"error: --xi '1,...': each entry has {len(entry)} digits, too many to read\n"
 
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="Fraction() reads decimal literals of any length")
+    @pytest.mark.parametrize("shape", ["1/{}", "{}.5"], ids=["denominator", "decimal"])
+    def test_base_point_with_a_part_too_long_is_usage_error(self, capsys, shape):
+        # used to say "must be written in the digits 0-9" and quote every digit
+        long = "9" * max(5000, INT_DIGIT_LIMIT + 1)
+        code, out, err = run(capsys, "volume", "--model", "spheres:3", "--group", "torus",
+                             "--path", shape.format(long) + ":+")
+        assert (code, out) == (2, "")
+        assert err == f"error: --path '...:+': the base point has {len(long)} digits, too many to read\n"
+
     @pytest.mark.parametrize("argv, expected", [
         (("walls", "--model", "spheres:3", "--xi", "-1"),
          "-3: f{}\n-1: f{3} f{2} f{1}\n1: f{2,3} f{1,3} f{1,2}\n3: f{1,2,3}\n"),
@@ -590,6 +600,15 @@ class TestLooseModelFields:
         code, out, err = _pair_files(capsys, tmp_path, model, SPHERE_PLAN)
         assert (code, out) == (3, "")
         assert err == f"error: fixed point 'n': rational value {bad!r} must be written in the digits 0-9\n"
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="Fraction() reads decimal literals of any length")
+    def test_moment_with_a_denominator_too_long_is_domain_error(self, capsys, tmp_path):
+        # used to say "must be written in the digits 0-9" and quote every digit
+        long = "9" * max(5000, INT_DIGIT_LIMIT + 1)
+        model = _with(SPHERE_MODEL, ("fixed_points", 0, "moment"), [f"1/{long}"])
+        code, out, err = _pair_files(capsys, tmp_path, model, SPHERE_PLAN)
+        assert (code, out) == (3, "")
+        assert err == f"error: fixed point 'n': rational value '...' has {len(long)} digits, too many to read\n"
 
     def test_empty_flag_is_refused_at_load(self, capsys, tmp_path):
         # a rank-0 flag used to load and fail only when its term was evaluated

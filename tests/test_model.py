@@ -534,6 +534,16 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="malformed JSON"):
             load_model(io.StringIO(f'{{"rank": 1, "fixed_points": [{{"id": "a", "moment": [{big}], "weights": [[1]]}}]}}'))
 
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="Fraction() reads decimal literals of any length")
+    @pytest.mark.parametrize("shape", ["1/{}", "-{}/3", "0.{}", "{}.5", "1e{}"])
+    def test_moment_text_with_a_part_too_long_names_its_length(self, shape):
+        # used to say "must be written in the digits 0-9" and quote every digit
+        long = "9" * max(5000, INT_DIGIT_LIMIT + 1)
+        points = [{"id": "a", "moment": [shape.format(long)], "weights": [[1]]}]
+        with pytest.raises(ModelFormatError) as raised:
+            load_model(io.StringIO(json.dumps({"rank": 1, "fixed_points": points})))
+        assert str(raised.value) == f"fixed point 'a': rational value '...' has {len(long)} digits, too many to read"
+
     def test_roots_not_negation_closed(self):
         bad = json.loads(json.dumps(self.GOOD))
         bad["roots"] = [[1], [1]]
