@@ -316,9 +316,9 @@ def weyl_correct(model: TorusModel, cls: EquivariantClass) -> EquivariantClass:
     """
     if model.roots is None or model.weyl_order is None:
         raise NoRootData("model carries no root system or Weyl order")
-    root_product = affine_product(model.rank, ((0, root) for root in model.roots))
     scale = Fraction(1, model.weyl_order)
-    return cls.pointwise(lambda p: p * root_product * scale)._checked()
+    root_product = affine_product(model.rank, ((0, root) for root in model.roots)) * scale
+    return cls.pointwise(lambda p: p * root_product)._checked()
 
 
 def volume_class(model: TorusModel, group: str, base: Sequence = ()) -> tuple[EquivariantClass, int]:

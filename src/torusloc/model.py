@@ -568,7 +568,7 @@ def build_sphere_product(n: int) -> TorusModel:
     representative is "f{n-s+1,...,n}".  Root data for the ambient rotation
     group (roots +1, -1 and Weyl order 2) is attached.
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("n must be a positive integer")
     return _build_orbits(("sphere", n), 1, ((1,), (-1,)), 2)
 
@@ -601,9 +601,9 @@ def build_cp_product(k: int, n: int) -> TorusModel:
     groups in consecutive blocks, "F{1,2}|{3}|{4}".  For k = 3 the six
     roots and Weyl order 6 are attached.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if n < 1:
+    if type(k) is not int or k < 2:
+        raise ValueError("k must be an integer of at least 2")
+    if type(n) is not int or n < 1:
         raise ValueError("n must be a positive integer")
     roots = None
     weyl = None

@@ -124,8 +124,9 @@ def _linear_power(coeffs: Sequence[int], m: int) -> dict:
 
 def check_exponent(n) -> None:
     """Raise ValueError unless n is a nonnegative ``int``, as every power
-    does, of a polynomial or of a class, before it computes anything."""
-    if not isinstance(n, int) or n < 0:
+    does, of a polynomial or of a class, before it computes anything; a
+    ``bool`` is not an exponent."""
+    if type(n) is not int or n < 0:
         raise ValueError("exponent must be a nonnegative integer")
 
 
@@ -490,6 +491,8 @@ def series_invert(p: MultiPoly, order: int) -> list[MultiPoly]:
     s_n = t_n D / c0^(n+1) this is the integer recurrence
     t_n = -sum_k c0^(k-1) c_k t_{n-k}, t_0 = 1.
     """
+    if type(order) is not int:
+        raise ValueError(f"order must be an int, got {order!r}")
     if order < 0:
         raise ValueError("order must be nonnegative")
     pieces = _graded(p.numerators, order)

@@ -16,17 +16,11 @@ algebra.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from operator import add
 
 from .errors import EmptyStage
 from .frozen import Frozen
-from .poly import (
-    MultiPoly,
-    _graded,
-    affine_product,
-    series_invert,  # noqa: F401  re-exported; instrumentation wraps it by this name
-)
+from .poly import MultiPoly, _graded, affine_product, series_invert
 
 Line = tuple[int, tuple[int, ...]]
 
@@ -76,54 +70,11 @@ def weighted_chern(space: WeightedSpace) -> MultiPoly:
     return affine_product(space.residual_count, space.lines)
 
 
-@lru_cache(maxsize=4096)
-def _segre_numerators(lines: tuple[Line, ...], residual_count: int, order: int) -> tuple:
-    """Graded integer numerators of the weighted Segre class through ``order``.
-
-    Returns (pieces, den): pieces[i] holds the (exponent, numerator) pairs
-    of total exponent i, and the Segre piece s_i is their sum over den =
-    c0^(order+1), with c0 the product of the circle weights.  Tuples, so
-    no caller can alter the cache.
-
-    The class is the product of one geometric series per line, built with
-    no Chern class and no inversion.  If P_n / c^(n+1) are the pieces for
-    the lines so far, c the product of their circle weights, one more line
-    (a, b) gives pieces N_n / (c a)^(n+1) with
-    N_n = a^n P_n - c <b,u> N_(n-1), from (a + <b,u>) S_new = S_old.
-    At the end N_n times c0^(order-n) puts every piece over den.
-    ``_finish_fold`` runs the same recurrence on plain ints for a stage
-    with one residual variable, where each piece is one number.
-    """
-    pieces: list[dict] = [{(0,) * residual_count: 1}] + [{} for _ in range(order)]
-    c = 1
-    for a, residual in lines:
-        shifts = [(i, c * b) for i, b in enumerate(residual) if b]
-        scale = 1
-        for n in range(1, order + 1):  # upwards, so piece n-1 is already N_(n-1)
-            scale *= a
-            out = {e: v * scale for e, v in pieces[n].items()}
-            if shifts:
-                get = out.get
-                for e, v in pieces[n - 1].items():
-                    for i, cb in shifts:
-                        e_up = e[:i] + (e[i] + 1,) + e[i + 1 :]
-                        out[e_up] = get(e_up, 0) - cb * v
-            pieces[n] = out
-        c *= a
-    rescale = [c ** (order - n) for n in range(order + 1)]
-    return tuple(
-        tuple((e, v * r) for e, v in piece.items() if v) for piece, r in zip(pieces, rescale)
-    ), c ** (order + 1)
-
-
 def weighted_segre(space: WeightedSpace, order: int) -> list[MultiPoly]:
     """Multiplicative inverse of the weighted Chern class through ``order``,
     as its graded pieces: element i, for i = 0..order, is the Segre piece
     s_i, homogeneous of total exponent i."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    pieces, den = _segre_numerators(space.lines, space.residual_count, order)
-    return [MultiPoly._make(space.residual_count, dict(piece), den) for piece in pieces]
+    return series_invert(weighted_chern(space), order)
 
 
 def weight_gcd(space: WeightedSpace) -> int:
@@ -142,21 +93,22 @@ def _stage_fold(numerators: dict, lines: tuple[Line, ...], residual_count: int) 
     pairs, as in WeightedSpace.  Variable 0 of each exponent is the stage
     variable.  Each term c * x^j * rest with j >= r-1 adds
     c * k * s_{j-r+1} * rest, with r the number of lines, k the gcd of
-    their circle weights and s the integer numerators of their weighted
-    Segre pieces.  Returns the nonzero numerators of the result and the
-    Segre denominator, by which the input's denominator must be multiplied.
-    When only s_0 = 1/c is needed, c the product of the circle weights, the
-    result is read off the input with no Segre table.
+    their circle weights and s their weighted Segre pieces: the inverse of
+    their Chern product through top, the largest index needed, each put
+    over den = c0^(top+1), c0 the product of the circle weights.  Returns
+    the nonzero numerators of the result and den, by which the input's
+    denominator must be multiplied.
     """
     r = len(lines)
     top = max((e[0] for e in numerators), default=-1) - r + 1
     if top < 0:
         return {}, 1
     k = math.gcd(*(w for w, _ in lines))
-    if top == 0:
-        c = math.prod(w for w, _ in lines)
-        return {exp[1:]: v * k for exp, v in numerators.items() if exp[0] == r - 1}, c
-    pieces, den = _segre_numerators(lines, residual_count, top)
+    den = math.prod(w for w, _ in lines) ** (top + 1)
+    pieces = [
+        [(e, v * (den // piece.den)) for e, v in piece.numerators.items()]
+        for piece in series_invert(affine_product(residual_count, lines), top)
+    ]
     out: dict[tuple, int] = {}
     get = out.get
     for exp, c in numerators.items():
@@ -182,8 +134,10 @@ def _finish_fold(numerators: dict, stages: tuple) -> tuple[int, int]:
     times the gcd k1 of its circle weights, and only e1 + n = r1 - 1 is
     kept, with n the Segre index of the stage before.  That stage has one
     residual variable, so its piece n is one integer N_n over c0^(n+1),
-    from the recurrence of ``_segre_numerators``: each line (a, (b,)) makes
-    N_n = a^n P_n - c b N_(n-1).  A term (e0, e1) with n = e0 - r0 + 1 >= 0
+    from a recurrence over the lines: if P_n / c^(n+1) are the pieces for
+    the lines so far, c the product of their circle weights, one more line
+    (a, (b,)) gives pieces N_n / (c a)^(n+1) with N_n = a^n P_n - c b N_(n-1),
+    from (a + b u) S_new = S_old.  A term (e0, e1) with n = e0 - r0 + 1 >= 0
     adds its numerator times k0 N_n c0^(top-n), over c0^(top+1) c1, with
     top the largest n kept.  One pass over the terms gathers the kept ones
     and top, one over the last stage gives k1 and c1, and the recurrence's
@@ -244,6 +198,8 @@ def fiber_integrate_power(space: WeightedSpace, i: int) -> MultiPoly:
     Segre piece i-rank+1.  An empty space has an empty sphere bundle, so
     every integral over it vanishes.
     """
+    if type(i) is not int:
+        raise ValueError(f"power must be an int, got {i!r}")
     if i < 0:
         raise ValueError("power must be nonnegative")
     n = space.residual_count

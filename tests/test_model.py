@@ -255,6 +255,12 @@ class TestSphereProduct:
         assert set(m.roots) == {(1,), (-1,)}
         assert m.weyl_order == 2
 
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_size_takes_only_an_int(self, bad):
+        # True used to build spheres:1
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            build_sphere_product(bad)
+
     def test_moment_symmetry_under_complement(self):
         m = point_sphere_product(4)
         for fp in m.fixed_points:
@@ -275,6 +281,12 @@ class TestCpProduct:
 
     def test_point_count(self):
         assert len(point_cp_product(3, 2).fixed_points) == 9
+
+    @pytest.mark.parametrize("k, n", [(3, 2.0), (3, True), (3.0, 2), (True, 2)])
+    def test_sizes_take_only_an_int(self, k, n):
+        # (3, 2.0) used to end in a bare "'float' object cannot be interpreted as an integer"
+        with pytest.raises(ValueError, match="must be a.* integer"):
+            build_cp_product(k, n)
 
     def test_moment_formula(self):
         m = build_cp_product(3, 4)
@@ -378,6 +390,13 @@ class TestEquivariantClassOps:
         with pytest.raises(TypeError) as raised:
             evaluate_plan(m, rank1_plan(m, 0, 1), cls)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("bad", [False, True, 2.0])
+    def test_power_takes_only_an_int(self, bad):
+        # L ** False used to restrict to 1 at every point
+        L = class_generator(build_sphere_product(2), "prequantum")
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            L ** bad
 
     def test_scalar(self):
         m = build_sphere_product(2)

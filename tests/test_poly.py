@@ -53,6 +53,12 @@ class TestArithmetic:
         one_plus_u = P(1, {(0,): 1, (1,): 1})
         assert one_plus_u**3 == P(1, {(0,): 1, (1,): 3, (2,): 3, (3,): 1})
 
+    @pytest.mark.parametrize("bad", [True, False, 2.0])
+    def test_pow_takes_only_an_int(self, bad):
+        # u ** True used to return u, and u ** False 1
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            MultiPoly.variable(1, 0) ** bad
+
     def test_scalar_ops(self):
         p = P(1, {(1,): 1})
         assert p * Fraction(1, 2) == P(1, {(1,): Fraction(1, 2)})
@@ -79,6 +85,12 @@ class TestSeriesInvert:
     def test_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):
             series_invert(P(1, {(1,): 1}), 2)
+
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_order_takes_only_an_int(self, bad):
+        # True used to give order 1, and 2.0 a bare range() TypeError
+        with pytest.raises(ValueError, match="order must be an int"):
+            series_invert(P(1, {(0,): 1, (1,): 1}), bad)
 
 
 class TestLinearSubstitute:

@@ -1,7 +1,7 @@
 """The integer stage folds against the per-power MultiPoly reference.
 
 ``stage_map`` and ``fiber_integrate_power`` run the integer kernel
-``weighted._stage_fold`` over the integer Segre numerators; ``lambda_flag``
+``weighted._stage_fold`` over the inverted Chern product; ``lambda_flag``
 runs it on every stage but the last two, and ``weighted._finish_fold`` on
 those.  The references in ``helpers`` fold one product per stage-variable
 power, as the engine did before the kernels, against a Segre class formed
@@ -38,7 +38,9 @@ from torusloc import (
     weight_gcd,
     weighted_segre,
 )
+from torusloc import weighted
 from torusloc.model import FixedPoint
+from torusloc.poly import series_invert
 
 from helpers import (
     exact_shape,
@@ -187,13 +189,14 @@ def repeated_line_terms(draw):
 @settings(max_examples=60, deadline=None)
 @given(repeated_line_terms())
 def test_lambda_flag_on_repeated_line_types_matches_reference_fold(case):
-    from torusloc.weighted import _segre_numerators
-
     model, flag, (p, q) = case
-    before = _segre_numerators.cache_info()
-    value = lambda_flag(model, "p", flag, EquivariantClass({"p": p}))
-    if model.rank == 2:  # both stages fold in _finish_fold, with no Segre table
-        assert _segre_numerators.cache_info() == before
+    inversions = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weighted, "series_invert",
+                      lambda *args: inversions.append(args) or series_invert(*args))
+        value = lambda_flag(model, "p", flag, EquivariantClass({"p": p}))
+    if model.rank == 2:  # both stages fold in _finish_fold, with no Segre inversion
+        assert inversions == []
     assert type(value) is Fraction
     assert value == ref_lambda_flag(model, "p", flag, EquivariantClass({"p": p}))
     # q * lambda(p) - p * lambda(q) pairs to 0 exactly, though its terms do not vanish
@@ -259,14 +262,20 @@ def test_fiber_integral_is_the_gcd_scaled_segre_piece(space, i):
     assert exact_shape(value)
 
 
-def test_segre_pieces_are_integer_numerators_over_one_denominator():
-    from torusloc.weighted import _segre_numerators
+def test_segre_pieces_by_hand_and_over_one_denominator_in_the_fold():
+    from torusloc.weighted import _stage_fold
 
-    # 1/((2 + u)(-1 + u)) through order 2: -1/2 - u/4 - 3u^2/8, over (2 * -1)^3
-    pieces, den = _segre_numerators(((-1, (1,)), (2, (1,))), 1, 2)
-    assert den == -8
-    assert pieces == ((((0,), 4),), (((1,), 2),), (((2,), 3),))
-    assert all(type(v) is int for piece in pieces for _, v in piece)
+    # 1/((2 + u)(-1 + u)) through order 2: -1/2 - u/4 - 3u^2/8
+    lines = ((-1, (1,)), (2, (1,)))
+    assert weighted_segre(WeightedSpace(lines, 1), 2) == [
+        MultiPoly(1, {(0,): Fraction(-1, 2)}),
+        MultiPoly(1, {(1,): Fraction(-1, 4)}),
+        MultiPoly(1, {(2,): Fraction(-3, 8)}),
+    ]
+    # x + x^2 + x^3 folds to s_0 + s_1 + s_2 (k = 1), each over (2 * -1)^3
+    out, den = _stage_fold({(1, 0): 1, (2, 0): 1, (3, 0): 1}, lines, 1)
+    assert (out, den) == ({(0,): 4, (1,): 2, (2,): 3}, -8)
+    assert all(type(v) is int for v in out.values())
 
 
 def test_stage_fold_drops_cancelled_terms():
@@ -292,13 +301,11 @@ def s0_folds(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(s0_folds())
-def test_stage_fold_at_the_top_power_reads_s0_without_a_segre_table(case):
-    from torusloc.weighted import _segre_numerators, _stage_fold
+def test_stage_fold_at_the_top_power_matches_reference(case):
+    from torusloc.weighted import _stage_fold
 
     space, numerators, den = case
-    before = _segre_numerators.cache_info()
     out, stage_den = _stage_fold(numerators, space.lines, space.residual_count)
-    assert _segre_numerators.cache_info() == before
     assert all(type(v) is int and v for v in out.values())
     p = MultiPoly._make(space.residual_count + 1, numerators, den)
     assert MultiPoly._make(space.residual_count, out, den * stage_den) == ref_stage_map(p, space)

@@ -11,7 +11,6 @@ from torusloc import (
     WeightedSpace,
     fiber_integrate_power,
     ring_relation,
-    series_invert,
     weight_gcd,
     weighted_chern,
     weighted_segre,
@@ -70,6 +69,18 @@ class TestWeightedSegre:
         # used to return an empty series of order -1
         with pytest.raises(ValueError, match="order must be nonnegative"):
             weighted_segre(space((1, (-1,)), residuals=1), -1)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_order_takes_only_an_int(self, bad):
+        # True used to give order 1
+        with pytest.raises(ValueError, match="order must be an int"):
+            weighted_segre(space((1, (-1,)), residuals=1), bad)
+
+    @pytest.mark.parametrize("bad", [0.0, False, 2.0])
+    def test_fiber_integral_power_takes_only_an_int(self, bad):
+        # 0.0 used to integrate h^0 to 1
+        with pytest.raises(ValueError, match="power must be an int"):
+            fiber_integrate_power(space((1, ()),), bad)
 
 
 class TestWeightGcd:
@@ -262,28 +273,33 @@ def test_gcd_over_constant_term_is_a_fraction():
 
 
 # ----------------------------------------------------------------------
-# geometric-series Segre kernel
+# Segre pieces by hand and the defining identity
 
 
-def test_segre_numerators_with_repeated_and_negative_weights():
-    from torusloc.weighted import _segre_numerators
-
+def test_segre_pieces_with_repeated_and_negative_weights():
     # 1/((-1 + u)^2 (2 - u)) = (1 + 2u + 3u^2)(1/2 + u/4 + u^2/8) + ...
-    #                        = 1/2 + 5u/4 + 17u^2/8, over c0^3 = 2^3
-    pieces, den = _segre_numerators(((-1, (1,)), (2, (-1,)), (-1, (1,))), 1, 2)
-    assert den == 8
-    assert [dict(piece) for piece in pieces] == [{(0,): 4}, {(1,): 10}, {(2,): 17}]
+    #                        = 1/2 + 5u/4 + 17u^2/8
+    pieces = weighted_segre(space((-1, (1,)), (2, (-1,)), (-1, (1,)), residuals=1), 2)
+    assert pieces == [
+        MultiPoly(1, {(0,): Fraction(1, 2)}),
+        MultiPoly(1, {(1,): Fraction(5, 4)}),
+        MultiPoly(1, {(2,): Fraction(17, 8)}),
+    ]
     # 1/((-2 + u1)^2 (1 - u2)) = (1/4 + u1/4 + 3u1^2/16)(1 + u2 + u2^2) + ...
-    pieces, den = _segre_numerators(((-2, (1, 0)), (1, (0, -1)), (-2, (1, 0))), 2, 2)
-    assert den == 64
-    assert [dict(piece) for piece in pieces] == [
-        {(0, 0): 16},
-        {(1, 0): 16, (0, 1): 16},
-        {(2, 0): 12, (1, 1): 16, (0, 2): 16},
+    pieces = weighted_segre(space((-2, (1, 0)), (1, (0, -1)), (-2, (1, 0)), residuals=2), 2)
+    assert pieces == [
+        MultiPoly(2, {(0, 0): Fraction(1, 4)}),
+        MultiPoly(2, {(1, 0): Fraction(1, 4), (0, 1): Fraction(1, 4)}),
+        MultiPoly(2, {(2, 0): Fraction(3, 16), (1, 1): Fraction(1, 4), (0, 2): Fraction(1, 4)}),
     ]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 3).flatmap(spaces), st.integers(0, 6))
-def test_weighted_segre_is_the_inverted_chern_class(v, order):
-    assert weighted_segre(v, order) == series_invert(weighted_chern(v), order)
+def test_weighted_segre_times_the_chern_class_is_one_through_order(v, order):
+    pieces = weighted_segre(v, order)
+    assert len(pieces) == order + 1
+    assert all(sum(e) == n for n, piece in enumerate(pieces) for e in piece.terms)
+    product = weighted_chern(v) * sum(pieces)
+    assert product.constant_term() == 1
+    assert all(sum(e) > order for e in product.terms if any(e))
