@@ -37,8 +37,9 @@ MAX_NESTING = 100
 
 # An exponent above this is refused at its position while parsing, before
 # any arithmetic.  A pairing needs no power above the quotient's dimension (at
-# most 22 on the built-in families), and the work grows with the exponent:
-# L^2000 takes about 3 s on cp2:4, a rank-2 model with 15 distinct moments.
+# most 22 on the built-in families).  A power of a linear form stays factored,
+# but a sum expands it, and that work grows with the exponent: L^2000 + L
+# takes about 0.25 s on cp2:4, a rank-2 model with 15 distinct moments.
 MAX_POWER = 2000
 
 _TOKEN_RE = re.compile(

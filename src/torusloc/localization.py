@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import comb
 from operator import mul
 from typing import IO, Sequence, Union
 
@@ -41,7 +42,7 @@ from .model import (
     strict_int_vector,
     strict_rational,
 )
-from .poly import MultiPoly, _int_substitute, affine_product
+from .poly import Factored, MultiPoly, _int_substitute
 from .poly import linear_substitute  # noqa: F401  re-exported; instrumentation wraps it by this name
 from .weighted import (
     WeightedSpace,
@@ -169,9 +170,10 @@ def _flag_line(weight: tuple[int, ...], stages: tuple[tuple[int, ...], ...]) -> 
     return j, (coords[j], tuple(coords[j + 1 :]))
 
 
-def _stage_lines(point: FixedPoint, flag: OrientedFlag) -> list[tuple]:
-    """Group the tangent weights of a fixed point by flag stage, as plain
-    (circle weight, residual vector) line tuples placed by ``_flag_line``.
+def _stage_lines(point: FixedPoint, flag: OrientedFlag) -> list[list]:
+    """Group the tangent weights of a fixed point by flag stage, as lists of
+    plain (circle weight, residual vector) line tuples placed by
+    ``_flag_line``.
 
     The placements are looked up in the flag's ``_lines`` table, which the
     flag owns, and a weight missing from it is placed and stored.  The
@@ -185,7 +187,7 @@ def _stage_lines(point: FixedPoint, flag: OrientedFlag) -> list[tuple]:
         if placed is None:
             placed = flag._lines[weight] = _flag_line(weight, stages)
         stage_lines[placed[0]].append(placed[1])
-    return [tuple(lines) for lines in stage_lines]
+    return stage_lines
 
 
 def flag_split(point: FixedPoint, flag: OrientedFlag) -> tuple[list[WeightedSpace], tuple]:
@@ -223,6 +225,42 @@ def stage_map(p: MultiPoly, space: WeightedSpace) -> MultiPoly:
     return MultiPoly._make(space.residual_count, out, p.den * stage_den)
 
 
+def _kept_terms(numerators: dict, stages: tuple) -> list:
+    """The coefficients ``_finish_fold`` reads from integer terms in the
+    variables of its stages: at rank 1 the one of x^(r-1), else those of
+    x0^(r0-1+n) x1^(r1-1-n), n = 0..r1-1."""
+    *before, last = stages
+    r1 = len(last)
+    if not before:
+        return [numerators.get((r1 - 1,), 0)]
+    low = len(before[0]) - 1
+    kept = [0] * r1
+    for (e0, e1), v in numerators.items():
+        if e0 >= low and e0 + e1 == low + r1 - 1:
+            kept[e0 - low] += v
+    return kept
+
+
+def _factor_row(factors: tuple, stages: tuple, length: int) -> list:
+    """The coefficients of t^0..t^(length-1) in prod (a0 + a1 t)^k over the
+    (form, k) factors, with a_i = <form, stages[i]> the form in flag
+    coordinates (a1 = 0 at rank 1): the terms of the product in the two
+    flag variables, lowest power of the second first.  One factor gives
+    its binomial row, each further one a truncated convolution."""
+    row = None
+    for form, k in factors:
+        a0 = sum(map(mul, form, stages[0]))
+        a1 = sum(map(mul, form, stages[1])) if len(stages) > 1 else 0
+        top = min(k, length - 1)
+        binomial = [comb(k, j) * a0 ** (k - j) * a1**j for j in range(top + 1)]
+        binomial += [0] * (length - top - 1)
+        if row is None:
+            row = binomial
+        else:
+            row = [sum(map(mul, row[: j + 1], binomial[j::-1])) for j in range(length)]
+    return row or [1] + [0] * (length - 1)
+
+
 def lambda_flag(
     model: TorusModel,
     fp_id: str,
@@ -231,46 +269,64 @@ def lambda_flag(
 ) -> Fraction:
     """Evaluate the localization of a class at one (fixed point, flag) pair.
 
-    The path runs on ints: ``_int_substitute`` rewrites the restriction's
-    numerators in flag coordinates over its one denominator, skipping the
-    terms the first stage folds to 0.  Both coordinate tables the path
-    reads, weight to line and exponent to monomial image, are the flag's
-    own (``OrientedFlag._lines`` and ``_images``), found through the flag.
-    ``_stage_fold`` folds the line tuples of ``_stage_lines`` stage by
-    stage up to the last two, each Segre denominator joining the one
-    denominator, and ``_finish_fold`` folds the last two (the one stage at
-    rank 1).  Only the final
-    constant, scaled by the model's global stabilizer order, becomes a
-    Fraction.  Inadmissible pairs (an empty stage) evaluate to 0.  A flag
-    whose rank is not the model's raises DimensionMismatch, once per call,
-    and so does a class whose restriction's variable count is not the
-    flag's rank, also on an inadmissible pair; a class with no restriction
-    at the point raises UnknownFixedPoint.
+    The path runs on ints, and the tables it reads, weight to line
+    (``_stage_lines``) and exponent to monomial image, are the flag's own
+    (``OrientedFlag._lines`` and ``_images``).  ``_finish_fold`` folds the
+    last two stages (the one stage at rank 1) from the coefficients it
+    keeps, which come from one of two places:
+
+    - A Factored restriction at rank 1 or 2, scale * prod form^k: in flag
+      coordinates each form is a0 + a1 t, and ``_factor_row`` multiplies
+      out their powers up to the degree the fold reads.  A total degree
+      sum k other than the key's (weights minus rank) gives 0 at once.
+    - Any other restriction, expanded: ``_int_substitute`` rewrites its
+      numerators in flag coordinates over its one denominator, skipping
+      the terms the first stage folds to 0, ``_stage_fold`` folds every
+      stage up to the last two, each Segre denominator joining the one
+      denominator, and ``_kept_terms`` reads the rest.
+
+    Only the final constant, scaled by the model's global stabilizer
+    order, becomes a Fraction.  Inadmissible pairs (an empty stage)
+    evaluate to 0.  A flag whose rank is not the model's raises
+    DimensionMismatch, once per call, and so does a class whose
+    restriction's variable count is not the flag's rank, also on an
+    inadmissible pair; a class with no restriction at the point raises
+    UnknownFixedPoint.
     """
-    if not model.has_fixed_point(fp_id):
+    point = model._by_id.get(fp_id)
+    if point is None:
         raise UnknownFixedPoint(f"model has no fixed point {fp_id!r}")
-    if flag.rank != model.rank:
-        raise DimensionMismatch(f"the flag has rank {flag.rank}, but the model has rank {model.rank}")
-    stages = _stage_lines(model.fixed_point(fp_id), flag)
+    rank = len(flag.stages)
+    if rank != model.rank:
+        raise DimensionMismatch(f"the flag has rank {rank}, but the model has rank {model.rank}")
+    stages = _stage_lines(point, flag)
     p = cls.restrictions.get(fp_id)
     if p is None:
         raise UnknownFixedPoint(f"class has no restriction at fixed point {fp_id!r}")
-    if p.nvars != flag.rank:
+    if p.nvars != rank:
         raise DimensionMismatch(
             f"class restriction at fixed point {fp_id!r} has {p.nvars} variables,"
-            f" but the flag has rank {flag.rank}"
+            f" but the flag has rank {rank}"
         )
     if not all(stages):
         return Fraction(0)
-    low = len(stages[0]) - 1
-    numerators, den = _int_substitute(p.numerators, flag.stages, low, flag._images), p.den
-    for j, lines in enumerate(stages[:-2]):
-        numerators, stage_den = _stage_fold(numerators, lines, flag.rank - j - 1)
-        if not numerators:
+    if type(p) is Factored and rank < 3:
+        if sum([k for _, k in p.factors]) != len(point.weights) - rank:
             return Fraction(0)
-        den *= stage_den
-    value, stage_den = _finish_fold(numerators, stages[-2:])
-    return Fraction(value * model.global_stabilizer_order, den * stage_den)
+        kept = _factor_row(p.factors, flag.stages, len(stages[1]) if rank == 2 else 1)
+        kept.reverse()
+        num, den = p.scale.numerator, p.scale.denominator
+    else:
+        low = len(stages[0]) - 1
+        numerators, num, den = _int_substitute(p.numerators, flag.stages, low, flag._images), 1, p.den
+        for j, lines in enumerate(stages[:-2]):
+            numerators, stage_den = _stage_fold(numerators, lines, rank - j - 1)
+            if not numerators:
+                return Fraction(0)
+            den *= stage_den
+        kept = _kept_terms(numerators, stages[-2:])
+    value, stage_den = _finish_fold(kept, stages[-2:])
+    return Fraction(value * num * model.global_stabilizer_order, den * stage_den)
 
 
 def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fraction:
@@ -316,8 +372,9 @@ def weyl_correct(model: TorusModel, cls: EquivariantClass) -> EquivariantClass:
     """
     if model.roots is None or model.weyl_order is None:
         raise NoRootData("model carries no root system or Weyl order")
-    scale = Fraction(1, model.weyl_order)
-    root_product = affine_product(model.rank, ((0, root) for root in model.roots)) * scale
+    root_product = Fraction(1, model.weyl_order)
+    for root in model.roots:
+        root_product = Factored.linear(root) * root_product
     return cls.pointwise(lambda p: p * root_product)._checked()
 
 

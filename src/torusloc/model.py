@@ -40,7 +40,7 @@ from .errors import (
     Unsupported,
 )
 from .frozen import Frozen
-from .poly import MultiPoly, check_exponent
+from .poly import Factored, MultiPoly, check_exponent, factored
 
 Weight = tuple[int, ...]
 Moment = tuple[Fraction, ...]
@@ -301,9 +301,14 @@ def _shallow(restrictions):
 class EquivariantClass(Frozen):
     """A cohomology class stored as one polynomial restriction per fixed point.
 
+    A restriction is a MultiPoly, or a Factored product of powers of
+    linear forms, which ``at`` expands.  The prequantum and line classes
+    hold Factored forms, and ``*`` and ``**`` of Factored values, linear
+    forms and constants, and ``weyl_correct`` of them, stay Factored;
+    ``+`` and ``-`` expand.
     A class given as a dict, as the generators give theirs, keeps a copy
-    of it, checked once, here: a restriction that is not a MultiPoly
-    raises TypeError, and restrictions in more than one number of
+    of it, checked once, here: a restriction that is neither raises
+    TypeError, and restrictions in more than one number of
     variables DimensionMismatch.  The arithmetic returns classes whose
     restrictions are worked out when a point is first read
     (``_Restrictions``), so a pairing computes only the restrictions at
@@ -312,8 +317,9 @@ class EquivariantClass(Frozen):
     result object.  Each operator still raises at its call on operands
     that do not fit: ``**`` checks its exponent, and ``+``, ``-``, ``*``
     and ``weyl_correct`` work out their first point at once, which fails
-    if any point does.  Equality, ``repr``, pickling and copying read
-    every restriction; a pickle or copy holds a plain dict.
+    if any point does.  Equality and ``repr`` read every restriction
+    through ``at``, pickling and copying as it is; a pickle or copy holds
+    a plain dict.
     """
 
     _fields = ("restrictions",)
@@ -322,10 +328,10 @@ class EquivariantClass(Frozen):
         restrictions = dict(restrictions)
         values = restrictions.values()
         # two passes at C speed; only a failing class pays the loop naming its first bad point
-        if {*map(type, values)} - {MultiPoly} or len({*map(operator.attrgetter("nvars"), values)}) > 1:
+        if {*map(type, values)} - {MultiPoly, Factored} or len({*map(operator.attrgetter("nvars"), values)}) > 1:
             first = next(iter(values))
             for fp_id, p in restrictions.items():
-                if not isinstance(p, MultiPoly):
+                if not isinstance(p, (MultiPoly, Factored)):
                     raise TypeError(f"restriction at fixed point {fp_id!r} must be a MultiPoly, got {p!r}")
                 if p.nvars != first.nvars:
                     raise DimensionMismatch(f"restriction at fixed point {fp_id!r} has {p.nvars} variables,"
@@ -336,7 +342,19 @@ class EquivariantClass(Frozen):
         return (EquivariantClass, (dict(self.restrictions),))
 
     def at(self, fp_id: str) -> MultiPoly:
-        return self.restrictions[fp_id]
+        value = self.restrictions[fp_id]
+        return value.poly if type(value) is Factored else value
+
+    def _expanded(self) -> dict:
+        return {fp_id: self.at(fp_id) for fp_id in self.restrictions}
+
+    def __eq__(self, other):
+        if other.__class__ is not EquivariantClass:
+            return NotImplemented
+        return self._expanded() == other._expanded()
+
+    def __repr__(self):
+        return f"EquivariantClass(restrictions={self._expanded()!r})"
 
     def pointwise(self, op, other: "EquivariantClass | None" = None) -> "EquivariantClass":
         """The class restricting to op(self.at(F)), or op(self.at(F), other.at(F)).
@@ -362,7 +380,7 @@ class EquivariantClass(Frozen):
             value = memo.get(key)
             if value is None:
                 value = op(key) if second is None else op(*key)
-                if not isinstance(value, MultiPoly):
+                if not isinstance(value, (MultiPoly, Factored)):
                     raise TypeError(f"op result at fixed point {fp_id!r} must be a MultiPoly, got {value!r}")
                 memo[key] = value
             return value
@@ -389,14 +407,14 @@ class EquivariantClass(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, EquivariantClass):
-            return self.pointwise(operator.mul, other)._checked()
-        return self.pointwise(lambda p: p * other)._checked()
+            return self.pointwise(lambda p, q: factored(p) * q, other)._checked()
+        return self.pointwise(lambda p: factored(p) * other)._checked()
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         check_exponent(n)
-        return self.pointwise(lambda p: p**n)
+        return self.pointwise(lambda p: factored(p) ** n)
 
 
 # ----------------------------------------------------------------------
@@ -630,14 +648,12 @@ def class_generator(model: TorusModel, kind: str, index: int | None = None,
     A bad index or direction raises IndexOutOfRange.
     """
     if kind == "prequantum":  # points holding one moment tuple share one form
-        forms = model.map_moments(MultiPoly.linear_form)
+        forms = model.map_moments(Factored.linear)
         return EquivariantClass({fp.id: form for fp, form in zip(model.fixed_points, forms)})
     if kind == "line":
         if not isinstance(direction, (list, tuple)) or len(direction) != model.rank:
             raise IndexOutOfRange(f"line class needs a direction of length {model.rank}")
-        form = MultiPoly.linear_form(
-            [strict_rational(a, "line direction entry", IndexOutOfRange) for a in direction]
-        )
+        form = Factored.linear([strict_rational(a, "line direction entry", IndexOutOfRange) for a in direction])
         return EquivariantClass({fp.id: form for fp in model.fixed_points})
     if kind == "v":
         if not (model.family and model.family[0] == "sphere"):

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
-from math import comb, gcd, lcm
+from itertools import accumulate, repeat
+from math import gcd, lcm
 from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -69,57 +69,30 @@ def _units(n: int) -> dict:
     return dict.fromkeys((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
 
 
-# A pairing reads one table per degree of its class power: one in each
-# benchmark workload.  The bound keeps a long session that raises forms
-# to many degrees from keeping every table, each of C(m + s - 1, s - 1)
-# terms for degree m and s variables.
-@lru_cache(maxsize=64)
-def _power_table(nvars: int, support: tuple, m: int) -> tuple:
-    """The terms of (sum of u_i over the nonempty increasing index tuple
-    ``support``)^m in nvars variables, as three tuples: the exponents j,
-    with sum m on the support and 0 elsewhere; their multinomials
-    m!/prod_i j_i!; and the columns of the exponents, j_i over the terms
-    for each variable i.
-
-    The multinomials are built as binomials C(rest, j_i) over the support
-    in turn; the last index takes the rest.  Each exponent tuple is built
-    once, by extending its prefix with the zeros of the skipped variables
-    and j_i.  Every power of a linear form with this support and degree
-    reads one table and shares its tuples.
-    """
-    *lead, last = support
-    partial = [((), 1, m)]
-    done = 0  # exponent positions the prefixes fill
-    for i in lead:
-        pad = (0,) * (i - done)
-        partial = [(exp + pad + (j,), c * comb(rest, j), rest - j)
-                   for exp, c, rest in partial for j in range(rest + 1)]
-        done = i + 1
-    pad, tail = (0,) * (last - done), (0,) * (nvars - last - 1)
-    exps = tuple(exp + pad + (rest,) + tail for exp, _, rest in partial)
-    return exps, tuple(c for _, c, _ in partial), tuple(zip(*exps))
-
-
 def _linear_power(coeffs: Sequence[int], m: int) -> dict:
     """Integer terms of (sum_i coeffs[i] * u_i)^m for integer coefficients,
     not all zero, and m >= 1, by the multinomial theorem: prod_i u_i^j_i has
-    coefficient m!/prod_i j_i! * prod_i a_i^j_i.  A single nonzero
-    coefficient a_i gives the one term a_i^m u_i^m.  Otherwise the exponents,
-    multinomials and exponent columns come from ``_power_table`` for the
-    nonzero coefficients, and each a_i^j_i from one power list
-    a_i^0..a_i^m, a column at a time.  No term is zero.
+    coefficient m!/prod_i j_i! * prod_i a_i^j_i.  Each exponent tuple is
+    built from its prefix, one variable at a time, and the multinomial as
+    binomials C(rest, j_i), each from the one before it, with a_i^j_i from
+    one power list; a zero a_i takes j_i = 0 only, and the last nonzero
+    one the rest.  No term is zero.
     """
-    n = len(coeffs)
-    support = tuple(compress(range(n), coeffs))
-    if len(support) == 1:  # one term, with no multinomial to share
-        i = support[0]
-        return {(0,) * i + (m,) + (0,) * (n - i - 1): coeffs[i] ** m}
-    exps, values, columns = _power_table(n, support, m)
-    for a, column in zip(coeffs, columns):
-        if a:
-            powers = list(accumulate(repeat(a, m), mul, initial=1))
-            values = map(mul, values, map(powers.__getitem__, column))
-    return dict(zip(exps, values))
+    last = max(i for i, a in enumerate(coeffs) if a)
+    partial = [((), 1, m)]  # exponent prefix, coefficient, degree left
+    for a in coeffs[:last]:
+        if not a:
+            partial = [(exp + (0,), c, rest) for exp, c, rest in partial]
+            continue
+        powers = list(accumulate(repeat(a, m), mul, initial=1))
+        grown = []
+        for exp, c, rest in partial:
+            for j in range(rest + 1):  # c runs through c * C(rest, j)
+                grown.append((exp + (j,), c * powers[j], rest - j))
+                c = c * (rest - j) // (j + 1)
+        partial = grown
+    a, tail = coeffs[last], (0,) * (len(coeffs) - last - 1)
+    return {exp + (rest,) + tail: c * a**rest for exp, c, rest in partial}
 
 
 def check_exponent(n) -> None:
@@ -213,6 +186,9 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
+        for name, value in (("nvars", nvars), ("index", index)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 0 <= index < nvars:
             raise DimensionMismatch(f"variable index {index} out of range for {nvars} variables")
         exp = [0] * nvars
@@ -391,6 +367,137 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {dict(self.sorted_terms())!r})"
+
+
+class Factored:
+    """A rational constant times a product of powers of linear forms,
+    scale * prod_i <form_i, u>^k_i, kept unexpanded.
+
+    The fields are canonical: each form is a primitive ``int`` tuple whose
+    first nonzero entry is positive, the (form, k) factors are sorted with
+    the exponents of equal forms merged and every k >= 1, and zero is
+    scale 0 with no factor.  Linear forms are irreducible, so equal values
+    have equal fields, and equality and the hash read the fields only.  A
+    Factored value never equals a MultiPoly; compare expansions.
+
+    ``*`` with a Factored value, a constant, or a MultiPoly that is a
+    linear form or a constant, and ``**`` give a Factored value; ``+``,
+    ``-`` and ``*`` with any other polynomial expand it first.  ``poly``
+    is the expansion, made on first read and kept, and ``terms``,
+    ``numerators`` and ``den`` read it.
+    """
+
+    __slots__ = ("nvars", "scale", "factors", "_hash", "_poly")
+
+    @classmethod
+    def _make(cls, nvars: int, scale: Fraction, factors: tuple) -> "Factored":
+        """Internal constructor for factors in canonical order; zero drops
+        them.  The hash is taken here, as every value made on the pairing
+        path is hashed: as a grouping key or as the input of a power."""
+        if not scale:
+            factors = ()
+        obj = object.__new__(cls)
+        setfield = object.__setattr__
+        setfield(obj, "nvars", nvars)
+        setfield(obj, "scale", scale)
+        setfield(obj, "factors", factors)
+        # scale as ints: Fraction's own hash runs in Python
+        setfield(obj, "_hash", hash((nvars, scale.numerator, scale.denominator, factors)))
+        return obj
+
+    @classmethod
+    def linear(cls, coeffs: Sequence[Scalar], den: int = 1) -> "Factored":
+        """sum_i coeffs[i] * u_i / den, for ``int`` or ``Fraction`` coefficients."""
+        common = lcm(*[c.denominator for c in coeffs])
+        ints = [c.numerator * (common // c.denominator) for c in coeffs]
+        g = gcd(*ints)
+        if not g:
+            return cls._make(len(ints), Fraction(0), ())
+        if next(filter(None, ints)) < 0:
+            g = -g
+        return cls._make(len(ints), Fraction(g, den * common), ((tuple([a // g for a in ints]), 1),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Factored is immutable")
+
+    def __reduce__(self):
+        return (Factored._make, (self.nvars, self.scale, self.factors))
+
+    @property
+    def poly(self) -> MultiPoly:
+        try:
+            return self._poly
+        except AttributeError:
+            p = MultiPoly.const(self.nvars, self.scale)
+            for form, k in self.factors:
+                p = p * MultiPoly.linear_form(form) ** k
+            object.__setattr__(self, "_poly", p)
+            return p
+
+    terms = property(lambda self: self.poly.terms)
+    numerators = property(lambda self: self.poly.numerators)
+    den = property(lambda self: self.poly.den)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Factored._make(self.nvars, self.scale * other, self.factors)
+        if not isinstance(other, (MultiPoly, Factored)):
+            return NotImplemented
+        if other.nvars != self.nvars:
+            raise DimensionMismatch(f"mixing polynomials in {self.nvars} and {other.nvars} variables")
+        other = factored(other)
+        if type(other) is MultiPoly:
+            return self.poly * other
+        merged = dict(self.factors)
+        for form, k in other.factors:
+            merged[form] = merged.get(form, 0) + k
+        return Factored._make(self.nvars, self.scale * other.scale, tuple(sorted(merged.items())))
+
+    def __rmul__(self, other):
+        if isinstance(other, MultiPoly) and other.nvars != self.nvars:
+            raise DimensionMismatch(f"mixing polynomials in {other.nvars} and {self.nvars} variables")
+        return self * other
+
+    def __pow__(self, n: int) -> "Factored":
+        check_exponent(n)
+        factors = tuple([(form, k * n) for form, k in self.factors]) if n else ()
+        return Factored._make(self.nvars, self.scale**n, factors)
+
+    def __add__(self, other):
+        return self.poly + other
+
+    def __radd__(self, other):
+        return other + self.poly
+
+    def __sub__(self, other):
+        return self.poly - other
+
+    def __rsub__(self, other):
+        return other - self.poly
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Factored:
+            return NotImplemented
+        return (self.nvars, self.scale, self.factors) == (other.nvars, other.scale, other.factors)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Factored({self.nvars}, {self.scale!r}, {self.factors!r})"
+
+
+def factored(p):
+    """p as a Factored value if it is one, a linear form or a constant;
+    any other polynomial as it is."""
+    if type(p) is not MultiPoly:
+        return p
+    numerators, units = p.numerators, _units(p.nvars)
+    if numerators.keys() <= units.keys():
+        return Factored.linear([numerators.get(e, 0) for e in units], p.den)
+    if len(numerators) == 1 and not any(next(iter(numerators))):
+        return Factored._make(p.nvars, p.constant_term(), ())
+    return p
 
 
 def _graded(numerators: dict, order: int) -> list[dict]:

@@ -123,57 +123,52 @@ def _stage_fold(numerators: dict, lines: tuple[Line, ...], residual_count: int) 
     return {e: v for e, v in out.items() if v}, den
 
 
-def _finish_fold(numerators: dict, stages: tuple) -> tuple[int, int]:
+def _finish_fold(kept: list, stages: tuple) -> tuple[int, int]:
     """Fold the last two stages of a key on plain integers, or the one stage
-    of a rank-1 key: the value's numerator, and the denominator by which the
-    input's must be multiplied.
+    of a rank-1 key: the value's numerator and denominator, by which the
+    restriction's scale must be multiplied.
 
-    ``stages`` holds the line tuples of those stages, and the exponents of
-    ``numerators`` are (e0, e1), or (e1,) at rank 1.  The last stage has no
-    residual variable, so of its Segre class only s_0 = 1/c1 is nonzero,
-    times the gcd k1 of its circle weights, and only e1 + n = r1 - 1 is
-    kept, with n the Segre index of the stage before.  That stage has one
-    residual variable, so its piece n is one integer N_n over c0^(n+1),
-    from a recurrence over the lines: if P_n / c^(n+1) are the pieces for
-    the lines so far, c the product of their circle weights, one more line
-    (a, (b,)) gives pieces N_n / (c a)^(n+1) with N_n = a^n P_n - c b N_(n-1),
-    from (a + b u) S_new = S_old.  A term (e0, e1) with n = e0 - r0 + 1 >= 0
-    adds its numerator times k0 N_n c0^(top-n), over c0^(top+1) c1, with
-    top the largest n kept.  One pass over the terms gathers the kept ones
-    and top, one over the last stage gives k1 and c1, and the recurrence's
-    pass over the lines gives k0 and c0.
+    ``stages`` holds the line tuples of those stages, with r0 and r1 lines.
+    The fold sends every term of the restriction to 0 but those of
+    x0^(r0-1+n) x1^(r1-1-n), n = 0..r1-1, and ``kept[n]`` is the integer
+    coefficient of that term; at rank 1 ``kept`` is the one coefficient of
+    x^(r1-1).  The last stage has no residual variable, so of its Segre
+    class only s_0 = 1/c1 is nonzero, times the gcd k1 of its circle
+    weights.  The stage before has one residual variable, so its piece n
+    is one integer N_n over c0^(n+1), from a recurrence over the lines: if
+    P_n / c^(n+1) are the pieces for the lines so far, c the product of
+    their circle weights, one more line (a, (b,)) gives pieces
+    N_n / (c a)^(n+1) with N_n = a^n P_n - c b N_(n-1), from
+    (a + b u) S_new = S_old.  The value is k0 k1 sum_n kept[n] N_n
+    c0^(top-n) over c0^(top+1) c1, with top the last n kept nonzero, and
+    the sum runs by Horner's rule.
     """
     *before, last = stages
-    r1 = len(last)
-    k1, c1 = 0, 1
-    for w, _ in last:
-        k1 = math.gcd(k1, w)
-        c1 *= w
-    if not before:
-        return numerators.get((r1 - 1,), 0) * k1, c1
-    (lines,) = before
-    low = len(lines) - 1
-    total = low + r1 - 1
-    kept, top = [], -1
-    for (e0, e1), v in numerators.items():
-        if e0 >= low and e0 + e1 == total:
-            n = e0 - low
-            kept.append((n, v))
-            if n > top:
-                top = n
-    if not kept:
+    top = len(kept) - 1
+    while top >= 0 and not kept[top]:
+        top -= 1
+    if top < 0:
         return 0, 1
+    weights = [w for w, _ in last]
+    k1, c1 = math.gcd(*weights), math.prod(weights)
+    if not before:
+        return kept[0] * k1, c1
+    (lines,) = before
+    weights = [a for a, _ in lines]
+    k0, c = math.gcd(*weights), math.prod(weights)
     segre = [1] + [0] * top
-    c, k0 = 1, 0
-    for a, (b,) in lines:
-        cb = c * b
-        scale = 1
-        for n in range(1, top + 1):  # upwards, so segre[n-1] is already N_(n-1)
-            scale *= a
-            segre[n] = scale * segre[n] - cb * segre[n - 1]
-        c *= a
-        k0 = math.gcd(k0, a)
-    value = sum(v * segre[n] * c ** (top - n) for n, v in kept)
+    if top:  # with only n = 0 kept, N_0 = 1 and no line is read
+        run = 1
+        for a, (b,) in lines:
+            cb = run * b
+            scale = 1
+            for n in range(1, top + 1):  # upwards, so segre[n-1] is already N_(n-1)
+                scale *= a
+                segre[n] = scale * segre[n] - cb * segre[n - 1]
+            run *= a
+    value = 0
+    for v, s in zip(kept, segre):
+        value = value * c + v * s
     return value * k0 * k1, c ** (top + 1) * c1
 
 

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -648,6 +649,18 @@ class TestDeepInput:
         code, out, err = run(capsys, "pair", "--model", "cp2:4", "--class", "L^700",
                              "--cp2-variant", "swapped")
         assert (code, out, err) == (0, "0\n", "")
+
+    @pytest.mark.parametrize("text", ["(L^100)^20", "(L^200)^20"])
+    def test_nested_powers_print_what_the_flat_power_prints(self, capsys, text):
+        # (L^100)^20 took 34 s by repeated squaring of the expanded L^100, and
+        # (L^200)^20 did not finish in 120 s; a power of a factored power only
+        # scales its exponent, and a key of another degree folds to 0 at once
+        argv = ("pair", "--model", "cp2:4", "--cp2-variant", "swapped", "--class")
+        flat = run(capsys, *argv, "L^2000")
+        start = time.perf_counter()
+        nested = run(capsys, *argv, text)
+        assert time.perf_counter() - start < 10
+        assert nested == flat == (0, "0\n", "")
 
     @pytest.mark.parametrize("model, text, source, value", [
         ("spheres:3", " + ".join(["L"] * 500), ("--path", "0:+"), "0"),

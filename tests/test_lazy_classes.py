@@ -32,7 +32,7 @@ from torusloc import (
     weyl_correct,
 )
 from torusloc.model import MAX_LAZY_DEPTH, FixedPoint
-from torusloc.poly import affine_product
+from torusloc.poly import Factored, affine_product
 
 from helpers import mixed_polys
 
@@ -121,7 +121,7 @@ def test_chains_read_as_the_per_point_arithmetic(chain, rng):
     model, classes, steps, reads = chain
     model_ids = [fp.id for fp in model.fixed_points]
     values = [{fp.id: MultiPoly.linear_form(fp.moment) for fp in model.fixed_points}]
-    values += [dict(cls.restrictions) for cls in classes[1:]]  # dict classes
+    values += [{fp_id: cls.at(fp_id) for fp_id in model_ids} for cls in classes[1:]]  # expanded
     for n, step in enumerate(steps):
         cls, value = apply(model, step, classes, values)
         classes.append(cls)
@@ -143,22 +143,22 @@ def test_weyl_volume_computes_powers_only_at_the_plan_points(monkeypatch):
     plan_points = {term.fixed_point_id for term in plan.terms}
     assert len(plan_points) == 15 < len(model.fixed_points) == 45
     powered = []
-    power = MultiPoly.__pow__
+    power = Factored.__pow__
 
     def counted(p, n):
         powered.append(p)
         return power(p, n)
 
-    monkeypatch.setattr(MultiPoly, "__pow__", counted)
+    monkeypatch.setattr(Factored, "__pow__", counted)
     cls, m = volume_class(model, "weyl")
     # weyl_correct works out the first point at its call: the one power
     # that runs before the plan is read
     first = model.fixed_points[0]
-    assert powered == [MultiPoly.linear_form(first.moment)]
+    assert powered == [Factored.linear(first.moment)]
     assert evaluate_plan(model, plan, cls) / factorial(m) == Fraction(11539, 240)
-    expected = {MultiPoly.linear_form(model.fixed_point(fp_id).moment) for fp_id in plan_points}
+    expected = {Factored.linear(model.fixed_point(fp_id).moment) for fp_id in plan_points}
     assert len(powered) == len(set(powered)) <= len(plan_points) + 1
-    assert set(powered) == expected | {MultiPoly.linear_form(first.moment)}
+    assert set(powered) == expected | {Factored.linear(first.moment)}
 
 
 SPHERE_ROOTS = affine_product(1, ((0, (1,)), (0, (-1,)))) * Fraction(1, 2)  # over the Weyl order
@@ -194,8 +194,8 @@ def test_rank1_plan_reads_half_the_sphere_points(monkeypatch):
     model = build_sphere_product(13)
     plan = rank1_plan(model, 0, 1)
     powered = []
-    power = MultiPoly.__pow__
-    monkeypatch.setattr(MultiPoly, "__pow__", lambda p, n: powered.append(p) or power(p, n))
+    power = Factored.__pow__
+    monkeypatch.setattr(Factored, "__pow__", lambda p, n: powered.append(p) or power(p, n))
     cls = class_generator(model, "prequantum") ** 12
     assert powered == []
     evaluate_plan(model, plan, cls)
@@ -235,8 +235,8 @@ def test_bad_operands_raise_at_the_call(name, lazy):
     if not lazy:
         cls = EquivariantClass(dict(cls.restrictions))
     operation, per_point = BAD_OPERATIONS[name]
-    with pytest.raises(Exception) as expected:
-        per_point(cls.at(model.fixed_points[0].id))
+    with pytest.raises(Exception) as expected:  # on the stored restriction, a Factored value
+        per_point(cls.restrictions[model.fixed_points[0].id])
     with pytest.raises(type(expected.value)) as raised:
         operation(cls, model)
     assert str(raised.value) == str(expected.value)

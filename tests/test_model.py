@@ -339,7 +339,7 @@ class TestClassGenerator:
     def test_line_class(self):
         m = build_sphere_product(2)
         cls = class_generator(m, "line", direction=(2,))
-        assert all(p == MultiPoly(1, {(1,): 2}) for p in cls.restrictions.values())
+        assert all(cls.at(fp_id) == MultiPoly(1, {(1,): 2}) for fp_id in cls.restrictions)
 
     @pytest.mark.parametrize("direction", [(0.5,), (1.0,), (True,), ("2",)])
     def test_line_direction_must_be_int_or_fraction(self, direction):

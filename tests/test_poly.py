@@ -59,6 +59,16 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
             MultiPoly.variable(1, 0) ** bad
 
+    @pytest.mark.parametrize("args, message", [
+        ((True, 0), "nvars must be an int, got True"), ((1, False), "index must be an int, got False"),
+        ((2.0, 0), "nvars must be an int, got 2.0"), ((2, 1.0), "index must be an int, got 1.0"),
+        (("2", 0), "nvars must be an int, got '2'"),
+    ])
+    def test_variable_takes_only_ints(self, args, message):
+        # variable(True, 0) and variable(1, False) both used to return u
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MultiPoly.variable(*args)
+
     def test_scalar_ops(self):
         p = P(1, {(1,): 1})
         assert p * Fraction(1, 2) == P(1, {(1,): Fraction(1, 2)})
@@ -265,11 +275,10 @@ def test_linear_form_power_is_the_repeated_product(form, m):
     assert power == product and exact_shape(power)
 
 
-def test_power_of_one_variable_reads_no_table(monkeypatch):
-    def no_table(*args):
-        raise AssertionError("a power of one variable read a power table")
-
-    monkeypatch.setattr(poly, "_power_table", no_table)
+def test_power_of_one_variable_is_one_term():
+    # zero coefficients take exponent 0 only, the last variable too
+    assert poly._linear_power([0, 3, 0], 5) == {(0, 5, 0): 243}
+    assert poly._linear_power([0, 0, -2], 3) == {(0, 0, 3): -8}
     power = MultiPoly.linear_form([0, Fraction(3, 2), 0]) ** 5
     assert power == MultiPoly(3, {(0, 5, 0): Fraction(243, 32)}) and exact_shape(power)
 

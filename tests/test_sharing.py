@@ -29,6 +29,7 @@ from torusloc import (
     lambda_flag,
 )
 from torusloc.model import FixedPoint
+from torusloc.poly import Factored
 
 from helpers import cp2_volume_class, point_cp2_plan, point_cp_product
 
@@ -157,13 +158,13 @@ def test_class_power_runs_once_per_distinct_moment(monkeypatch):
     model = point_cp_product(3, 5)
     moments = {fp.moment for fp in model.fixed_points}
     powers = []
-    power = MultiPoly.__pow__
+    power = Factored.__pow__
 
     def counted(p, n):
         powers.append(p)
         return power(p, n)
 
-    monkeypatch.setattr(MultiPoly, "__pow__", counted)
+    monkeypatch.setattr(Factored, "__pow__", counted)
     cls = class_generator(model, "prequantum") ** 2
     # Restrictions are worked out when read: no power runs before that.
     assert powers == []
@@ -180,16 +181,16 @@ def test_class_power_runs_once_per_distinct_moment(monkeypatch):
 def test_prequantum_class_builds_one_form_per_distinct_moment(monkeypatch, build, distinct):
     model = build()
     forms = []
-    linear_form = MultiPoly.linear_form
+    linear = Factored.linear
 
     def counted(moment):
         forms.append(moment)
-        return linear_form(moment)
+        return linear(moment)
 
-    monkeypatch.setattr(MultiPoly, "linear_form", counted)
+    monkeypatch.setattr(Factored, "linear", counted)
     cls = class_generator(model, "prequantum")
     assert len(forms) == len(set(forms)) == distinct
-    assert all(cls.at(fp.id) == linear_form(fp.moment) for fp in model.fixed_points)
+    assert all(cls.at(fp.id) == MultiPoly.linear_form(fp.moment) for fp in model.fixed_points)
 
 
 def test_int_and_fraction_restrictions_share_one_key(monkeypatch):

@@ -319,6 +319,7 @@ def test_stage_fold_at_the_top_power_by_hand():
 
 
 def test_finish_fold_by_hand():
+    from torusloc.localization import _kept_terms
     from torusloc.weighted import _finish_fold
 
     # stage 0: 1/((1 + u) 2) = 1/2 - u/2 + ..., N = [1, -2] over 2^(n+1), k0 = 1;
@@ -327,10 +328,14 @@ def test_finish_fold_by_hand():
     # 11 x1^2 is below x0^1, 13 x0^2 x1 off the degree.
     numerators = {(1, 1): 5, (2, 0): 7, (0, 2): 11, (2, 1): 13}
     stages = (((1, (1,)), (2, (0,))), ((3, ()), (-3, ())))
-    assert _finish_fold(numerators, stages) == (-12, -36)
+    assert _kept_terms(numerators, stages) == [5, 7]
+    assert _finish_fold([5, 7], stages) == (-12, -36)
+    assert _finish_fold([5, 7, 0, 0], stages) == (-12, -36)  # trailing zeros are not read
     # rank 1: only the one stage, read at x^(r-1)
-    assert _finish_fold({(1,): 4, (0,): 9}, stages[1:]) == (12, -9)
-    assert _finish_fold({(0,): 9}, stages[1:]) == (0, -9)
+    assert _kept_terms({(1,): 4, (0,): 9}, stages[1:]) == [4]
+    assert _finish_fold([4], stages[1:]) == (12, -9)
+    assert _kept_terms({(0,): 9}, stages[1:]) == [0]
+    assert _finish_fold([0], stages[1:]) == (0, 1)
 
 
 def test_load_plan_shares_equal_flags_and_checks_each_evaluation():
