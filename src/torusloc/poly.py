@@ -159,17 +159,6 @@ class MultiPoly:
         obj._store(nvars, numerators, den)
         return obj
 
-    @classmethod
-    def _canonical(cls, nvars: int, numerators: dict, den: int) -> "MultiPoly":
-        """Internal constructor for storage already canonical: no zero
-        numerator, den >= 1 and gcd(den, *numerators) == 1.  The callers
-        (``linear_form`` and the power of a linear form) prove it."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "nvars", nvars)
-        object.__setattr__(obj, "numerators", MappingProxyType(numerators))
-        object.__setattr__(obj, "den", den)
-        return obj
-
     def __reduce__(self):
         return (MultiPoly._make, (self.nvars, dict(self.numerators), self.den))
 
@@ -197,24 +186,8 @@ class MultiPoly:
 
     @classmethod
     def linear_form(cls, coeffs: Sequence[Scalar]) -> "MultiPoly":
-        """The polynomial sum_i coeffs[i] * u_i; zero entries are checked too.
-
-        Entries that are all ``int`` or ``Fraction`` are stored directly, in
-        canonical form: den is the lcm of their denominators, each nonzero
-        entry a/q has numerator a * (den // q), and zero entries are left
-        out.  Then gcd(den, *numerators) == 1: a prime p dividing den
-        divides, to the full power it has in den, the denominator q of
-        some entry, and neither a nor den // q is divisible by p.  Any
-        other entry meets the constructor's check.
-        """
-        n = len(coeffs)
-        units = _units(n)
-        if all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
-            den = lcm(*(c.denominator for c in coeffs))
-            return cls._canonical(
-                n, {e: c.numerator * (den // c.denominator) for e, c in zip(units, coeffs) if c}, den
-            )
-        return cls(n, dict(zip(units, coeffs)))
+        """The polynomial sum_i coeffs[i] * u_i; zero entries are checked too."""
+        return cls(len(coeffs), dict(zip(_units(len(coeffs)), coeffs)))
 
     # ------------------------------------------------------------------
     # queries
@@ -301,24 +274,11 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
-        """The n-th power on integer numerators over den^n: a homogeneous
-        linear form by the multinomial theorem (``_linear_power``), any
-        other polynomial by repeated squaring.
-
-        The power of a linear form sum_i a_i u_i / den (n >= 1) is stored
-        as built, because it is canonical already.  Its terms are
-        multinomial(n; j) * prod_i a_i^j_i, one per exponent j, and none is
-        zero, since canonical storage holds no zero a_i.  And
-        gcd(den^n, *numerators) == 1: a prime p dividing den^n divides den,
-        so it misses some a_i, and then it misses the term a_i^n of u_i^n.
-        Every other power goes through ``_make``'s normalisation.
-        """
+        """The n-th power on integer numerators over den^n, by repeated
+        squaring.  A power of a linear form is kept factored (``Factored``)
+        and expanded by the multinomial theorem instead."""
         check_exponent(n)
         base, den = self.numerators, self.den**n
-        units = _units(self.nvars)
-        if n and base and base.keys() <= units.keys():
-            coeffs = [base.get(e, 0) for e in units]
-            return MultiPoly._canonical(self.nvars, _linear_power(coeffs, n), den)
         result = {(0,) * self.nvars: 1}
         while n:
             if n & 1:
@@ -430,7 +390,7 @@ class Factored:
         except AttributeError:
             p = MultiPoly.const(self.nvars, self.scale)
             for form, k in self.factors:
-                p = p * MultiPoly.linear_form(form) ** k
+                p = p * MultiPoly._make(self.nvars, _linear_power(form, k))
             object.__setattr__(self, "_poly", p)
             return p
 

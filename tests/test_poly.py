@@ -18,7 +18,7 @@ from torusloc import (
     series_invert,
 )
 from torusloc import poly
-from torusloc.poly import _graded, _int_product
+from torusloc.poly import _graded, _int_product, factored
 
 from helpers import (
     check_graded_prefix,
@@ -267,12 +267,13 @@ def linear_forms(draw):
 @settings(max_examples=100, deadline=None)
 @given(linear_forms(), st.integers(0, 12))
 def test_linear_form_power_is_the_repeated_product(form, m):
-    # powers of a linear form expand by the multinomial theorem, not by squaring
+    # a factored power of a linear form expands by the multinomial theorem,
+    # a MultiPoly power by squaring; both are the repeated product
     product = MultiPoly.const(form.nvars, 1)
     for _ in range(m):
         product = product * form
-    power = form**m
-    assert power == product and exact_shape(power)
+    for power in (form**m, (factored(form) ** m).poly):
+        assert power == product and exact_shape(power)
 
 
 def test_power_of_one_variable_is_one_term():
@@ -290,9 +291,9 @@ def same_storage(p: MultiPoly, q: MultiPoly) -> bool:
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.one_of(st.just(0), mixed_coeffs), min_size=1, max_size=3), st.integers(0, 40))
 def test_linear_form_and_its_power_are_stored_canonical(coeffs, m):
-    # linear_form and the power of a linear form skip _store's normalisation;
-    # both must store what the checking constructor stores, zeros dropped
-    # and the denominator reduced
+    # linear_form, the power of a linear form and the expansion of its
+    # factored power store what the checking constructor stores, zeros
+    # dropped and the denominator reduced
     n = len(coeffs)
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     form = MultiPoly.linear_form(coeffs)
@@ -303,6 +304,7 @@ def test_linear_form_and_its_power_are_stored_canonical(coeffs, m):
     den = form.den**m
     checked = MultiPoly(n, {e: Fraction(v, den) for e, v in raw.items()})
     assert same_storage(form**m, checked)
+    assert same_storage((factored(form) ** m).poly, checked)
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,7 +473,6 @@ class TestCoefficientTypes:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(st.just(0), st.just(Fraction(0)), mixed_coeffs), max_size=4))
     def test_linear_form_stores_what_the_checking_constructor_stores(self, coeffs):
-        # int, Fraction and 0 entries take the integer path, straight to _make
         n = len(coeffs)
         form = MultiPoly.linear_form(coeffs)
         expected = MultiPoly(n, {(0,) * i + (1,) + (0,) * (n - i - 1): c for i, c in enumerate(coeffs)})
