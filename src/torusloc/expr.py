@@ -162,7 +162,7 @@ class _Parser:
     def parse_term(self) -> Evaluator:
         # Start from the first factor rather than the unit class, and scale
         # only by a written coefficient other than 1: each skipped step is
-        # one more operation at every point a pairing reads.
+        # one more operation per distinct restriction of the class.
         scale = None
         if self.peek().kind == "int":
             scale = self.parse_rational()

@@ -338,8 +338,7 @@ def evaluate_plan(model: TorusModel, plan: Plan, cls: EquivariantClass) -> Fract
     when the summed coefficient is zero, so a flag whose rank is not the
     model's still raises.  Each value's numerator, times the summed
     coefficient, is added into an integer sum per denominator, so only the
-    distinct denominators become Fractions.  A class that works out its
-    restrictions on first read computes them only at the plan's points.
+    distinct denominators become Fractions.
     """
     by_id, restrictions = model._by_id, cls.restrictions
     groups: dict[tuple, list] = {}
@@ -367,15 +366,15 @@ def weyl_correct(model: TorusModel, cls: EquivariantClass) -> EquivariantClass:
 
     This converts pairings on the torus quotient into pairings on the
     quotient by the full nonabelian group.  Like the class operators, it
-    works out the first point at once, so a class that does not fit the
-    model raises here.
+    works out every point at once, so a class that does not fit the model
+    raises here.
     """
     if model.roots is None or model.weyl_order is None:
         raise NoRootData("model carries no root system or Weyl order")
     root_product = Fraction(1, model.weyl_order)
     for root in model.roots:
         root_product = Factored.linear(root) * root_product
-    return cls.pointwise(lambda p: p * root_product)._checked()
+    return cls.pointwise(lambda p: p * root_product)
 
 
 def volume_class(model: TorusModel, group: str, base: Sequence = ()) -> tuple[EquivariantClass, int]:

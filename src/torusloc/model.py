@@ -24,7 +24,6 @@ import itertools
 import json
 import operator
 import re
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, prod
@@ -237,67 +236,6 @@ class TorusModel(Frozen):
         return len(self.fixed_points[0].weights) if self.fixed_points else 0
 
 
-# A class worked out on read reads its inputs' restrictions at the same
-# point, three Python frames per operation down the chain.  An operation
-# whose input is this many operations deep reads out every restriction of
-# that input first, so a long sum or product such as L + L + ... + L stays
-# far below the recursion limit.
-MAX_LAZY_DEPTH = 64
-
-
-class _Restrictions(Mapping):
-    """A class's restrictions by fixed point id, each worked out by
-    ``compute(fp_id)`` on its first read and kept.
-
-    ``ids`` is the keys view of the dict the ids come from, so it is
-    shared down a chain of operations and compared at C speed.  A
-    restriction is never None, and ``depth`` is the number of operations
-    down to a dict class.
-    """
-
-    __slots__ = ("_ids", "_compute", "_values", "depth")
-
-    def __init__(self, ids, compute, depth: int):
-        self._ids, self._compute, self._values, self.depth = ids, compute, {}, depth
-
-    def get(self, fp_id, default=None):
-        value = self._values.get(fp_id)
-        if value is None:
-            if fp_id not in self._ids:
-                return default
-            value = self._values[fp_id] = self._compute(fp_id)
-        return value
-
-    def __getitem__(self, fp_id):
-        value = self.get(fp_id)
-        if value is None:
-            raise KeyError(fp_id)
-        return value
-
-    def keys(self):
-        return self._ids
-
-    def __contains__(self, fp_id):
-        return fp_id in self._ids
-
-    def __iter__(self):
-        return iter(self._ids)
-
-    def __len__(self):
-        return len(self._ids)
-
-    def __repr__(self):
-        return repr(dict(self))
-
-
-def _shallow(restrictions):
-    """The restrictions as they are, or read out into a dict if they are
-    MAX_LAZY_DEPTH operations deep."""
-    if type(restrictions) is _Restrictions and restrictions.depth >= MAX_LAZY_DEPTH:
-        return dict(restrictions)
-    return restrictions
-
-
 class EquivariantClass(Frozen):
     """A cohomology class stored as one polynomial restriction per fixed point.
 
@@ -309,17 +247,11 @@ class EquivariantClass(Frozen):
     A class given as a dict, as the generators give theirs, keeps a copy
     of it, checked once, here: a restriction that is neither raises
     TypeError, and restrictions in more than one number of
-    variables DimensionMismatch.  The arithmetic returns classes whose
-    restrictions are worked out when a point is first read
-    (``_Restrictions``), so a pairing computes only the restrictions at
-    the points its plan names.  Arithmetic runs once per distinct
-    restriction (or pair of them), and points with equal inputs share the
-    result object.  Each operator still raises at its call on operands
-    that do not fit: ``**`` checks its exponent, and ``+``, ``-``, ``*``
-    and ``weyl_correct`` work out their first point at once, which fails
-    if any point does.  Equality and ``repr`` read every restriction
-    through ``at``, pickling and copying as it is; a pickle or copy holds
-    a plain dict.
+    variables DimensionMismatch.  The arithmetic works out every point at
+    its call, through ``pointwise``: once per distinct restriction (or
+    pair of them), with points of equal inputs sharing the result object,
+    so an operator whose operands do not fit at some point raises at its
+    call.  Equality and ``repr`` read every restriction through ``at``.
     """
 
     _fields = ("restrictions",)
@@ -338,9 +270,6 @@ class EquivariantClass(Frozen):
                                             f" but the first restriction has {first.nvars}")
         self._set(restrictions)
 
-    def __reduce__(self):
-        return (EquivariantClass, (dict(self.restrictions),))
-
     def at(self, fp_id: str) -> MultiPoly:
         value = self.restrictions[fp_id]
         return value.poly if type(value) is Factored else value
@@ -357,58 +286,49 @@ class EquivariantClass(Frozen):
         return f"EquivariantClass(restrictions={self._expanded()!r})"
 
     def pointwise(self, op, other: "EquivariantClass | None" = None) -> "EquivariantClass":
-        """The class restricting to op(self.at(F)), or op(self.at(F), other.at(F)).
+        """The class restricting at each fixed point to op of this class's
+        stored restriction there, or op of it and other's restriction at
+        the same fixed point id.
 
-        Only the fixed-point sets are compared at the call (ValueError if
-        they differ); op runs when a point is first read, once per
-        distinct input polynomial or pair of them, keyed by value, and each
-        result is kept; a result that is not a MultiPoly raises TypeError
-        naming the point.  An input MAX_LAZY_DEPTH operations deep is read
-        out at the call.  The operators call ``_checked`` on the result
-        so that their errors are raised at their own call.
+        The fixed-point sets must be equal (ValueError if they differ).
+        op runs at the call, once per distinct input or pair of inputs,
+        keyed by value, and points with equal inputs share the result; a
+        result that is not a MultiPoly or Factored value raises TypeError
+        naming the point.
         """
-        ids = self.restrictions.keys()
-        if other is not None and other.restrictions.keys() != ids:
+        first = self.restrictions
+        second = None if other is None else other.restrictions
+        if second is not None and second.keys() != first.keys():
             raise ValueError("classes restrict to different fixed-point sets")
-        first = _shallow(self.restrictions)
-        second = None if other is None else _shallow(other.restrictions)
-        depth = 1 + max(getattr(first, "depth", 0), getattr(second, "depth", 0))
         memo: dict = {}  # by the input, or the pair of inputs
-
-        def compute(fp_id):
-            key = first[fp_id] if second is None else (first[fp_id], second[fp_id])
+        out = {}
+        for fp_id, p in first.items():
+            key = p if second is None else (p, second[fp_id])
             value = memo.get(key)
             if value is None:
                 value = op(key) if second is None else op(*key)
                 if not isinstance(value, (MultiPoly, Factored)):
                     raise TypeError(f"op result at fixed point {fp_id!r} must be a MultiPoly, got {value!r}")
                 memo[key] = value
-            return value
-
+            out[fp_id] = value
         obj = object.__new__(EquivariantClass)
-        obj._set(_Restrictions(ids, compute, depth))
+        obj._set(out)
         return obj
-
-    def _checked(self) -> "EquivariantClass":
-        """This class, with its first restriction worked out, so that an
-        operation whose operands do not fit raises now, at its call."""
-        next(iter(self.restrictions.values()), None)
-        return self
 
     def __add__(self, other):
         if isinstance(other, EquivariantClass):
-            return self.pointwise(operator.add, other)._checked()
-        return self.pointwise(lambda p: p + other)._checked()
+            return self.pointwise(operator.add, other)
+        return self.pointwise(lambda p: p + other)
 
     def __sub__(self, other):
         if isinstance(other, EquivariantClass):
-            return self.pointwise(operator.sub, other)._checked()
-        return self.pointwise(lambda p: p - other)._checked()
+            return self.pointwise(operator.sub, other)
+        return self.pointwise(lambda p: p - other)
 
     def __mul__(self, other):
         if isinstance(other, EquivariantClass):
-            return self.pointwise(lambda p, q: factored(p) * q, other)._checked()
-        return self.pointwise(lambda p: factored(p) * other)._checked()
+            return self.pointwise(lambda p, q: factored(p) * q, other)
+        return self.pointwise(lambda p: factored(p) * other)
 
     __rmul__ = __mul__
 

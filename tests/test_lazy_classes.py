@@ -1,11 +1,12 @@
-"""Classes whose restrictions are worked out on first read.
+"""Class arithmetic, worked out at every point at the call.
 
-The generators and the class arithmetic return classes that compute a
-restriction when a point is first read.  These tests check that such a
-class reads the same as the per-point arithmetic at every point, whatever
-the order of reads, that a pairing computes only what its plan reads, that
-each operator still raises at its own call, and that pickling and copying
-read out every restriction.
+The generators and the class arithmetic return classes that hold their
+restrictions in a plain dict.  These tests check that such a class reads
+the same as the per-point arithmetic at every point, whatever the order
+of reads, that each power runs at the call once per distinct moment, that
+binary operations pair their operands by fixed point id, that each
+operator raises at its own call whichever point fails, and that pickling
+and copying keep every restriction.
 """
 
 import copy
@@ -31,7 +32,8 @@ from torusloc import (
     volume_class,
     weyl_correct,
 )
-from torusloc.model import MAX_LAZY_DEPTH, FixedPoint
+from torusloc.closedforms import sphere_torus_pairing
+from torusloc.model import FixedPoint
 from torusloc.poly import Factored, affine_product
 
 from helpers import mixed_polys
@@ -137,28 +139,29 @@ def test_chains_read_as_the_per_point_arithmetic(chain, rng):
         assert cls == EquivariantClass(value)
 
 
-def test_weyl_volume_computes_powers_only_at_the_plan_points(monkeypatch):
-    model = build_cp_product(3, 8)
-    plan = cp2_plan(8, "swapped")
-    plan_points = {term.fixed_point_id for term in plan.terms}
-    assert len(plan_points) == 15 < len(model.fixed_points) == 45
+POWERED = {  # the model, its plan, the class and its pairing; the plans read 15 of 45 and 7 of 14 points
+    "cp2:8 weyl volume": (lambda: build_cp_product(3, 8), lambda model: cp2_plan(8, "swapped"),
+                          lambda model: volume_class(model, "weyl")[0], Fraction(11539, 240) * factorial(8)),
+    "spheres:13 L^12": (lambda: build_sphere_product(13), lambda model: rank1_plan(model, 0, 1),
+                        lambda model: class_generator(model, "prequantum") ** 12, sphere_torus_pairing(13)),
+}
+
+
+@pytest.mark.parametrize("name", POWERED)
+def test_each_power_runs_at_the_call_once_per_distinct_moment(monkeypatch, name):
+    build, make_plan, make_class, pairing = POWERED[name]
+    model = build()
+    plan = make_plan(model)
     powered = []
     power = Factored.__pow__
-
-    def counted(p, n):
-        powered.append(p)
-        return power(p, n)
-
-    monkeypatch.setattr(Factored, "__pow__", counted)
-    cls, m = volume_class(model, "weyl")
-    # weyl_correct works out the first point at its call: the one power
-    # that runs before the plan is read
-    first = model.fixed_points[0]
-    assert powered == [Factored.linear(first.moment)]
-    assert evaluate_plan(model, plan, cls) / factorial(m) == Fraction(11539, 240)
-    expected = {Factored.linear(model.fixed_point(fp_id).moment) for fp_id in plan_points}
-    assert len(powered) == len(set(powered)) <= len(plan_points) + 1
-    assert set(powered) == expected | {Factored.linear(first.moment)}
+    monkeypatch.setattr(Factored, "__pow__", lambda p, n: powered.append(p) or power(p, n))
+    cls = make_class(model)
+    moments = {fp.moment for fp in model.fixed_points}
+    assert len(powered) == len(set(powered)) == len(moments)
+    assert set(powered) == {Factored.linear(moment) for moment in moments}
+    assert len({term.fixed_point_id for term in plan.terms}) < len(model.fixed_points)
+    assert evaluate_plan(model, plan, cls) == pairing
+    assert len(powered) == len(moments)  # the pairing runs no power
 
 
 SPHERE_ROOTS = affine_product(1, ((0, (1,)), (0, (-1,)))) * Fraction(1, 2)  # over the Weyl order
@@ -174,32 +177,18 @@ CHAINS = {  # one step, and the restriction after n - 1 steps from the form
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_long_chains_read_every_point(name):
-    # 500 operations used to exceed the recursion limit at every point but
-    # the first; an input MAX_LAZY_DEPTH operations deep is read out instead
+    # each of the 500 operations works out every point at its call
     step, per_point = CHAINS[name]
     model = build_sphere_product(3)
     start = cls = class_generator(model, "prequantum")
     for _ in range(499):
         cls = step(cls, start, model)
-        assert cls.restrictions.depth <= MAX_LAZY_DEPTH
     expected = EquivariantClass({fp.id: per_point(MultiPoly.linear_form(fp.moment), 500)
                                  for fp in model.fixed_points})
     plan = rank1_plan(model, 0, 1)
     assert evaluate_plan(model, plan, cls) == evaluate_plan(model, plan, expected)
     assert cls == expected and repr(cls) == repr(expected)
     assert pickle.loads(pickle.dumps(cls)) == expected
-
-
-def test_rank1_plan_reads_half_the_sphere_points(monkeypatch):
-    model = build_sphere_product(13)
-    plan = rank1_plan(model, 0, 1)
-    powered = []
-    power = Factored.__pow__
-    monkeypatch.setattr(Factored, "__pow__", lambda p, n: powered.append(p) or power(p, n))
-    cls = class_generator(model, "prequantum") ** 12
-    assert powered == []
-    evaluate_plan(model, plan, cls)
-    assert len(powered) == len({term.fixed_point_id for term in plan.terms}) == 7
 
 
 def mismatched_ids(model):
@@ -227,13 +216,10 @@ BAD_OPERATIONS = {
 }
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["dict class", "lazy class"])
 @pytest.mark.parametrize("name", BAD_OPERATIONS)
-def test_bad_operands_raise_at_the_call(name, lazy):
+def test_bad_operands_raise_at_the_call(name):
     model = build_sphere_product(3)
     cls = class_generator(model, "prequantum") ** 2
-    if not lazy:
-        cls = EquivariantClass(dict(cls.restrictions))
     operation, per_point = BAD_OPERATIONS[name]
     with pytest.raises(Exception) as expected:  # on the stored restriction, a Factored value
         per_point(cls.restrictions[model.fixed_points[0].id])
@@ -270,7 +256,8 @@ def test_classes_on_other_fixed_point_sets_raise_at_the_call():
 
 
 def read_restrictions():
-    """A lazy class on cp2:4 with some of its fifteen points read."""
+    """A class on cp2:4 made by a few operations, with two of its fifteen
+    points read."""
     model = build_cp_product(3, 4)
     cls = (class_generator(model, "prequantum") - MultiPoly.linear_form((1, 0))) ** 3 * Fraction(1, 2)
     cls.at(model.fixed_points[4].id)
@@ -284,7 +271,7 @@ def read_restrictions():
     copy.copy,
     copy.deepcopy,
 ], ids=["pickle", "pickle protocol 0", "copy", "deepcopy"])
-def test_lazy_class_survives_pickling_and_copying(round_trip):
+def test_class_survives_pickling_and_copying(round_trip):
     model, cls = read_restrictions()
     back = round_trip(cls)
     assert type(back) is EquivariantClass and type(back.restrictions) is dict
@@ -295,18 +282,43 @@ def test_lazy_class_survives_pickling_and_copying(round_trip):
     assert evaluate_plan(model, plan, back) == evaluate_plan(model, plan, cls)
 
 
-def test_lazy_restrictions_read_as_a_mapping():
-    model, cls = read_restrictions()
-    ids = [fp.id for fp in model.fixed_points]
-    restrictions = cls.restrictions
-    eager = dict(restrictions)
-    assert list(restrictions) == list(restrictions.keys()) == ids and len(restrictions) == 15
-    assert ids[7] in restrictions and "F{}|{}|{}" not in restrictions
-    assert restrictions.get("F{}|{}|{}") is None and restrictions.get("F{}|{}|{}", 5) == 5
-    with pytest.raises(KeyError):
-        restrictions["F{}|{}|{}"]
-    assert list(restrictions.items()) == list(eager.items())
-    assert all(restrictions[fp_id] is eager[fp_id] for fp_id in ids)  # read once, kept
-    assert repr(restrictions) == repr(eager)
-    assert restrictions == eager and eager == restrictions
-    assert restrictions != {**eager, ids[0]: MultiPoly.const(2, 7)}
+RESULTS = {
+    "+": lambda L, model: L + L,
+    "+ scalar": lambda L, model: L + 1,
+    "-": lambda L, model: L - MultiPoly.linear_form((1, 0)),
+    "*": lambda L, model: L * L,
+    "* scalar": lambda L, model: Fraction(1, 2) * L,
+    "**": lambda L, model: L ** 3,
+    "weyl_correct": lambda L, model: weyl_correct(model, L),
+}
+
+
+@pytest.mark.parametrize("name", RESULTS)
+def test_class_operations_hold_their_restrictions_in_a_dict(name):
+    model = build_cp_product(3, 4)
+    cls = RESULTS[name](class_generator(model, "prequantum"), model)
+    assert type(cls.restrictions) is dict
+    assert list(cls.restrictions) == [fp.id for fp in model.fixed_points]
+
+
+def test_a_failure_at_a_point_no_plan_reads_raises_at_the_call():
+    model = build_sphere_product(3)
+    L = class_generator(model, "prequantum")
+    last = L.restrictions["f{1,2,3}"]
+    assert "f{1,2,3}" not in {term.fixed_point_id for term in rank1_plan(model, 0, 1).terms}
+    with pytest.raises(TypeError) as raised:
+        L.pointwise(lambda p: 5 if p is last else p)
+    assert str(raised.value) == "op result at fixed point 'f{1,2,3}' must be a MultiPoly, got 5"
+
+
+@pytest.mark.parametrize("build", [lambda: build_sphere_product(3), lambda: build_cp_product(3, 4)],
+                         ids=["spheres:3", "cp2:4"])
+def test_binary_operations_pair_operands_by_fixed_point_id(build):
+    model = build()
+    L = class_generator(model, "prequantum")
+    R = EquivariantClass(dict(reversed(L.restrictions.items())))
+    assert list(R.restrictions) == list(reversed(L.restrictions))
+    for difference in (L - R, R - L):
+        assert all(difference.at(fp.id).is_zero() for fp in model.fixed_points)
+    assert R * L == L**2 and L * R == L**2
+    assert R + L == 2 * L

@@ -25,7 +25,6 @@ from torusloc import (
     build_sphere_product,
     class_generator,
     cp2_plan,
-    evaluate_plan,
     load_model,
     rank1_plan,
 )
@@ -385,10 +384,9 @@ class TestEquivariantClassOps:
     def test_pointwise_result_that_is_not_a_polynomial_names_its_point(self, bad):
         # 5 used to end in a bare AttributeError inside lambda_flag
         m = build_sphere_product(3)
-        cls = class_generator(m, "prequantum").pointwise(lambda p: bad)
         message = f"op result at fixed point 'f{{}}' must be a MultiPoly, got {bad!r}"
         with pytest.raises(TypeError) as raised:
-            evaluate_plan(m, rank1_plan(m, 0, 1), cls)
+            class_generator(m, "prequantum").pointwise(lambda p: bad)
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("bad", [False, True, 2.0])

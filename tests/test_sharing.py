@@ -166,10 +166,9 @@ def test_class_power_runs_once_per_distinct_moment(monkeypatch):
 
     monkeypatch.setattr(Factored, "__pow__", counted)
     cls = class_generator(model, "prequantum") ** 2
-    # Restrictions are worked out when read: no power runs before that.
-    assert powers == []
-    restrictions = list(cls.restrictions.values())
+    # The powers run at the call, once per distinct moment.
     assert len(powers) == len(moments) < len(model.fixed_points)
+    restrictions = list(cls.restrictions.values())
     # Points with equal moments share one restriction object.
     assert len({id(p) for p in restrictions}) == len(moments)
 
